@@ -16,7 +16,6 @@ from pathlib import Path
 from . import localize, pontclass
 from .fgl import LawError, alpha_table, parse_law
 from .pseries import OrderExceeded
-from .report import IdentityResult
 
 
 def _law_payload_entries(table, key_names=("i", "j")) -> list[dict]:

@@ -6,16 +6,17 @@ logarithm g(u) = sum cp_n u^(n+1)/(n+1) with cp0 = 1, so g'(u) is the
 series 1 + cp1 u + cp2 u^2 + ...; every coefficient sign downstream is
 whatever reversion of that logarithm yields.  The additive and
 multiplicative specializations are built both from closed form and from
-their logarithms, and the two constructions are asserted equal.
+their logarithms, and the two constructions are checked equal.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import functools
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .coeffring import CoeffPoly
-from .pseries import TruncatedSeries
+from .pseries import CheckFailed, TruncatedSeries
 from .report import IdentityResult, check_zero
 
 U, V, W = "u", "v", "w"
@@ -67,6 +68,7 @@ class FormalGroupLaw:
     inverse: TruncatedSeries            # ubar(u), one variable
     phi: TruncatedSeries                # ubar = u * phi(u)
     log: TruncatedSeries | None = None  # None for hand-corrupted laws
+    derived: dict = field(default_factory=dict, init=False, repr=False)
 
     def __repr__(self) -> str:
         return f"FormalGroupLaw({self.tag}, order={self.order})"
@@ -79,6 +81,19 @@ class FormalGroupLaw:
             self.phi.truncate(min(order, self.phi.order)),
             None if self.log is None else self.log.truncate(order),
         )
+
+
+def per_law(fn):
+    """Memoize a derived series in ``law.derived``, keyed by the function's
+    name and its remaining arguments; the cache is freed with the law, and
+    a truncated copy of the law starts with an empty one."""
+    @functools.wraps(fn)
+    def cached(law: FormalGroupLaw, *args):
+        key = (fn.__name__, *args)
+        if key not in law.derived:
+            law.derived[key] = fn(law, *args)
+        return law.derived[key]
+    return cached
 
 
 def _solve_inverse(f: TruncatedSeries, order: int) -> TruncatedSeries:
@@ -108,13 +123,10 @@ def from_log(log: TruncatedSeries, order: int | None = None,
     gu = log.rename({x: U}).extend(UV)
     gv = log.rename({x: V}).extend(UV)
     f = ginv.evaluate({x: gu + gv})
-    inverse = _solve_inverse(f, order)
-    phi = inverse.divided_by_variable(U)
-    law = FormalGroupLaw(tag, order, f, inverse, phi, log)
-    assert f.evaluate({U: TruncatedSeries.variable(U, (U,), order),
-                       V: TruncatedSeries.zero((U,), order)}).terms == \
-        {(1,): CoeffPoly.one()}, "constructed law is not unital"
-    return law
+    if f.evaluate({U: TruncatedSeries.variable(U, (U,), order),
+                   V: TruncatedSeries.zero((U,), order)}).terms != {(1,): CoeffPoly.one()}:
+        raise CheckFailed("constructed law is not unital")
+    return from_f(f, order, tag, log)
 
 
 def from_f(f: TruncatedSeries, order: int, tag: str = "custom",
@@ -126,15 +138,21 @@ def from_f(f: TruncatedSeries, order: int, tag: str = "custom",
     return FormalGroupLaw(tag, order, f, inverse, phi, log)
 
 
+def _check_log_route(law: FormalGroupLaw) -> FormalGroupLaw:
+    """Cross-validate reversion: the log route must reproduce the closed form."""
+    if from_log(law.log, law.order).f != law.f:
+        raise CheckFailed(
+            f"law {law.tag}: the logarithm and the closed form disagree")
+    return law
+
+
 def miscenko_law(order: int) -> FormalGroupLaw:
     return from_log(miscenko_log(order), order, tag="miscenko")
 
 
 def additive_law(order: int) -> FormalGroupLaw:
     f = TruncatedSeries.from_terms({(1, 0): 1, (0, 1): 1}, UV, order)
-    law = from_f(f, order, tag="additive", log=additive_log(order))
-    assert from_log(additive_log(order), order).f == law.f
-    return law
+    return _check_log_route(from_f(f, order, tag="additive", log=additive_log(order)))
 
 
 def multiplicative_law(beta, order: int) -> FormalGroupLaw:
@@ -142,10 +160,8 @@ def multiplicative_law(beta, order: int) -> FormalGroupLaw:
     if beta == 0:
         raise LawError("multiplicative law needs beta != 0; use the additive law")
     f = TruncatedSeries.from_terms({(1, 0): 1, (0, 1): 1, (1, 1): beta}, UV, order)
-    law = from_f(f, order, tag=f"mult:{beta}", log=multiplicative_log(beta, order))
-    # Cross-validate reversion: the log route must reproduce the closed form.
-    assert from_log(multiplicative_log(beta, order), order).f == law.f
-    return law
+    return _check_log_route(
+        from_f(f, order, tag=f"mult:{beta}", log=multiplicative_log(beta, order)))
 
 
 def parse_law(selector: str, order: int) -> FormalGroupLaw:
@@ -169,6 +185,7 @@ def parse_law(selector: str, order: int) -> FormalGroupLaw:
 # -- derived series ----------------------------------------------------------
 
 
+@per_law
 def cp_series(law: FormalGroupLaw) -> TruncatedSeries:
     """g'(u); for the universal law this is 1 + cp1 u + cp2 u^2 + ..."""
     if law.log is None:
@@ -176,6 +193,7 @@ def cp_series(law: FormalGroupLaw) -> TruncatedSeries:
     return law.log.partial_derivative(U)
 
 
+@per_law
 def n_series(law: FormalGroupLaw, n: int) -> TruncatedSeries:
     """[u]_n by iterated substitution: [u]_1 = u, [u]_(k+1) = f(u, [u]_k)."""
     if n < 1:
@@ -195,6 +213,7 @@ def n_series_via_log(law: FormalGroupLaw, n: int) -> TruncatedSeries:
     return law.log.reversion().evaluate({x: law.log.scale(n)})
 
 
+@per_law
 def a_series(law: FormalGroupLaw) -> TruncatedSeries:
     """a(u) = [u]_2 / u = 2 + sum alpha_ij u^(i+j-1)."""
     return n_series(law, 2).divided_by_variable(U)
@@ -209,6 +228,7 @@ def alpha_table(law: FormalGroupLaw) -> dict[tuple[int, int], CoeffPoly]:
     return table
 
 
+@per_law
 def alpha_series(law: FormalGroupLaw) -> tuple[TruncatedSeries, TruncatedSeries, TruncatedSeries]:
     """alpha(u) = df/du at u = 0, plus its even/odd split
     alpha(u) = alpha0(u^2) + u*alpha1(u^2)."""

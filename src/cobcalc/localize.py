@@ -105,15 +105,21 @@ def chi_grassmann(n: int, k: int) -> int:
     return sum((-1) ** sum(p) for p in partitions_in_box(k, n - k))
 
 
-def localization_sum(n1: int, n2: int, k: int) -> int:
-    """The fixed-point side of the localization formula for RG_k^(n1+n2)."""
+def whitney_sign_formula(n1: int, n2: int, k: int) -> list[tuple[int, int, int]]:
+    """All (k1, k2, sign) with k1 + k2 = k in range, sign = (-1)^((n1-k1) k2)."""
     if not 0 <= k <= n1 + n2:
         raise ValueError(f"grade {k} out of range for dimensions ({n1}, {n2})")
-    total = 0
+    out = []
     for k1 in range(min(n1, k), max(0, k - n2) - 1, -1):
         k2 = k - k1
-        total += (-1) ** ((n1 - k1) * k2) * chi_grassmann(n1, k1) * chi_grassmann(n2, k2)
-    return total
+        out.append((k1, k2, (-1) ** ((n1 - k1) * k2)))
+    return out
+
+
+def localization_sum(n1: int, n2: int, k: int) -> int:
+    """The fixed-point side of the localization formula for RG_k^(n1+n2)."""
+    return sum(sign * chi_grassmann(n1, k1) * chi_grassmann(n2, k2)
+               for k1, k2, sign in whitney_sign_formula(n1, n2, k))
 
 
 def localization_recursion_report(max_total: int) -> list[IdentityResult]:
@@ -160,10 +166,6 @@ class SimplicialComplex:
 
     def vertices(self) -> set:
         return {v for s in self._simplices for v in s}
-
-    def facets(self) -> list[frozenset]:
-        return [s for s in self._simplices
-                if not any(s < t for t in self._simplices)]
 
     def f_vector(self) -> dict[int, int]:
         counts: dict[int, int] = {}

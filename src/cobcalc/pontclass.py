@@ -6,7 +6,9 @@ divided differences delta(u,v) = (a(u) - a(v))/(u - v) and
 d(u,v) = (v a(u) - u a(v))/(u - v); the addition series
 b(u,v) = u + v - uv [alpha0(uv) delta(u,v) + alpha1(uv) d(u,v)] with its
 beta coefficient table; the line-bundle index series gamma(c) = 1 - a(c);
-and the one-sided addition series u + v - a(f(u,v)) v.
+and the one-sided addition series u + v - a(f(u,v)) v.  Phi, delta/d and
+b are memoized on the law (:func:`cobcalc.fgl.per_law`), so each is built
+at most once per law however many identities use it.
 
 Identities that only hold modulo the ideal ([u]_2, [v]_2) are checked in
 :class:`QuotientRingA`, a truncated quotient over an integer
@@ -18,41 +20,37 @@ by the exact pre-quotient identities plus the integral specializations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .coeffring import CoeffPoly
 from .fgl import (U, UV, UVW, V, W, FormalGroupLaw, LawError, a_series,
-                  alpha_series, alpha_table, cp_series, n_series, parse_law,
+                  alpha_series, cp_series, n_series, parse_law, per_law,
                   verify_axioms)
 from .intlattice import IntegerLattice
-from .pseries import OrderExceeded, TruncatedSeries
+from .localize import whitney_sign_formula
+from .pseries import CheckFailed, OrderExceeded, TruncatedSeries
 from .report import IdentityResult, check_zero
 
 
 # -- series constructions ----------------------------------------------------
 
 
+@per_law
 def phi_series(law: FormalGroupLaw) -> TruncatedSeries:
-    """Phi(u,v) = 1 + sum alpha_ij u^i (v^j - ubar^j)/(v - ubar).
+    """Phi(u,v) = (f(u,v) - f(u,ubar)) / (v - ubar), trusted to order n - 1.
 
-    The divided difference is expanded as the polynomial
-    sum_m v^m ubar^(j-1-m), so no division is performed; the
-    factorization and diagonal postconditions are separate checks.
+    Built as the exact divided difference (f(u,v) - f(u,w)) / (v - w),
+    whose remainder check and postcondition verify the division, followed
+    by the substitution w := ubar(u).  Like every divided difference it is
+    trusted to one order below the law: its degree-n part would need the
+    alpha_ij with i + j = n + 1.
     """
-    n = law.order
-    ub = law.inverse.extend(UV)
-    ub_pow = [TruncatedSeries.one(UV, n), ub]
-    result = TruncatedSeries.one(UV, n)
-    for (i, j), c in sorted(alpha_table(law).items()):
-        while len(ub_pow) <= j - 1:
-            ub_pow.append(ub_pow[-1] * ub)
-        inner = TruncatedSeries.zero(UV, n)
-        for m in range(j):
-            inner = inner + ub_pow[j - 1 - m].times_monomial((0, m))
-        result = result + inner.times_monomial((i, 0), c)
-    return result
+    f_uw = law.f.rename({V: W}).extend(UVW)
+    quotient = (law.f.extend(UVW) - f_uw).divided_difference(V, W)
+    return quotient.substitute(W, law.inverse.extend(UV))
 
 
+@per_law
 def delta_d_series(law: FormalGroupLaw) -> tuple[TruncatedSeries, TruncatedSeries]:
     """The symmetric series delta and d; exact division, remainder-checked."""
     a = a_series(law)
@@ -75,6 +73,7 @@ class AdditionSeries:
         return f"AdditionSeries({self.law}, order={self.b.order})"
 
 
+@per_law
 def b_series(law: FormalGroupLaw) -> AdditionSeries:
     """The addition series of the first half-integer class."""
     delta, d = delta_d_series(law)
@@ -154,9 +153,9 @@ class QuotientRingA:
         self._col_of = {ev: i for i, ev in enumerate(monos)}
         self._monos = monos
 
-        two = n_series(law, 2).truncate(order)
+        self._two = n_series(law, 2).truncate(order)
         rel_coeffs = []
-        for (k,), c in two.terms.items():
+        for (k,), c in self._two.terms.items():
             if not (c.is_constant() and c.is_integral()):
                 raise NonIntegralLaw(
                     f"[u]_2 coefficient {c} is not an integer scalar")
@@ -179,8 +178,7 @@ class QuotientRingA:
         """The relation [x]_2 embedded in the quotient-ring variables."""
         if var not in self.variables:
             raise LawError(f"{var!r} is not a quotient-ring variable")
-        two = n_series(self.law, 2).truncate(self.order)
-        return two.rename({U: var}).extend(self.variables)
+        return self._two.rename({U: var}).extend(self.variables)
 
     def reduce(self, s: TruncatedSeries) -> TruncatedSeries:
         """Canonical normal form of s modulo the ideal, at the ring order."""
@@ -213,17 +211,6 @@ def _expvecs(width: int, max_degree: int):
 # -- Whitney sign bookkeeping --------------------------------------------------
 
 
-def whitney_sign_formula(n1: int, n2: int, k: int) -> list[tuple[int, int, int]]:
-    """All (k1, k2, sign) with k1 + k2 = k in range, sign = (-1)^((n1-k1) k2)."""
-    if not 0 <= k <= n1 + n2:
-        raise ValueError(f"grade {k} out of range for dimensions ({n1}, {n2})")
-    out = []
-    for k1 in range(min(n1, k), max(0, k - n2) - 1, -1):
-        k2 = k - k1
-        out.append((k1, k2, (-1) ** ((n1 - k1) * k2)))
-    return out
-
-
 def stability_surviving_terms(n1: int, k: int) -> list[tuple[int, int, int]]:
     """The n2 = 1 instance with the trivial line: p_(1/2)(1) = 0 kills every
     k2 = 1 term, so only (k, 0) with sign +1 can survive."""
@@ -234,7 +221,8 @@ def parity_sign(k: int) -> int:
     """Sign of the surviving term of the 1 + xi instance: (-1)^k; for odd k
     it differs from +1, forcing the class into 2-torsion."""
     terms = [(k1, k2, s) for k1, k2, s in whitney_sign_formula(1, k, k) if k1 == 0]
-    assert len(terms) == 1
+    if len(terms) != 1:
+        raise CheckFailed(f"the 1 + xi instance has {len(terms)} k1 = 0 terms, not one")
     return terms[0][2]
 
 
@@ -308,9 +296,7 @@ def _in_a_rows(law: FormalGroupLaw, order: int,
     vb2 = law.inverse.rename({U: V}).extend(UV)
 
     def reduced(name: str, diff: TruncatedSeries) -> IdentityResult:
-        row = check_zero(name, law.tag, ring.reduce(diff))
-        return IdentityResult(name, law.tag, order, row.passed,
-                              row.first_failing_degree, row.witness_term)
+        return check_zero(name, law.tag, ring.reduce(diff))
 
     rows = []
     if "u_equals_ubar" in names:
@@ -341,9 +327,7 @@ def _in_a_rows(law: FormalGroupLaw, order: int,
         w3 = TruncatedSeries.variable(W, UVW, b.order)
         lhs = b.evaluate({U: b.evaluate({U: u3, V: v3}), V: w3})
         rhs = b.evaluate({U: u3, V: b.evaluate({U: v3, V: w3})})
-        row = check_zero("assoc_b_in_A", law.tag, ring3.reduce(lhs - rhs))
-        rows.append(IdentityResult("assoc_b_in_A", law.tag, order, row.passed,
-                                   row.first_failing_degree, row.witness_term))
+        rows.append(check_zero("assoc_b_in_A", law.tag, ring3.reduce(lhs - rhs)))
     return rows
 
 
@@ -388,7 +372,6 @@ def verify_identity_suite(law, which: str = "all",
     if which == "all" and not is_integral_law(law):
         selected_in_a = set()
 
-    rows: list[IdentityResult] = []
     exact_rows: list[IdentityResult] = []
     if "axioms" in selected_exact:
         exact_rows += verify_axioms(law)
@@ -398,12 +381,10 @@ def verify_identity_suite(law, which: str = "all",
         exact_rows += _phi_factorization(law)
     if "two_series_hom" in selected_exact:
         exact_rows += _two_series_hom(law)
-    for row in exact_rows:
-        # A pass at a deeper order covers the requested one; a failure is
-        # reported where it actually happened.
-        eff = min(order, row.order) if row.passed else row.order
-        rows.append(IdentityResult(row.identity, row.law, eff, row.passed,
-                                   row.first_failing_degree, row.witness_term))
+    # A pass at a deeper order covers the requested one; a failure is
+    # reported where it actually happened.
+    rows = [replace(row, order=min(order, row.order)) if row.passed else row
+            for row in exact_rows]
 
     in_a_names = set()
     if "u_equals_ubar_in_A" in selected_in_a:

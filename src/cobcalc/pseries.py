@@ -47,6 +47,10 @@ class NonzeroRemainder(ValueError):
     """Exact division left a remainder; the claimed divisibility is false."""
 
 
+class CheckFailed(ValueError):
+    """A postcondition or cross-check failed; the result cannot be trusted."""
+
+
 class TruncatedSeries:
     __slots__ = ("variables", "order", "terms")
 
@@ -135,9 +139,6 @@ class TruncatedSeries:
         if not self.terms:
             return _BIG
         return min(sum(ev) for ev in self.terms)
-
-    def total_degree(self) -> int:
-        return max((sum(ev) for ev in self.terms), default=0)
 
     def homogeneous_part(self, degree: int) -> "TruncatedSeries":
         part = {ev: c for ev, c in self.terms.items() if sum(ev) == degree}
@@ -470,8 +471,8 @@ class TruncatedSeries:
         # Re-verify the factorization on every call; cheap at desk orders.
         va = TruncatedSeries.variable(var_a, self.variables, self.order)
         vb = TruncatedSeries.variable(var_b, self.variables, self.order)
-        assert (q._assume_order(self.order) * (va - vb) - self).is_zero(), \
-            "divided_difference postcondition failed"
+        if not (q._assume_order(self.order) * (va - vb) - self).is_zero():
+            raise CheckFailed("divided_difference postcondition failed")
         return q
 
     def reciprocal(self) -> "TruncatedSeries":
@@ -525,7 +526,8 @@ class TruncatedSeries:
             t = t - err * recip
         else:
             raise ArithmeticError("Newton reversion did not converge")
-        assert self.evaluate({x: t})._assume_order(n) == ident
+        if self.evaluate({x: t})._assume_order(n) != ident:
+            raise CheckFailed("reversion postcondition failed")
         return t
 
 
@@ -572,7 +574,3 @@ def series_str(s: TruncatedSeries) -> str:
             parts.append(f"{wrapped}*{mono}")
     return " + ".join(parts)
 
-
-def series_equal_as_polynomials(a: TruncatedSeries, b: TruncatedSeries) -> bool:
-    """Equality of stored terms, ignoring the order bookkeeping."""
-    return a.variables == b.variables and a.terms == b.terms

@@ -39,11 +39,8 @@ class IdentityResult:
         return f"[{mark}] {self.identity} law={self.law} order={self.order}{extra}"
 
 
-def check_zero(identity: str, law: str, difference: TruncatedSeries,
-               order: int | None = None) -> IdentityResult:
+def check_zero(identity: str, law: str, difference: TruncatedSeries) -> IdentityResult:
     """Report whether a difference series vanishes at its trusted order."""
-    if order is not None:
-        difference = difference.truncate(min(order, difference.order))
     if difference.is_zero():
         return IdentityResult(identity, law, difference.order, True)
     degree, ev, coeff = difference.lowest_term()

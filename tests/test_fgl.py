@@ -1,4 +1,8 @@
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -229,6 +233,45 @@ def test_lemma61_cleared_identity(miscenko8):
     lhs = miscenko8.f.partial_derivative("v") * cp.evaluate({"u": miscenko8.f})
     rhs = cp.rename({"u": "v"}).extend(UV)
     assert (lhs - rhs).is_zero()
+
+
+def test_derived_series_built_once_per_law():
+    law = fgl.multiplicative_law(1, 6)
+    a = fgl.a_series(law)
+    assert fgl.a_series(law) is a
+    assert fgl.n_series(law, 2) is fgl.n_series(law, 2)
+    assert fgl.n_series(law, 3) is not fgl.n_series(law, 2)
+    smaller = law.truncate(4)
+    assert smaller.derived == {}
+    assert fgl.a_series(smaller) == a.truncate(3)
+
+
+# -- explicit checks ------------------------------------------------------------------
+
+
+def test_cross_check_is_not_stripped_by_python_O():
+    # the log route is corrupted, so the closed form must be refused even
+    # under -O, which strips assert statements
+    script = textwrap.dedent("""
+        import sys
+        from cobcalc import cli, fgl
+        from cobcalc.pseries import CheckFailed
+        real = fgl.multiplicative_log
+        fgl.multiplicative_log = lambda beta, order: real(beta + 1, order)
+        try:
+            fgl.multiplicative_law(1, 4)
+        except CheckFailed as exc:
+            print(sys.flags.optimize, exc)
+        print(cli.main(["expand", "--law", "mult:1", "--order", "4"]))
+        """)
+    src = str(Path(fgl.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-O", "-c", script],
+                          env={"PYTHONPATH": src}, capture_output=True,
+                          text=True, timeout=60)
+    assert done.stdout.splitlines() == [
+        "1 law mult:1: the logarithm and the closed form disagree", "2"]
+    assert done.stderr == ("error: law mult:1: the logarithm and the closed "
+                           "form disagree\n")
 
 
 # -- mutation ------------------------------------------------------------------------

@@ -1,0 +1,50 @@
+"""Golden CLI output: the sha256 of stdout for small invocations.
+
+The digests were recorded from the package before the derived series were
+memoized on the law and Phi was rebuilt as one divided difference; any
+refactor of the series layer must leave these bytes unchanged.  The last
+case is a usage error, which prints nothing on stdout and exits 2.
+"""
+
+import hashlib
+
+import pytest
+
+from cobcalc.cli import main
+
+GOLDEN = [
+    ("verify exact --law miscenko --order 8", 0,
+     "4731d824a20dc3a9bb2f1eb164837e220d3d8e8c7f8586e940c6d2c367cbcb3c"),
+    ("verify all --law miscenko --order 5 --format json", 0,
+     "ed14f5bf650ba3fdef2def3afd551e9b48bc74c5f867630193e544afddb88026"),
+    ("verify all --law mult:1 --order 8", 0,
+     "ff4db0f32639ee3630a3702205aef94a42c477403c32986410dcf0e82124b323"),
+    ("verify all --law mult:-2 --order 6 --format json", 0,
+     "7b0327dcff688ceee98362f87fd430e2bec7a636a4de89fc1d7df66549d6908b"),
+    ("verify all --law additive --order 8", 0,
+     "9841527c672f934365b8be0a6289ff11dc290248b92782deb49884f72a6563f3"),
+    ("verify exact --law mult:1/2 --order 6", 0,
+     "790de101b502962f6c6a4c9bb69daa77845c9b8bcbd7468dd822711ab98f768f"),
+    ("beta --law miscenko --order 7", 0,
+     "8a577e736b6db074edd0409124308e1ec66f607eb920cafe56f4460250e72861"),
+    ("beta --law mult:-2 --order 6 --format json", 0,
+     "f624856723382308f1d6f865484e3fdbaa63d083959d091a2a421210c43defc3"),
+    ("expand --law miscenko --order 7", 0,
+     "f66552321c5fd49f8007699a874750fb15e9a68da39edb2ae714393a5853948a"),
+    ("chi recursion --max 8", 0,
+     "6ddd24a1219d5cd616cf48bc622649ea311c16c66aa03d6f059f375e51b54bb6"),
+    ("index klein", 0,
+     "64cae42c1976e49828399bcb53516074e96e8b64c103de1e8e0d8497470b4efd"),
+    ("index rp2 --format json", 0,
+     "63cac8cf93317e1c53368cf88f175932324bfa084addbf7435c624f438efaefe"),
+    ("verify lemma6.2 --law mult:1/2 --order 6", 2,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+]
+
+
+@pytest.mark.parametrize("command, code, digest", GOLDEN,
+                         ids=[c for c, _, _ in GOLDEN])
+def test_stdout_matches_golden_digest(capsys, command, code, digest):
+    assert main(command.split()) == code
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -21,9 +21,44 @@ def s2(terms, order):
 # -- Phi ---------------------------------------------------------------------
 
 
+def alpha_table_phi(law):
+    """Oracle: Phi = 1 + sum alpha_ij u^i (v^j - ubar^j)/(v - ubar), with each
+    divided difference expanded as the polynomial sum_m v^m ubar^(j-1-m).
+    Only degrees <= n - 1 are trusted: the alpha_ij with i + j = n + 1 that
+    the degree-n part needs lie beyond the law's order."""
+    n = law.order
+    ub = law.inverse.extend(UV)
+    ub_pow = [TruncatedSeries.one(UV, n), ub]
+    result = TruncatedSeries.one(UV, n)
+    for (i, j), c in sorted(fgl.alpha_table(law).items()):
+        while len(ub_pow) <= j - 1:
+            ub_pow.append(ub_pow[-1] * ub)
+        inner = TruncatedSeries.zero(UV, n)
+        for m in range(j):
+            inner = inner + ub_pow[j - 1 - m].times_monomial((0, m))
+        result = result + inner.times_monomial((i, 0), c)
+    return result.truncate(n - 1)
+
+
 def test_phi_closed_forms():
-    assert pc.phi_series(fgl.additive_law(6)) == TruncatedSeries.one(UV, 6)
-    assert pc.phi_series(fgl.multiplicative_law(1, 6)) == s2({(0, 0): 1, (1, 0): 1}, 6)
+    assert pc.phi_series(fgl.additive_law(6)) == TruncatedSeries.one(UV, 5)
+    assert pc.phi_series(fgl.multiplicative_law(1, 6)) == s2({(0, 0): 1, (1, 0): 1}, 5)
+
+
+@pytest.mark.parametrize("spec, order", [
+    ("miscenko", 7), ("additive", 7), ("mult:1", 7), ("mult:-2", 6),
+    ("mult:1/3", 6)])
+def test_phi_matches_alpha_table_oracle(spec, order):
+    law = fgl.parse_law(spec, order)
+    assert pc.phi_series(law) == alpha_table_phi(law)
+
+
+@pytest.mark.parametrize("n", [4, 6, 8])
+def test_phi_trusted_to_its_claimed_order(n):
+    # every stored degree <= order is final: a deeper law must agree there
+    phi = pc.phi_series(fgl.miscenko_law(n))
+    assert phi == pc.phi_series(fgl.miscenko_law(n + 1)).truncate(phi.order)
+    assert phi.order == n - 1
 
 
 def test_phi_factorization_and_diagonal(miscenko8):
