@@ -2,11 +2,13 @@
 """Drive the whole verification battery through the CLI and summarize.
 
 Exit code 0 only if every step passes; mirrors what CI would run, plus the
-coefficient-table expansions for eyeballing.
+coefficient-table expansions for eyeballing.  Each step's wall time goes to
+stderr, so stdout stays byte-stable across runs.
 """
 
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -32,8 +34,11 @@ def main() -> int:
     for step in STEPS:
         cmd = [sys.executable, "-m", "cobcalc", *step]
         print(f"$ cobcalc {' '.join(step)}")
+        start = time.perf_counter()
         result = subprocess.run(cmd, cwd=ROOT, env={"PYTHONPATH": ENV_PATH},
                                 capture_output=True, text=True)
+        print(f"{time.perf_counter() - start:7.2f} s  cobcalc {' '.join(step)}",
+              file=sys.stderr)
         print(result.stdout, end="")
         if result.returncode != 0:
             failures += 1

@@ -18,6 +18,14 @@ from .fgl import LawError, alpha_table, parse_law
 from .pseries import OrderExceeded
 
 
+def _require_at_least(command: str, flag: str, value: int, least: int) -> None:
+    """Refuse a size below the subcommand's minimum, where a run would check
+    nothing (verify at order 0, chi recursion with no case) or could not
+    build its table."""
+    if value < least:
+        raise ValueError(f"{command}: {flag} must be >= {least}, got {value}")
+
+
 def _law_payload_entries(table, key_names=("i", "j")) -> list[dict]:
     entries = []
     for (i, j) in sorted(table, key=lambda ij: (ij[0] + ij[1], ij[0], ij[1])):
@@ -26,6 +34,7 @@ def _law_payload_entries(table, key_names=("i", "j")) -> list[dict]:
 
 
 def _cmd_expand(args) -> tuple[dict, bool]:
+    _require_at_least("expand", "--order", args.order, 1)
     law = parse_law(args.law, args.order)
     return {
         "law": law.tag,
@@ -35,6 +44,7 @@ def _cmd_expand(args) -> tuple[dict, bool]:
 
 
 def _cmd_beta(args) -> tuple[dict, bool]:
+    _require_at_least("beta", "--order", args.order, 2)
     law = parse_law(args.law, args.order)
     addition = pontclass.b_series(law)
     return {
@@ -46,6 +56,7 @@ def _cmd_beta(args) -> tuple[dict, bool]:
 
 
 def _cmd_verify(args) -> tuple[dict, bool]:
+    _require_at_least("verify", "--order", args.order, 1)
     which = pontclass.normalize_suite_name(args.identity)
     rows = pontclass.verify_identity_suite(args.law, which, args.order)
     ok = all(r.passed for r in rows)
@@ -63,6 +74,7 @@ def _cmd_chi(args) -> tuple[dict, bool]:
         value = localize.chi_grassmann(args.n, args.k)
         return {"mode": "grass", "n": args.n, "k": args.k, "chi": value}, True
     if args.mode == "recursion":
+        _require_at_least("chi recursion", "--max", args.max, 2)
         rows = localize.localization_recursion_report(args.max)
         failures = [r.to_json() for r in rows if not r.passed]
         ok = not failures

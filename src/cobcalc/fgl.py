@@ -114,26 +114,34 @@ def _solve_inverse(f: TruncatedSeries, order: int) -> TruncatedSeries:
 
 def from_log(log: TruncatedSeries, order: int | None = None,
              tag: str = "custom") -> FormalGroupLaw:
-    """Construct f(u, v) as the reversion of the log applied to g(u) + g(v)."""
+    """Construct f(u, v) = g^{-1}(g(u) + g(v)) and ubar(u) = g^{-1}(-g(u)),
+    both through the one reversion g^{-1} of the log."""
     if order is None:
         order = log.order
     log = log.truncate(order)
     x = log.variables[0]
     ginv = log.reversion()
-    gu = log.rename({x: U}).extend(UV)
+    gu = log.rename({x: U})
     gv = log.rename({x: V}).extend(UV)
-    f = ginv.evaluate({x: gu + gv})
+    f = ginv.evaluate({x: gu.extend(UV) + gv})
     if f.evaluate({U: TruncatedSeries.variable(U, (U,), order),
                    V: TruncatedSeries.zero((U,), order)}).terms != {(1,): CoeffPoly.one()}:
         raise CheckFailed("constructed law is not unital")
-    return from_f(f, order, tag, log)
+    return from_f(f, order, tag, log, inverse=ginv.evaluate({x: -gu}))
 
 
 def from_f(f: TruncatedSeries, order: int, tag: str = "custom",
-           log: TruncatedSeries | None = None) -> FormalGroupLaw:
-    """Bundle an explicit f; used for closed forms and mutation tests."""
+           log: TruncatedSeries | None = None,
+           inverse: TruncatedSeries | None = None) -> FormalGroupLaw:
+    """Bundle an explicit f.  Without an inverse (closed forms, mutation
+    tests) it is solved degree by degree; a given inverse must pass the
+    residue check f(u, ubar) = 0 at the working order."""
     f = f.truncate(order)
-    inverse = _solve_inverse(f, order)
+    if inverse is None:
+        inverse = _solve_inverse(f, order)
+    elif not f.evaluate({U: TruncatedSeries.variable(U, (U,), order),
+                         V: inverse.truncate(order)}).is_zero():
+        raise CheckFailed(f"law {tag}: f(u, ubar(u)) is not zero")
     phi = inverse.divided_by_variable(U)
     return FormalGroupLaw(tag, order, f, inverse, phi, log)
 
@@ -159,6 +167,10 @@ def multiplicative_law(beta, order: int) -> FormalGroupLaw:
     beta = Fraction(beta)
     if beta == 0:
         raise LawError("multiplicative law needs beta != 0; use the additive law")
+    if order < 2:
+        raise LawError(
+            f"multiplicative law needs order >= 2 for its degree-2 term beta*u*v, "
+            f"got {order}")
     f = TruncatedSeries.from_terms({(1, 0): 1, (0, 1): 1, (1, 1): beta}, UV, order)
     return _check_log_route(
         from_f(f, order, tag=f"mult:{beta}", log=multiplicative_log(beta, order)))

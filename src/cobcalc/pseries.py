@@ -509,23 +509,26 @@ class TruncatedSeries:
         return x, c1.constant_value()
 
     def reversion(self) -> "TruncatedSeries":
-        """Compositional inverse by Newton iteration (order doubles per step)."""
+        """Compositional inverse by Newton iteration with a doubling working
+        order (Brent & Kung 1978): an inverse exact to degree p becomes exact
+        to degree 2p + 1 after one step, so each step runs at order
+        p = min(2p + 1, n) on ``self`` truncated to p."""
         x, c1 = self._reversion_checks()
         n = self.order
         ident = TruncatedSeries.variable(x, self.variables, n)
-        t = ident.scale(Fraction(1) / c1)
+        t = ident.truncate(1).scale(Fraction(1) / c1)
         sprime = self.partial_derivative(x)
-        for _ in range(max(n.bit_length() + 2, 4)):
-            err = self.evaluate({x: t}) - ident
-            if err.is_zero():
-                break
-            # err starts at degree >= 2, so degrees <= n of the product never
-            # touch the reciprocal coefficients beyond its stored order n - 1;
+        p = 1
+        while p < n:
+            p = min(2 * p + 1, n)
+            # t is exact to its old order; one step makes it exact to p.
+            t = t._assume_order(p)
+            err = self.truncate(p).evaluate({x: t}) - ident.truncate(p)
+            # err starts at degree >= 2, so degrees <= p of the product never
+            # touch the reciprocal coefficients beyond its stored order p - 1;
             # bumping its claimed order keeps the top correction term.
-            recip = sprime.evaluate({x: t}).reciprocal()._assume_order(n)
-            t = t - err * recip
-        else:
-            raise ArithmeticError("Newton reversion did not converge")
+            recip = sprime.truncate(p - 1).evaluate({x: t}).reciprocal()
+            t = t - err * recip._assume_order(p)
         if self.evaluate({x: t})._assume_order(n) != ident:
             raise CheckFailed("reversion postcondition failed")
         return t

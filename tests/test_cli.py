@@ -157,3 +157,45 @@ def test_verify_failure_reports_on_stderr(capsys, monkeypatch):
     assert code == 1
     assert json.loads(out)["status"] == "fail"
     assert "first failure" in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("verify", "all", "--law", "mult:1", "--order", "0"),
+     "verify: --order must be >= 1, got 0"),
+    (("verify", "exact", "--order", "-3"), "verify: --order must be >= 1, got -3"),
+    (("expand", "--law", "miscenko", "--order", "0"),
+     "expand: --order must be >= 1, got 0"),
+    (("beta", "--law", "miscenko", "--order", "1"),
+     "beta: --order must be >= 2, got 1"),
+    (("beta", "--law", "mult:2", "--order", "0"), "beta: --order must be >= 2, got 0"),
+    (("chi", "recursion", "--max", "1"), "chi recursion: --max must be >= 2, got 1"),
+    (("chi", "recursion", "--max", "-5"), "chi recursion: --max must be >= 2, got -5"),
+])
+def test_sizes_below_the_minimum_are_usage_errors(capsys, monkeypatch, argv, message):
+    # refused before any work: no vacuous pass, no cryptic size error
+    from cobcalc import cli, localize, pontclass
+
+    def no_work(*_):
+        raise AssertionError("work started before the size check")
+
+    monkeypatch.setattr(cli, "parse_law", no_work)
+    monkeypatch.setattr(pontclass, "verify_identity_suite", no_work)
+    monkeypatch.setattr(localize, "localization_recursion_report", no_work)
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+def test_multiplicative_law_below_order_two_is_a_usage_error(capsys):
+    code, out, err = run(capsys, "expand", "--law", "mult:1", "--order", "1")
+    assert (code, out) == (2, "")
+    assert err == ("error: multiplicative law needs order >= 2 for its "
+                   "degree-2 term beta*u*v, got 1\n")
+
+
+def test_smallest_accepted_sizes_run(capsys):
+    assert run(capsys, "verify", "axioms", "--law", "mult:1", "--order", "1")[0] == 0
+    assert run(capsys, "expand", "--law", "additive", "--order", "1")[0] == 0
+    assert run(capsys, "beta", "--law", "mult:1", "--order", "2")[0] == 0
+    code, out, _ = run(capsys, "chi", "recursion", "--max", "2", "--format", "json")
+    assert code == 0
+    assert json.loads(out)["cases"] > 0

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from cobcalc import fgl
 from cobcalc.coeffring import CoeffPoly
-from cobcalc.pseries import TruncatedSeries
+from cobcalc.pseries import CheckFailed, OrderExceeded, TruncatedSeries
 
 cp1 = CoeffPoly.gen(1)
 cp2 = CoeffPoly.gen(2)
@@ -68,6 +68,12 @@ def test_multiplicative_beta_zero_rejected():
         fgl.multiplicative_law(0, 5)
 
 
+def test_multiplicative_law_below_order_two_rejected():
+    with pytest.raises(fgl.LawError, match="order >= 2"):
+        fgl.multiplicative_law(1, 1)
+    assert fgl.multiplicative_law(1, 2).order == 2
+
+
 def test_miscenko_alpha_low_coefficients():
     # hand derivation from g(u) = u + cp1 u^2/2 + cp2 u^3/3:
     # alpha_11 = -cp1, alpha_12 = alpha_21 = cp1^2 - cp2
@@ -115,6 +121,41 @@ def test_miscenko_inverse_low_orders():
 def test_inverse_satisfies_defining_equation(miscenko8):
     u = TruncatedSeries.variable("u", U1, 8)
     assert miscenko8.f.evaluate({"u": u, "v": miscenko8.inverse}).is_zero()
+
+
+def test_log_route_inverse_matches_degree_by_degree_solver():
+    # ubar = g^{-1}(-g(u)) against the independent solver of f(u, ubar) = 0
+    for n in range(1, 11):
+        law = fgl.miscenko_law(n)
+        assert law.inverse == fgl._solve_inverse(law.f, n)
+    for n in range(1, 17):
+        law = fgl.from_log(fgl.additive_log(n))
+        assert law.inverse == fgl._solve_inverse(law.f, n)
+    for beta in (1, -1, 2, Fraction(1, 2)):
+        for n in range(2, 17):
+            law = fgl.from_log(fgl.multiplicative_log(Fraction(beta), n))
+            assert law.inverse == fgl._solve_inverse(law.f, n)
+
+
+def test_residue_check_refuses_a_wrong_inverse(miscenko8):
+    law = miscenko8
+    bump = s1({(5,): cp2 * cp2}, 8)
+    with pytest.raises(CheckFailed, match="f\\(u, ubar\\(u\\)\\) is not zero"):
+        fgl.from_f(law.f, 8, inverse=law.inverse + bump)
+    # an inverse known to a lower order cannot vouch for the working order
+    with pytest.raises(OrderExceeded):
+        fgl.from_f(law.f, 8, inverse=law.inverse.truncate(7))
+    assert fgl.from_f(law.f, 8, inverse=law.inverse).inverse == law.inverse
+
+
+def test_mutated_laws_still_solve_their_inverse():
+    # f no longer matches its log, so the inverse comes from the solver
+    base = fgl.miscenko_law(6)
+    for i, j in ((1, 1), (2, 1), (1, 3), (2, 2)):
+        law = fgl.mutate_alpha(base, i, j, 1)
+        assert law.inverse != base.inverse
+        rows = {r.identity: r for r in fgl.verify_axioms(law)}
+        assert rows["inverse"].passed
 
 
 # -- n-series -----------------------------------------------------------------

@@ -2,8 +2,11 @@
 
 The digests were recorded from the package before the derived series were
 memoized on the law and Phi was rebuilt as one divided difference; any
-refactor of the series layer must leave these bytes unchanged.  The last
-case is a usage error, which prints nothing on stdout and exits 2.
+refactor of the series layer must leave these bytes unchanged.  The three
+benchmark-size cases after them were recorded from the package before the
+formal inverse became one composition through the logarithm and Newton
+reversion got a doubling working order.  The last case is a usage error,
+which prints nothing on stdout and exits 2.
 """
 
 import hashlib
@@ -37,6 +40,12 @@ GOLDEN = [
      "64cae42c1976e49828399bcb53516074e96e8b64c103de1e8e0d8497470b4efd"),
     ("index rp2 --format json", 0,
      "63cac8cf93317e1c53368cf88f175932324bfa084addbf7435c624f438efaefe"),
+    ("beta --law miscenko --order 12 --format json", 0,
+     "8a1b36c246693e83cb600d83dd7fe08d7eb47c07aa809156f07c856d66cfe8ef"),
+    ("expand --law miscenko --order 11", 0,
+     "abac892349e9b533050f87304dbc6dae53e8bd52b5f01ffd9612f1ee0c8d980b"),
+    ("verify all --law mult:2 --order 14", 0,
+     "ed98465370b58953f7008bbb83237fc11346e727f5b0f4bb02600aa30380975b"),
     ("verify lemma6.2 --law mult:1/2 --order 6", 2,
      "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
 ]

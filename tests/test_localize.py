@@ -77,7 +77,7 @@ def test_chi_duality():
 def test_chi_matches_gaussian_binomial_closed_form():
     # cross-check only: [n k]_(q=-1) = 0 for n even, k odd, else
     # C(floor(n/2), floor(k/2)); the enumeration stays the ground truth.
-    for n in range(13):
+    for n in range(17):
         for k in range(n + 1):
             expected = 0 if (n % 2 == 0 and k % 2 == 1) else comb(n // 2, k // 2)
             assert lz.chi_grassmann(n, k) == expected

@@ -1,10 +1,15 @@
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
 from math import factorial
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cobcalc import fgl
 from cobcalc.coeffring import CoeffPoly
 from cobcalc.pseries import (NonUnitLeadingTerm, NonzeroConstantTerm,
                              NonzeroRemainder, OrderExceeded, TruncatedSeries,
@@ -134,6 +139,51 @@ def test_reversion_round_trip_and_oracle(s):
     assert s.evaluate({"u": t}) == ident
     assert t.evaluate({"u": s}) == ident
     assert lagrange_reversion(s) == t
+
+
+# Newton's working order runs 1 -> 3 -> 7 -> 15 -> 17, so orders 1..17 put
+# the target order on, just past and just before every doubling boundary.
+NEWTON_ORDERS = range(1, 18)
+
+
+def test_doubling_newton_matches_lagrange_on_the_universal_log():
+    g = fgl.miscenko_log(max(NEWTON_ORDERS))
+    oracle = lagrange_reversion(g)
+    for n in NEWTON_ORDERS:
+        assert g.truncate(n).reversion() == oracle.truncate(n), n
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.fractions(min_value=-3, max_value=3, max_denominator=4).filter(bool),
+       st.lists(st.fractions(min_value=-3, max_value=3, max_denominator=4),
+                min_size=max(NEWTON_ORDERS) - 1, max_size=max(NEWTON_ORDERS) - 1))
+def test_doubling_newton_matches_lagrange_on_scalar_series(c1, tail):
+    top = max(NEWTON_ORDERS)
+    s = s1({(1,): c1, **{(k,): c for k, c in enumerate(tail, start=2)}}, top)
+    for n in NEWTON_ORDERS:
+        assert s.truncate(n).reversion() == lagrange_reversion(s.truncate(n)), n
+
+
+def test_reversion_postcondition_is_not_stripped_by_python_O():
+    # a reciprocal off by a factor 2 slows Newton to linear convergence, so
+    # the result is wrong at the top degrees; -O strips assert statements
+    script = textwrap.dedent("""
+        import sys
+        from cobcalc.pseries import CheckFailed, TruncatedSeries
+        real = TruncatedSeries.reciprocal
+        TruncatedSeries.reciprocal = lambda self: real(self).scale(2)
+        s = TruncatedSeries.from_terms({(1,): 1, (2,): 1}, ("u",), 6)
+        try:
+            s.reversion()
+        except CheckFailed as exc:
+            print(sys.flags.optimize, exc)
+        """)
+    src = str(Path(fgl.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-O", "-c", script],
+                          env={"PYTHONPATH": src}, capture_output=True,
+                          text=True, timeout=60)
+    assert done.stdout == "1 reversion postcondition failed\n"
+    assert done.stderr == ""
 
 
 # -- derivative -----------------------------------------------------------------
