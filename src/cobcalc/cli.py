@@ -18,12 +18,25 @@ from .fgl import LawError, alpha_table, parse_law
 from .pseries import OrderExceeded
 
 
+#: Size caps, so that no invocation runs unbounded.  Each sits above every
+#: size the benchmark, the tests and ``scripts/verify_all.py`` use.
+MAX_ORDER = 24          # expand, beta, verify: --order
+MAX_RECURSION = 20      # chi recursion: --max (2,850 cases)
+MAX_GRASS_N = 24        # chi grass: --n (at most C(24, 12) = 2,704,156 cells)
+
+
 def _require_at_least(command: str, flag: str, value: int, least: int) -> None:
     """Refuse a size below the subcommand's minimum, where a run would check
     nothing (verify at order 0, chi recursion with no case) or could not
     build its table."""
     if value < least:
         raise ValueError(f"{command}: {flag} must be >= {least}, got {value}")
+
+
+def _require_at_most(command: str, flag: str, value: int, most: int) -> None:
+    """Refuse a size above the subcommand's cap before any work is done."""
+    if value > most:
+        raise ValueError(f"{command}: {flag} must be <= {most}, got {value}")
 
 
 def _law_payload_entries(table, key_names=("i", "j")) -> list[dict]:
@@ -35,6 +48,7 @@ def _law_payload_entries(table, key_names=("i", "j")) -> list[dict]:
 
 def _cmd_expand(args) -> tuple[dict, bool]:
     _require_at_least("expand", "--order", args.order, 1)
+    _require_at_most("expand", "--order", args.order, MAX_ORDER)
     law = parse_law(args.law, args.order)
     return {
         "law": law.tag,
@@ -45,6 +59,7 @@ def _cmd_expand(args) -> tuple[dict, bool]:
 
 def _cmd_beta(args) -> tuple[dict, bool]:
     _require_at_least("beta", "--order", args.order, 2)
+    _require_at_most("beta", "--order", args.order, MAX_ORDER)
     law = parse_law(args.law, args.order)
     addition = pontclass.b_series(law)
     return {
@@ -57,6 +72,7 @@ def _cmd_beta(args) -> tuple[dict, bool]:
 
 def _cmd_verify(args) -> tuple[dict, bool]:
     _require_at_least("verify", "--order", args.order, 1)
+    _require_at_most("verify", "--order", args.order, MAX_ORDER)
     which = pontclass.normalize_suite_name(args.identity)
     rows = pontclass.verify_identity_suite(args.law, which, args.order)
     ok = all(r.passed for r in rows)
@@ -71,10 +87,12 @@ def _cmd_verify(args) -> tuple[dict, bool]:
 
 def _cmd_chi(args) -> tuple[dict, bool]:
     if args.mode == "grass":
+        _require_at_most("chi grass", "--n", args.n, MAX_GRASS_N)
         value = localize.chi_grassmann(args.n, args.k)
         return {"mode": "grass", "n": args.n, "k": args.k, "chi": value}, True
     if args.mode == "recursion":
         _require_at_least("chi recursion", "--max", args.max, 2)
+        _require_at_most("chi recursion", "--max", args.max, MAX_RECURSION)
         rows = localize.localization_recursion_report(args.max)
         failures = [r.to_json() for r in rows if not r.passed]
         ok = not failures
@@ -101,17 +119,9 @@ def _cmd_chi(args) -> tuple[dict, bool]:
 
 
 def _cmd_index(args) -> tuple[dict, bool]:
-    if args.which == "klein":
-        rows = localize.klein_index_check()
-        total = localize.ledger_sum([localize.LEDGER_ONE, localize.IndexLedger(-1, 1)])
-        chi = localize.klein_bottle_complex().euler_characteristic()
-        summary = (f"1 + (-1 + u) = {total}; epsilon = {total.epsilon} "
-                   f"= chi(Klein bottle) = {chi}")
-    else:
-        rows = localize.rp2_decomposition_check()
-        chi = localize.chi_grassmann(3, 1)
-        summary = (f"epsilon(-1 + u) * chi(S^1) + epsilon(1) * chi(pt) "
-                   f"= (-1)*0 + 1*1 = {chi} = chi(RP^2)")
+    check = (localize.klein_index_check if args.which == "klein"
+             else localize.rp2_decomposition_check)
+    summary, rows = check()
     ok = all(r.passed for r in rows)
     return {
         "check": args.which,

@@ -1,15 +1,24 @@
-"""Canonical normal forms modulo an integer row lattice.
+"""Unique normal forms modulo an integer row lattice.
 
-Relations in the truncated quotient rings span a sublattice of Z^n; a
-Hermite-style echelon basis of that lattice gives every coset a unique
-representative.  Leading-term rewriting alone is not enough because 2 is
-not invertible in the rings of interest, so vectors are reduced
-coordinate by coordinate against the echelon pivots, taking
-least-absolute-value residues (ties resolved to the positive one).
+Relations in the truncated quotient rings span a sublattice of Z^n.  An
+echelon basis of it has one pivot row per pivot column, whose lowest
+nonzero column is that pivot column, holding a positive pivot value g.
+Leading-term rewriting alone is not enough because 2 is not invertible in
+the rings of interest, so ``reduce`` walks the pivot columns in ascending
+order and replaces each entry by its least-absolute residue modulo g (ties
+resolved to the positive one).  Later steps only touch higher columns, so
+every pivot-column entry of a result lies in (-g/2, g/2].
+
+That makes the result unique per coset, whatever the pivot rows' entries
+beyond their pivot.  Two results of one coset differ by a lattice vector.
+Were it nonzero, its lowest nonzero entry would sit in a pivot column and
+be a multiple of that pivot's g, yet as a difference of two residues in
+(-g/2, g/2] it is below g in absolute value; so the results are equal, and
+the basis needs no back-reduction of earlier pivot rows.
 
 Rows are sparse ``{column: value}`` dicts; the generator sets that arise
 here (monomial multiples of a 2-series) have only a handful of entries
-each, so the echelon pass stays cheap even for a few hundred columns.
+each, so the echelon pass stays cheap even for a few thousand columns.
 """
 
 from __future__ import annotations
@@ -37,7 +46,8 @@ def _row_subtract(row: Row, factor: int, other: Row) -> None:
 
 
 class IntegerLattice:
-    """Row lattice in Z^ncols with a canonical echelon basis."""
+    """Row lattice in Z^ncols with an echelon basis, one pivot row per
+    pivot column, each with a positive pivot value."""
 
     def __init__(self, rows: list[Row], ncols: int):
         self.ncols = ncols
@@ -69,17 +79,10 @@ class IntegerLattice:
             if pivot[col] < 0:
                 pivot = {c: -v for c, v in pivot.items()}
             self.pivots.append((col, pivot))
-        # Back-reduce entries of earlier pivot rows to canonical residues.
-        for idx in range(len(self.pivots) - 1, -1, -1):
-            col, prow = self.pivots[idx]
-            g = prow[col]
-            for jdx in range(idx):
-                _, upper = self.pivots[jdx]
-                if upper.get(col):
-                    _row_subtract(upper, _least_abs_quotient(upper[col], g), prow)
 
     def reduce(self, vector: Row) -> Row:
-        """The canonical representative of vector + lattice."""
+        """The unique representative of vector + lattice whose pivot-column
+        entries are least-absolute residues modulo their pivot values."""
         vec = {c: v for c, v in vector.items() if v}
         for col, prow in self.pivots:
             val = vec.get(col)

@@ -327,16 +327,20 @@ def is_orientable(complex_: SimplicialComplex) -> bool:
 # -- bundled checks -------------------------------------------------------------
 
 
-def rp2_decomposition_check() -> list[IdentityResult]:
+def rp2_decomposition_check() -> tuple[str, list[IdentityResult]]:
     """The projective-plane ledger: the circle of zeros carries index
     -1 + u and the isolated zero carries 1, so the weighted chi sum is
-    (-1) * chi(S^1) + 1 * chi(pt) = 1 = chi(RP^2)."""
+    (-1) * chi(S^1) + 1 * chi(pt) = 1 = chi(RP^2).  Returns that sum as a
+    summary line, and the check rows."""
     circle_chi = circle_complex().euler_characteristic()
     point_chi = point_complex().euler_characteristic()
     ind_circle = IndexLedger(-1, 1)
     total = ind_circle.epsilon * circle_chi + LEDGER_ONE.epsilon * point_chi
     expected = chi_grassmann(3, 1)
     fixture = projective_plane_complex().euler_characteristic()
+    summary = (f"epsilon(-1 + u) * chi(S^1) + epsilon(1) * chi(pt) "
+               f"= ({ind_circle.epsilon})*{circle_chi} "
+               f"+ {LEDGER_ONE.epsilon}*{point_chi} = {total} = chi(RP^2)")
     rows = [
         IdentityResult("rp2_weighted_sum", "ledger", 0, total == expected,
                        None if total == expected else 0,
@@ -347,15 +351,18 @@ def rp2_decomposition_check() -> list[IdentityResult]:
         IdentityResult("index_square_is_one", "ledger", 0,
                        ind_circle * ind_circle == LEDGER_ONE),
     ]
-    return rows
+    return summary, rows
 
 
-def klein_index_check() -> list[IdentityResult]:
+def klein_index_check() -> tuple[str, list[IdentityResult]]:
     """The Klein-bottle circle bundle: the two section circles carry
     indices 1 and -1 + u, the total index is u, and epsilon(u) = 0 agrees
-    with chi of the bundled triangulation."""
+    with chi of the bundled triangulation.  Returns the total and chi as a
+    summary line, and the check rows."""
     total = ledger_sum([LEDGER_ONE, IndexLedger(-1, 1)])
     fixture = klein_bottle_complex().euler_characteristic()
+    summary = (f"1 + (-1 + u) = {total}; epsilon = {total.epsilon} "
+               f"= chi(Klein bottle) = {fixture}")
     rows = [
         IdentityResult("klein_total_index_is_u", "ledger", 0, total == LEDGER_U,
                        None if total == LEDGER_U else 0,
@@ -366,4 +373,4 @@ def klein_index_check() -> list[IdentityResult]:
                        None if total.epsilon == fixture else
                        f"epsilon={total.epsilon} chi={fixture}"),
     ]
-    return rows
+    return summary, rows

@@ -129,11 +129,16 @@ def _series_int_vector(s: TruncatedSeries, col_of) -> dict[int, int]:
 class QuotientRingA:
     """Truncated quotient by ([x]_2 for each variable x) over an integral law.
 
-    Within each total degree the monomial multiples of the 2-series span an
-    integer lattice; reduction against its canonical echelon basis yields a
-    unique normal form per coset (idempotent, and zero exactly on members
-    of the truncated ideal).  Monomials are eliminated from the top degree
-    downward, so e.g. u^2 reduces to -2u under the relation 2u + u^2 = 0.
+    The monomial multiples of the 2-series, truncated at the ring order,
+    span an integer lattice of coefficient vectors, one column per monomial.
+    Reduction takes least-absolute residues against the pivot values of an
+    echelon basis, column by column from the top degree downward, so e.g.
+    u^2 reduces to -2u under the relation 2u + u^2 = 0.  The normal form is
+    unique per coset without back-reducing the basis: two results of one
+    coset differ by a lattice vector whose first nonzero entry would be a
+    multiple of its pivot value g yet smaller than g in absolute value (see
+    ``intlattice``).  So reduction is idempotent and zero exactly on members
+    of the truncated ideal.
     """
 
     def __init__(self, law: FormalGroupLaw, variables: tuple[str, ...] = UV,
@@ -181,7 +186,7 @@ class QuotientRingA:
         return self._two.rename({U: var}).extend(self.variables)
 
     def reduce(self, s: TruncatedSeries) -> TruncatedSeries:
-        """Canonical normal form of s modulo the ideal, at the ring order."""
+        """The normal form of s, unique per coset of the ideal, at the ring order."""
         if s.variables != self.variables:
             s = s.extend(self.variables)
         if s.order < self.order:

@@ -185,6 +185,47 @@ def test_sizes_below_the_minimum_are_usage_errors(capsys, monkeypatch, argv, mes
     assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("expand", "--law", "mult:1", "--order", "25"),
+     "expand: --order must be <= 24, got 25"),
+    (("beta", "--law", "miscenko", "--order", "40"),
+     "beta: --order must be <= 24, got 40"),
+    (("verify", "all", "--law", "mult:1", "--order", "25"),
+     "verify: --order must be <= 24, got 25"),
+    (("verify", "exact", "--order", "1000000"),
+     "verify: --order must be <= 24, got 1000000"),
+    (("chi", "recursion", "--max", "21"), "chi recursion: --max must be <= 20, got 21"),
+    (("chi", "grass", "--n", "44", "--k", "22"), "chi grass: --n must be <= 24, got 44"),
+    (("chi", "grass", "--n", "25", "--k", "30"), "chi grass: --n must be <= 24, got 25"),
+])
+def test_sizes_above_the_cap_are_usage_errors(capsys, monkeypatch, argv, message):
+    # refused before any work, so no invocation runs unbounded
+    from cobcalc import cli, localize, pontclass
+
+    def no_work(*_):
+        raise AssertionError("work started before the size check")
+
+    monkeypatch.setattr(cli, "parse_law", no_work)
+    monkeypatch.setattr(pontclass, "verify_identity_suite", no_work)
+    monkeypatch.setattr(localize, "localization_recursion_report", no_work)
+    monkeypatch.setattr(localize, "chi_grassmann", no_work)
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+def test_sizes_at_the_cap_run(capsys, monkeypatch):
+    from cobcalc import cli, localize
+
+    assert (cli.MAX_ORDER, cli.MAX_RECURSION, cli.MAX_GRASS_N) == (24, 20, 24)
+    assert run(capsys, "verify", "axioms", "--law", "additive", "--order", "24")[0] == 0
+    assert run(capsys, "expand", "--law", "additive", "--order", "24")[0] == 0
+    code, out, _ = run(capsys, "chi", "grass", "--n", "24", "--k", "0",
+                       "--format", "json")
+    assert (code, json.loads(out)["chi"]) == (0, 1)
+    monkeypatch.setattr(localize, "localization_recursion_report", lambda _: [])
+    assert run(capsys, "chi", "recursion", "--max", "20")[0] == 0
+
+
 def test_multiplicative_law_below_order_two_is_a_usage_error(capsys):
     code, out, err = run(capsys, "expand", "--law", "mult:1", "--order", "1")
     assert (code, out) == (2, "")

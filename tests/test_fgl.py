@@ -56,7 +56,7 @@ def test_from_log_identity_gives_additive():
 
 
 def test_multiplicative_law_closed_form_matches_log_route():
-    # the constructor asserts closed form == reversion route internally
+    # the constructor checks the closed form against its log internally
     for beta in (1, -2, Fraction(1, 2)):
         law = fgl.multiplicative_law(beta, 9)
         assert law.f == TruncatedSeries.from_terms(
@@ -81,6 +81,50 @@ def test_miscenko_alpha_low_coefficients():
     assert table[(1, 1)] == -cp1
     assert table[(1, 2)] == cp1 * cp1 - cp2
     assert table[(2, 1)] == cp1 * cp1 - cp2
+
+
+def _to_sympy(sympy, poly, cp):
+    return sum((sympy.Rational(c.numerator, c.denominator)
+                * sympy.Mul(*(cp[k] ** e for k, e in mono))
+                for mono, c in poly.terms()), sympy.Integer(0))
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_miscenko_reversion_and_alpha_table_match_sympy(n):
+    # an oracle outside this package: revert the log with sympy by
+    # undetermined coefficients, then expand g^{-1}(g(u) + g(v)) in sympy
+    sympy = pytest.importorskip("sympy")
+    y, t, u, v = sympy.symbols("y t u v")
+    cp = {k: sympy.Symbol(f"cp{k}") for k in range(1, n + 1)}
+
+    def truncated(expr, var):
+        poly = sympy.Poly(sympy.expand(expr), var)
+        return sum((c * var ** m for (m,), c in poly.terms() if m <= n),
+                   sympy.Integer(0))
+
+    def compose(outer, inner, var):
+        """outer(inner) truncated at var^n, for an outer polynomial in y."""
+        result, power = sympy.Integer(0), sympy.Integer(1)
+        for k in range(1, n + 1):
+            power = truncated(power * inner, var)
+            result += sympy.Poly(outer, y).coeff_monomial(y ** k) * power
+        return sympy.expand(result)
+
+    log = y + sum(cp[k] * y ** (k + 1) / (k + 1) for k in range(1, n))
+    ginv = y
+    for k in range(2, n + 1):
+        ginv -= compose(log, ginv, y).coeff(y, k) * y ** k
+    ours = fgl.miscenko_log(n).reversion()
+    assert {m: _to_sympy(sympy, ours.coefficient((m,)), cp)
+            for m in range(1, n + 1)} == {m: ginv.coeff(y, m) for m in range(1, n + 1)}
+
+    g_sum = log.subs(y, t * u) + log.subs(y, t * v)
+    f = sympy.Poly(compose(ginv, g_sum, t), t, u, v)
+    expected = {(i, j): sympy.expand(c) for (_, i, j), c in f.terms()
+                if i >= 1 and j >= 1}
+    table = fgl.alpha_table(fgl.miscenko_law(n))
+    got = {ij: sympy.expand(_to_sympy(sympy, c, cp)) for ij, c in table.items()}
+    assert got == expected
 
 
 def test_parse_law_selectors():
@@ -313,6 +357,73 @@ def test_cross_check_is_not_stripped_by_python_O():
         "1 law mult:1: the logarithm and the closed form disagree", "2"]
     assert done.stderr == ("error: law mult:1: the logarithm and the closed "
                            "form disagree\n")
+
+
+LOG_ROUTE_BETAS = (1, -1, 2, -2, 3, Fraction(1, 2))
+
+
+def _old_log_route_agrees(law):
+    """The comparison the cross-check replaced: rebuild f through the
+    reversion g^{-1}(g(u) + g(v)) and compare it with the closed form."""
+    return fgl.from_log(law.log, law.order).f == law.f
+
+
+def _log_route_accepts(law):
+    try:
+        fgl._check_log_route(law)
+    except CheckFailed as exc:
+        assert str(exc) == f"law {law.tag}: the logarithm and the closed form disagree"
+        return False
+    return True
+
+
+def _mult_f(beta, n):
+    return TruncatedSeries.from_terms({(1, 0): 1, (0, 1): 1, (1, 1): beta}, UV, n)
+
+
+def test_log_route_accepts_every_additive_and_multiplicative_law():
+    laws = [fgl.additive_law(n) for n in range(1, 17)]
+    laws += [fgl.multiplicative_law(beta, n)
+             for beta in LOG_ROUTE_BETAS for n in range(2, 17)]
+    for law in laws:
+        assert _log_route_accepts(law), law
+        assert _old_log_route_agrees(law), law
+
+
+def _one_coefficient_off():
+    """Closed forms that disagree with their log by one coefficient: the
+    degree-2 term (a wrong beta), a top-degree term, and the log's top term."""
+    cases = []
+    for beta in LOG_ROUTE_BETAS:
+        for n in (2, 3, 6, 11):
+            log = fgl.multiplicative_log(Fraction(beta), n)
+            cases.append(fgl.from_f(_mult_f(beta + 1, n), n, log=log))
+            for i in range(n + 1):
+                top = TruncatedSeries.from_terms({(i, n - i): 1}, UV, n)
+                cases.append(fgl.from_f(_mult_f(beta, n) + top, n, log=log))
+            bumped = log + s1({(n,): Fraction(1, 7)}, n)
+            cases.append(fgl.from_f(_mult_f(beta, n), n, log=bumped))
+    for n in (2, 4, 9):  # at n = 1 a bumped log is a rescaled one, same law
+        ident = TruncatedSeries.from_terms({(1, 0): 1, (0, 1): 1}, UV, n)
+        cases.append(fgl.from_f(ident, n, log=fgl.additive_log(n) + s1({(n,): 1}, n)))
+    return cases
+
+
+def test_log_route_refuses_a_closed_form_off_by_one_coefficient():
+    cases = _one_coefficient_off()
+    assert len(cases) > 100
+    for law in cases:
+        assert not _log_route_accepts(law), law
+        assert not _old_log_route_agrees(law), law
+
+
+def test_log_route_builds_no_reversion(monkeypatch):
+    def no_reversion(self):
+        raise AssertionError("the closed-form cross-check reverted the log")
+
+    monkeypatch.setattr(TruncatedSeries, "reversion", no_reversion)
+    assert fgl.multiplicative_law(3, 12).order == 12
+    assert fgl.additive_law(12).order == 12
 
 
 # -- mutation ------------------------------------------------------------------------

@@ -6,7 +6,10 @@ refactor of the series layer must leave these bytes unchanged.  The three
 benchmark-size cases after them were recorded from the package before the
 formal inverse became one composition through the logarithm and Newton
 reversion got a doubling working order.  The last case is a usage error,
-which prints nothing on stdout and exits 2.
+which prints nothing on stdout and exits 2.  The benchmark-size in-A
+suites over all five integral betas and the remaining index formats were
+recorded from the package before the closed-form cross-check became
+g(f(u, v)) = g(u) + g(v) and the lattice basis lost its back-reduction.
 """
 
 import hashlib
@@ -48,6 +51,20 @@ GOLDEN = [
      "ed98465370b58953f7008bbb83237fc11346e727f5b0f4bb02600aa30380975b"),
     ("verify lemma6.2 --law mult:1/2 --order 6", 2,
      "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("verify all --law mult:1 --order 20 --format json", 0,
+     "c5b9c31ec72f3b9029df6977e5a40710c102bbb3834c3b58c407423806d09ccd"),
+    ("verify all --law mult:-1 --order 20 --format json", 0,
+     "b70b01a8c449baefa74df9c0a92bfacf372703eb42a0f36b6c2e443311173d3a"),
+    ("verify all --law mult:2 --order 20 --format json", 0,
+     "9073f3f396e09247195eedee57bfe0b01404618ee849ea145585c639ced1dabd"),
+    ("verify all --law mult:-2 --order 20 --format json", 0,
+     "75020f25cbceebf9683560fbc8d30d83bf9b53e8f6fe4167cbc9b06328c4c12c"),
+    ("verify all --law mult:3 --order 20 --format json", 0,
+     "74c5e759d4c021cb26222e3febf5a7c8412b3208ec0a54a0d76d384e8d4dc0ce"),
+    ("index klein --format json", 0,
+     "c221a032773879ec0581beca5f713d7d6ff32bc42d984f30523a214f9dd06409"),
+    ("index rp2", 0,
+     "3c45c0dbc82fe675c0e34981864ecf19152eb13b57dda34c340b43c18745b831"),
 ]
 
 

@@ -1,0 +1,139 @@
+"""Coset invariance of the quotient-ring normal form.
+
+The lattices are the ones ``QuotientRingA`` builds for integral
+multiplicative laws over (u, v) and (u, v, w).  Adding any integer
+combination of the original generator rows (not of the echelon pivots)
+must leave the normal form unchanged, every pivot-column entry of a normal
+form must be a least-absolute residue, and the normal form must equal the
+one reduced against a back-reduced basis, which is how the lattice used to
+be built.
+"""
+
+import random
+
+import pytest
+
+from cobcalc import fgl, pontclass
+from cobcalc.intlattice import IntegerLattice
+
+BETAS = (1, -1, 2, -2, 3)
+ORDERS = (3, 6, 10)
+
+
+def _ring_lattice(law, variables, order):
+    """The lattice of QuotientRingA(law, variables, order) and the generator
+    rows it was built from."""
+    captured = []
+
+    class Recording(IntegerLattice):
+        def __init__(self, rows, ncols):
+            captured.extend(dict(r) for r in rows)
+            super().__init__(rows, ncols)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pontclass, "IntegerLattice", Recording)
+        ring = pontclass.QuotientRingA(law, variables, order)
+    return ring._lattice, captured
+
+
+def _add(vec, factor, row):
+    out = dict(vec)
+    for col, val in row.items():
+        out[col] = out.get(col, 0) + factor * val
+    return {c: v for c, v in out.items() if v}
+
+
+def _residue(value, g):
+    """value mod g, in (-g/2, g/2]."""
+    r = value % g
+    return r - g if 2 * r > g else r
+
+
+def _back_reduced(lattice):
+    """Oracle: a copy of the lattice whose earlier pivot rows are
+    back-reduced by every later pivot, to least-absolute residues."""
+    old = IntegerLattice([], lattice.ncols)
+    old.pivots = [(col, dict(row)) for col, row in lattice.pivots]
+    for idx in range(len(old.pivots) - 1, -1, -1):
+        col, prow = old.pivots[idx]
+        g = prow[col]
+        for jdx in range(idx):
+            upper_col, upper = old.pivots[jdx]
+            if upper.get(col):
+                q = (upper[col] - _residue(upper[col], g)) // g
+                old.pivots[jdx] = (upper_col, _add(upper, -q, prow))
+    return old
+
+
+def _random_vector(rng, ncols):
+    cols = rng.sample(range(ncols), min(ncols, rng.randint(1, 12)))
+    return {c: rng.choice([-1, 1]) * rng.randint(1, 9) for c in cols}
+
+
+@pytest.mark.parametrize("variables", [("u", "v"), ("u", "v", "w")])
+@pytest.mark.parametrize("beta", BETAS)
+def test_normal_form_is_invariant_on_each_coset(beta, variables):
+    law = fgl.multiplicative_law(beta, max(ORDERS))
+    for order in ORDERS:
+        lattice, rows = _ring_lattice(law, variables, order)
+        assert rows and lattice.pivots
+        rng = random.Random(f"{beta} {variables} {order}")
+        for _ in range(6):
+            vec = _random_vector(rng, lattice.ncols)
+            shifted = vec
+            for row in rows:
+                shifted = _add(shifted, rng.randint(-3, 3), row)
+            assert lattice.reduce(shifted) == lattice.reduce(vec)
+        for row in rows:
+            assert lattice.reduce(row) == {}
+
+
+@pytest.mark.parametrize("variables", [("u", "v"), ("u", "v", "w")])
+@pytest.mark.parametrize("beta", BETAS)
+def test_pivot_entries_are_least_absolute_residues(beta, variables):
+    law = fgl.multiplicative_law(beta, max(ORDERS))
+    for order in ORDERS:
+        lattice, _ = _ring_lattice(law, variables, order)
+        rng = random.Random(f"{beta} {variables} {order} residues")
+        for _ in range(20):
+            got = lattice.reduce(_random_vector(rng, lattice.ncols))
+            assert lattice.reduce(got) == got
+            for col, prow in lattice.pivots:
+                g = prow[col]
+                assert g > 0 and min(prow) == col
+                assert -g < 2 * got.get(col, 0) <= g
+
+
+@pytest.mark.parametrize("variables", [("u", "v"), ("u", "v", "w")])
+@pytest.mark.parametrize("beta", BETAS)
+def test_normal_form_equals_back_reduced_basis(beta, variables):
+    law = fgl.multiplicative_law(beta, max(ORDERS))
+    for order in ORDERS:
+        lattice, rows = _ring_lattice(law, variables, order)
+        old = _back_reduced(lattice)
+        rng = random.Random(f"{beta} {variables} {order} oracle")
+        vectors = [_random_vector(rng, lattice.ncols) for _ in range(20)]
+        vectors += [_add(rows[i], 1, {0: 1}) for i in range(0, len(rows), 7)]
+        for vec in vectors:
+            assert lattice.reduce(vec) == old.reduce(vec)
+
+
+def test_random_lattices_match_back_reduced_oracle():
+    # small dense lattices, where back-reduction does change pivot rows
+    rng = random.Random("random lattices")
+    changed = 0
+    for _ in range(200):
+        ncols = rng.randint(1, 8)
+        rows = [_random_vector(rng, ncols) for _ in range(rng.randint(1, 6))]
+        lattice = IntegerLattice(rows, ncols)
+        old = _back_reduced(lattice)
+        changed += old.pivots != lattice.pivots
+        for _ in range(5):
+            vec = _random_vector(rng, ncols)
+            got = lattice.reduce(vec)
+            assert got == old.reduce(vec)
+            shifted = vec
+            for row in rows:
+                shifted = _add(shifted, rng.randint(-4, 4), row)
+            assert lattice.reduce(shifted) == got
+    assert changed > 50

@@ -174,8 +174,8 @@ def _all_pass(rows: list[IdentityResult]) -> bool:
 
 
 def test_rp2_decomposition_check():
-    assert _all_pass(lz.rp2_decomposition_check())
+    assert _all_pass(lz.rp2_decomposition_check()[1])
 
 
 def test_klein_index_check():
-    assert _all_pass(lz.klein_index_check())
+    assert _all_pass(lz.klein_index_check()[1])
