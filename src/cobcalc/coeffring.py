@@ -7,6 +7,28 @@ a sparse polynomial in generators cp1, cp2, ... over that field; the
 generator cpn carries weight n, so weights add under multiplication.
 There is no cp0 generator: the empty monomial is the constant 1.
 
+Inside a :class:`CoeffPoly` each monomial is one packed non-negative
+integer (Monagan & Pearce, "Polynomial division using dynamic arrays,
+heaps, and packed exponent vectors", CASC 2007): the exponent of cpg sits
+in the ``FIELD_BITS``-bit field starting at bit ``FIELD_BITS * (g - 1)``,
+the empty monomial is 0, and the product of two monomials is one integer
+addition.  Every stored exponent stays below half the field (128 for the
+8-bit field), so the sum of two stored exponents never carries into the
+next generator's field.  The guard refuses with :class:`ExponentOverflow`
+an exponent of 128 or more where a monomial is packed, and any product
+whose keys have a field's top bit set.  CLI inputs stay far below the
+limit: an exponent of cpg in a coefficient of weight w is at most w / g,
+and at ``--order <= 24`` (plus the two orders a suite adds) the series
+built carry coefficients of weight below 30.  The tuple form
+:data:`Monomial` appears only at the API boundary (``from_terms``,
+``terms``, ``coefficient``, rendering, ``specialize``, ``weights``).
+
+:meth:`CoeffPoly.dot` is the one multiplication kernel: it sums the
+products of a list of pairs over one common denominator, accumulates
+integer numerators on packed keys and normalizes once, so a series
+product normalizes once per output coefficient rather than once per
+coefficient product.
+
 All values are immutable and all operations are pure functions, so
 independent computations may run concurrently without synchronization.
 No floating point is used anywhere.
@@ -15,8 +37,10 @@ No floating point is used anywhere.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache, reduce
 from math import gcd
-from typing import Iterator, Mapping, Union
+from operator import or_
+from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 Rational = Fraction
 
@@ -24,16 +48,24 @@ Rational = Fraction
 #: generator index, with indices >= 1 and exponents >= 1.  () is 1.
 Monomial = tuple[tuple[int, int], ...]
 
-ONE_MONO: Monomial = ()
-
 ScalarLike = Union[int, Fraction]
+
+#: Bits per generator in a packed monomial: one byte, so ``int.to_bytes``
+#: reads the exponents of cp1, cp2, ... in order.  Exponents stay below half.
+FIELD_BITS = 8
+_LIMIT = 1 << (FIELD_BITS - 1)       # the first exponent refused (128)
 
 
 class MissingGenerator(ValueError):
     """A specialization omitted a generator that occurs in the polynomial."""
 
 
+class ExponentOverflow(ValueError):
+    """An exponent does not fit below half of its packed field."""
+
+
 def mono_mul(a: Monomial, b: Monomial) -> Monomial:
+    """Product of two monomials in tuple form."""
     if not a:
         return b
     if not b:
@@ -57,49 +89,107 @@ def mono_str(m: Monomial) -> str:
     return "*".join(parts)
 
 
-def _mono_validate(m: Monomial) -> Monomial:
-    m = tuple(sorted((int(g), int(e)) for g, e in m if e))
-    for g, e in m:
+def _mono_validate(m: Iterable[tuple[int, int]]) -> Monomial:
+    """The canonical monomial of (generator, exponent) pairs: a repeated
+    generator gets the sum of its exponents, zero exponents are dropped."""
+    exps: dict[int, int] = {}
+    for g, e in sorted((int(g), int(e)) for g, e in m if e):
         if g < 1:
             raise ValueError(f"generator index must be >= 1, got cp{g}")
         if e < 0:
             raise ValueError(f"negative exponent on cp{g}")
-    return m
+        exps[g] = exps.get(g, 0) + e
+    return tuple(exps.items())
+
+
+def _pack(m: Monomial) -> int:
+    """The packed key of a canonical monomial."""
+    key = 0
+    for g, e in m:
+        if e >= _LIMIT:
+            raise ExponentOverflow(
+                f"exponent {e} of cp{g} exceeds the packed limit {_LIMIT - 1}")
+        key |= e << (FIELD_BITS * (g - 1))
+    return key
+
+
+def _fields(key: int) -> int:
+    """The number of fields up to the highest nonzero one."""
+    return -(-key.bit_length() // FIELD_BITS)
+
+
+def _dense_mono(exps: bytes) -> Monomial:
+    """The monomial of a dense exponent vector, cp1 first."""
+    return tuple([(g, e) for g, e in enumerate(exps, 1) if e])
+
+
+def _unpack(key: int) -> Monomial:
+    return _dense_mono(key.to_bytes(_fields(key), "little"))
+
+
+@lru_cache(maxsize=4096)
+def _mono_render(key: int) -> tuple[int, bytes, str]:
+    """Weight, exponent vector (cp1 first, up to the last nonzero exponent)
+    and text of a packed monomial; a table renders each monomial many times.
+
+    Vectors without trailing zeros order like the zero-padded ones, since a
+    zero sorts below every exponent."""
+    dense = key.to_bytes(_fields(key), "little")
+    m = _dense_mono(dense)
+    return mono_weight(m), dense, mono_str(m)
+
+
+@lru_cache(maxsize=None)
+def _guard_bits(fields: int) -> int:
+    """The top bit of each of the lowest ``fields`` fields."""
+    return sum(_LIMIT << (FIELD_BITS * k) for k in range(fields))
+
+
+def _check_keys(keys: Iterable[int]) -> None:
+    """Refuse product keys with an exponent at or above the limit.
+
+    Each key is a sum of two keys whose fields are below the limit, so no
+    field carried and an overflowing field has its top bit set."""
+    bits = reduce(or_, keys, 0)
+    over = bits & _guard_bits(_fields(bits))
+    if over:
+        g = _fields(over)
+        raise ExponentOverflow(
+            f"a product raises cp{g} past the packed exponent limit {_LIMIT - 1}")
 
 
 class CoeffPoly:
     """Sparse polynomial in cp1, cp2, ... with exact rational coefficients.
 
     Internally all coefficients share one positive denominator and the
-    integer numerators have no common factor with it, so ring operations
-    run on plain integers and normalize once per result.
+    integer numerators, keyed by packed monomials, have no common factor
+    with it, so ring operations run on plain integers and normalize once
+    per result.
     """
 
     __slots__ = ("_num", "_den")
 
-    def __init__(self, num: dict[Monomial, int], den: int):
+    def __init__(self, num: dict[int, int], den: int):
         # Assumes normalized input; use the classmethod constructors.
         self._num = num
         self._den = den
 
     @staticmethod
-    def _make(num: dict[Monomial, int], den: int) -> "CoeffPoly":
+    def _make(num: dict[int, int], den: int) -> "CoeffPoly":
         if den == 0:
             raise ZeroDivisionError("zero denominator")
-        num = {m: c for m, c in num.items() if c}
+        if not all(num.values()):
+            num = {m: c for m, c in num.items() if c}
         if not num:
             return _ZERO
         if den < 0:
             den = -den
             num = {m: -c for m, c in num.items()}
-        g = den
-        for c in num.values():
-            g = gcd(g, c)
-            if g == 1:
-                break
-        if g > 1:
-            den //= g
-            num = {m: c // g for m, c in num.items()}
+        if den != 1:
+            g = gcd(den, *num.values())
+            if g > 1:
+                den //= g
+                num = {m: c // g for m, c in num.items()}
         return CoeffPoly(num, den)
 
     @classmethod
@@ -115,24 +205,25 @@ class CoeffPoly:
         q = Fraction(value)
         if not q:
             return _ZERO
-        return cls._make({ONE_MONO: q.numerator}, q.denominator)
+        return cls._make({0: q.numerator}, q.denominator)
 
     @classmethod
     def gen(cls, n: int) -> "CoeffPoly":
         """The generator cpn (weight n); n must be >= 1."""
         if n < 1:
             raise ValueError("generator index must be >= 1 (cp0 is the constant 1)")
-        return CoeffPoly({((n, 1),): 1}, 1)
+        return CoeffPoly({_pack(((n, 1),)): 1}, 1)
 
     @classmethod
     def from_terms(cls, terms: Mapping[Monomial, ScalarLike]) -> "CoeffPoly":
-        fracs = {_mono_validate(m): Fraction(c) for m, c in terms.items()}
+        """The sum of the terms; monomials equal in canonical form add up."""
+        fracs = [(_pack(_mono_validate(m)), Fraction(c)) for m, c in terms.items()]
         den = 1
-        for q in fracs.values():
+        for _, q in fracs:
             den = den * q.denominator // gcd(den, q.denominator)
-        num: dict[Monomial, int] = {}
-        for m, q in fracs.items():
-            num[m] = num.get(m, 0) + q.numerator * (den // q.denominator)
+        num: dict[int, int] = {}
+        for key, q in fracs:
+            num[key] = num.get(key, 0) + q.numerator * (den // q.denominator)
         return cls._make(num, den)
 
     # -- queries -----------------------------------------------------------
@@ -144,11 +235,11 @@ class CoeffPoly:
         return bool(self._num)
 
     def is_constant(self) -> bool:
-        return not self._num or set(self._num) == {ONE_MONO}
+        return not self._num or (len(self._num) == 1 and 0 in self._num)
 
     def constant_value(self) -> Fraction:
         """Coefficient of the empty monomial."""
-        return Fraction(self._num.get(ONE_MONO, 0), self._den)
+        return Fraction(self._num.get(0, 0), self._den)
 
     def is_integral(self) -> bool:
         return self._den == 1
@@ -157,26 +248,21 @@ class CoeffPoly:
         """The value of a constant integer polynomial."""
         if not self.is_constant() or self._den != 1:
             raise ValueError(f"not a constant integer: {self}")
-        return self._num.get(ONE_MONO, 0)
+        return self._num.get(0, 0)
 
     def coefficient(self, mono: Monomial) -> Fraction:
-        return Fraction(self._num.get(_mono_validate(mono), 0), self._den)
+        return Fraction(self._num.get(_pack(_mono_validate(mono)), 0), self._den)
 
     def terms(self) -> Iterator[tuple[Monomial, Fraction]]:
         den = self._den
         for m, c in self._num.items():
-            yield m, Fraction(c, den)
+            yield _unpack(m), Fraction(c, den)
 
     def max_generator(self) -> int:
-        top = 0
-        for m in self._num:
-            for g, _ in m:
-                if g > top:
-                    top = g
-        return top
+        return max(map(_fields, self._num), default=0)
 
     def weights(self) -> set[int]:
-        return {mono_weight(m) for m in self._num}
+        return {mono_weight(_unpack(m)) for m in self._num}
 
     def is_homogeneous(self, weight: int | None = None) -> bool:
         """True if every monomial has the same weight (the zero polynomial
@@ -219,18 +305,37 @@ class CoeffPoly:
     def __neg__(self) -> "CoeffPoly":
         return CoeffPoly({m: -c for m, c in self._num.items()}, self._den)
 
+    @staticmethod
+    def dot(pairs: Sequence[tuple["CoeffPoly", "CoeffPoly"]]) -> "CoeffPoly":
+        """The sum of a * b over the (a, b) pairs, normalized once.
+
+        All products go over one common denominator, the lcm of the
+        operand denominator products, so the numerators accumulate as
+        integers on packed keys; an empty list sums to zero."""
+        den = 1
+        for a, b in pairs:
+            d = a._den * b._den
+            if den % d:
+                den = den // gcd(den, d) * d
+        num: dict[int, int] = {}
+        get = num.get
+        for a, b in pairs:
+            scale = den // (a._den * b._den)
+            bitems = b._num.items()
+            for ma, ca in a._num.items():
+                ca *= scale
+                for mb, cb in bitems:
+                    m = ma + mb
+                    num[m] = get(m, 0) + ca * cb
+        if not num:
+            return _ZERO
+        _check_keys(num)
+        return CoeffPoly._make(num, den)
+
     def __mul__(self, other: "CoeffPoly") -> "CoeffPoly":
         if not isinstance(other, CoeffPoly):
             return NotImplemented
-        if not self._num or not other._num:
-            return _ZERO
-        num: dict[Monomial, int] = {}
-        bitems = list(other._num.items())
-        for ma, ca in self._num.items():
-            for mb, cb in bitems:
-                m = mono_mul(ma, mb)
-                num[m] = num.get(m, 0) + ca * cb
-        return self._make(num, self._den * other._den)
+        return CoeffPoly.dot(((self, other),))
 
     def __pow__(self, n: int) -> "CoeffPoly":
         if n < 0:
@@ -251,14 +356,14 @@ class CoeffPoly:
         """Evaluate under cpn -> assignment[n]; a ring homomorphism to Q."""
         values = {g: Fraction(v) for g, v in assignment.items()}
         total = Fraction(0)
-        for m, c in self._num.items():
-            term = Fraction(c)
+        for m, c in self.terms():
+            term = c
             for g, e in m:
                 if g not in values:
                     raise MissingGenerator(f"no value assigned to cp{g}")
                 term *= values[g] ** e
             total += term
-        return total / self._den
+        return total
 
     # -- comparison / rendering --------------------------------------------
 
@@ -270,33 +375,36 @@ class CoeffPoly:
     def __hash__(self) -> int:
         return hash((self._den, frozenset(self._num.items())))
 
+    def _sorted_rows(self) -> list[tuple[int, bytes, str, int]]:
+        """(weight, exponent vector, text, numerator) of each term, sorted by
+        weight, then by the exponent vector (cp1 first)."""
+        return sorted([(*_mono_render(m), c) for m, c in self._num.items()])
+
     def sorted_terms(self) -> list[tuple[Monomial, Fraction]]:
         """Terms sorted by weight, then by the dense exponent vector."""
-        width = self.max_generator()
-
-        def dense(m: Monomial) -> tuple[int, ...]:
-            exps = dict(m)
-            return tuple(exps.get(g, 0) for g in range(1, width + 1))
-
-        items = sorted(self._num.items(), key=lambda mc: (mono_weight(mc[0]), dense(mc[0])))
-        return [(m, Fraction(c, self._den)) for m, c in items]
+        den = self._den
+        return [(_dense_mono(dense), Fraction(c, den))
+                for _, dense, _, c in self._sorted_rows()]
 
     def __str__(self) -> str:
         if not self._num:
             return "0"
+        den = self._den
         chunks: list[str] = []
-        for m, q in self.sorted_terms():
-            mag = abs(q)
-            if not m:
-                body = str(mag)
-            elif mag == 1:
-                body = mono_str(m)
+        for weight, _, text, c in self._sorted_rows():
+            g = gcd(c, den)
+            n, d = abs(c) // g, den // g
+            mag = str(n) if d == 1 else f"{n}/{d}"
+            if not weight:
+                body = mag
+            elif mag == "1":
+                body = text
             else:
-                body = f"{mag}*{mono_str(m)}"
+                body = f"{mag}*{text}"
             if not chunks:
-                chunks.append(f"-{body}" if q < 0 else body)
+                chunks.append(f"-{body}" if c < 0 else body)
             else:
-                chunks.append(f"- {body}" if q < 0 else f"+ {body}")
+                chunks.append(f"- {body}" if c < 0 else f"+ {body}")
         return " ".join(chunks)
 
     def __repr__(self) -> str:
@@ -304,7 +412,7 @@ class CoeffPoly:
 
 
 _ZERO = CoeffPoly({}, 1)
-_ONE = CoeffPoly({ONE_MONO: 1}, 1)
+_ONE = CoeffPoly({0: 1}, 1)
 
 
 def as_coeff(value: Union["CoeffPoly", ScalarLike]) -> CoeffPoly:

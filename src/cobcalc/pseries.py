@@ -18,6 +18,7 @@ independent implementation kept as a cross-check oracle.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add
 from typing import Iterable, Mapping, Union
 
 from .coeffring import CoeffPoly, ScalarLike, as_coeff
@@ -49,6 +50,18 @@ class NonzeroRemainder(ValueError):
 
 class CheckFailed(ValueError):
     """A postcondition or cross-check failed; the result cannot be trusted."""
+
+
+def _dot_buckets(buckets: dict[ExpVec, list[tuple[CoeffPoly, CoeffPoly]]]
+                 ) -> dict[ExpVec, CoeffPoly]:
+    """The nonzero sums of products, one per exponent vector."""
+    dot = CoeffPoly.dot
+    terms = {}
+    for ev, pairs in buckets.items():
+        c = dot(pairs)
+        if c:
+            terms[ev] = c
+    return terms
 
 
 class TruncatedSeries:
@@ -205,24 +218,24 @@ class TruncatedSeries:
         if isinstance(other, TruncatedSeries):
             self._check_compatible(other)
             order = min(self.order, other.order)
-            terms: dict[ExpVec, CoeffPoly] = {}
+            # The coefficient pairs of each output exponent vector go to one
+            # CoeffPoly.dot, which normalizes once per output coefficient.
+            buckets: dict[ExpVec, list[tuple[CoeffPoly, CoeffPoly]]] = {}
             bitems = [(ev, sum(ev), c) for ev, c in other.terms.items()]
             for ea, ca in self.terms.items():
-                da = sum(ea)
-                if da > order:
+                room = order - sum(ea)
+                if room < 0:
                     continue
                 for eb, db, cb in bitems:
-                    if da + db > order:
+                    if db > room:
                         continue
-                    ev = tuple(x + y for x, y in zip(ea, eb))
-                    prod = ca * cb
-                    s = terms.get(ev)
-                    s = prod if s is None else s + prod
-                    if s.is_zero():
-                        terms.pop(ev, None)
+                    ev = tuple(map(add, ea, eb))
+                    pairs = buckets.get(ev)
+                    if pairs is None:
+                        buckets[ev] = [(ca, cb)]
                     else:
-                        terms[ev] = s
-            return TruncatedSeries(self.variables, order, terms)
+                        pairs.append((ca, cb))
+            return TruncatedSeries(self.variables, order, _dot_buckets(buckets))
         return self.scale(other)
 
     def __rmul__(self, other) -> "TruncatedSeries":
@@ -366,7 +379,7 @@ class TruncatedSeries:
         lows = [min(v.lowest_degree(), work_order + 1) for v in vals]
         powers: list[list[TruncatedSeries]] = [
             [TruncatedSeries.one(target_vars, work_order)] for _ in vals]
-        acc: dict[ExpVec, CoeffPoly] = {}
+        buckets: dict[ExpVec, list[tuple[CoeffPoly, CoeffPoly]]] = {}
         for ev, c in self.terms.items():
             if sum(e * low for e, low in zip(ev, lows)) > work_order:
                 continue
@@ -379,17 +392,14 @@ class TruncatedSeries:
                     pw.append(pw[-1] * vals[idx])
                 prod = prod * pw[e]
             for pev, pc in prod.terms.items():
-                t = pc * c
-                if t.is_zero():
-                    continue
-                s = acc.get(pev)
-                s = t if s is None else s + t
-                if s.is_zero():
-                    acc.pop(pev, None)
+                pairs = buckets.get(pev)
+                if pairs is None:
+                    buckets[pev] = [(pc, c)]
                 else:
-                    acc[pev] = s
-        acc = {ev: c for ev, c in acc.items() if sum(ev) <= result_order}
-        return TruncatedSeries(target_vars, result_order, acc)
+                    pairs.append((pc, c))
+        # prod is truncated at work_order = result_order, so every bucket
+        # is a stored degree of the result.
+        return TruncatedSeries(target_vars, result_order, _dot_buckets(buckets))
 
     def substitute(self, var: str, value: "TruncatedSeries") -> "TruncatedSeries":
         """Replace one variable; the others map to themselves in the

@@ -2,8 +2,9 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
-from cobcalc.coeffring import CoeffPoly, MissingGenerator, mono_weight
+from cobcalc.coeffring import CoeffPoly, ExponentOverflow, MissingGenerator, mono_weight
 
 from conftest import coeff_polys, small_fractions
 
@@ -111,3 +112,154 @@ def test_hash_consistent_with_eq(a):
     clone = CoeffPoly.from_terms(dict(a.terms()))
     assert clone == a
     assert hash(clone) == hash(a)
+
+
+# -- canonical monomials ---------------------------------------------------------
+
+
+def test_repeated_generator_merges_exponents():
+    twice = CoeffPoly.from_terms({((1, 1), (1, 1)): 1})
+    assert twice == cp1 ** 2
+    assert twice * CoeffPoly.one() == cp1 ** 2
+    assert str(twice) == "cp1^2"
+    assert dict(twice.terms()) == {((1, 2),): 1}
+    assert twice.coefficient(((1, 1), (1, 1))) == 1
+
+
+def test_terms_with_one_canonical_monomial_add_up():
+    p = CoeffPoly.from_terms({((1, 2),): 1, ((1, 1), (1, 1)): half, ((2, 0), (1, 2)): 1})
+    assert p == (cp1 ** 2).scale(Fraction(5, 2))
+
+
+# -- packed exponents and their guard ----------------------------------------------
+
+TOP = 127   # the largest exponent a packed field holds
+
+
+def test_largest_exponent_packs_multiplies_and_round_trips():
+    top3 = CoeffPoly.from_terms({((3, TOP),): Fraction(2, 3)})
+    top2 = CoeffPoly.from_terms({((2, TOP),): -1})
+    assert dict(top3.terms()) == {((3, TOP),): Fraction(2, 3)}
+    prod = top3 * top2 * cp1
+    assert dict(prod.terms()) == {((1, 1), (2, TOP), (3, TOP)): Fraction(-2, 3)}
+    assert prod.max_generator() == 3
+    assert prod.weight() == 1 + 2 * TOP + 3 * TOP
+    assert cp1 ** TOP == CoeffPoly.from_terms({((1, TOP),): 1})
+
+
+def test_exponent_past_the_limit_is_refused_where_packed():
+    with pytest.raises(ExponentOverflow, match="cp2"):
+        CoeffPoly.from_terms({((2, TOP + 1),): 1})
+    with pytest.raises(ExponentOverflow):
+        CoeffPoly.from_terms({((2, 100), (2, 28)): 1})
+    assert issubclass(ExponentOverflow, ValueError)   # the CLI's exit 2
+
+
+@pytest.mark.parametrize("g", [1, 2, 5])
+def test_product_crossing_a_field_boundary_raises(g):
+    half_top = CoeffPoly.from_terms({((g, 64),): 1})
+    top = CoeffPoly.from_terms({((g, TOP),): 1})
+    # 64 + 64 = 128 sets the field's top (guard) bit; 127 + 127 = 254 would
+    # carry into the next generator's field at the next product.
+    for a, b in ((half_top, half_top), (top, top), (top, cp1 * CoeffPoly.gen(g))):
+        with pytest.raises(ExponentOverflow, match=f"cp{g} "):
+            a * b
+    with pytest.raises(ExponentOverflow):
+        CoeffPoly.dot([(cp1, cp2), (half_top, half_top)])
+    # Unguarded, cp_g^256 would read as cp_(g+1).
+    with pytest.raises(ExponentOverflow):
+        CoeffPoly.gen(g) ** 256
+
+
+# -- oracle: a plain Fraction-dict multiply over tuple monomials --------------------
+
+
+def _canon_mono(pairs) -> tuple:
+    exps: dict = {}
+    for g, e in pairs:
+        exps[g] = exps.get(g, 0) + e
+    return tuple(sorted((g, e) for g, e in exps.items() if e))
+
+
+def _canon(raw: dict) -> dict:
+    """Canonical {monomial: Fraction} of raw (generator, exponent) lists."""
+    out: dict = {}
+    for pairs, c in raw.items():
+        m = _canon_mono(pairs)
+        out[m] = out.get(m, 0) + Fraction(c)
+    return {m: c for m, c in out.items() if c}
+
+
+def _ref_mul(a: dict, b: dict) -> dict:
+    out: dict = {}
+    for ma, ca in a.items():
+        for mb, cb in b.items():
+            m = _canon_mono(ma + mb)
+            out[m] = out.get(m, 0) + ca * cb
+    return {m: c for m, c in out.items() if c}
+
+
+def _ref_add(a: dict, b: dict) -> dict:
+    out = dict(a)
+    for m, c in b.items():
+        out[m] = out.get(m, 0) + c
+    return {m: c for m, c in out.items() if c}
+
+
+# Up to 12 generators with exponents up to 30, repeated generators allowed.
+_raw_monomials = st.lists(st.tuples(st.integers(1, 12), st.integers(0, 30)),
+                          max_size=4).map(tuple)
+_raw_polys = st.dictionaries(_raw_monomials, small_fractions, max_size=4)
+_raw_consts = st.dictionaries(st.just(()), small_fractions, max_size=1)
+_raw_operands = st.one_of(_raw_polys, _raw_consts)
+
+
+@given(_raw_operands)
+def test_from_terms_matches_oracle(raw):
+    assert dict(CoeffPoly.from_terms(raw).terms()) == _canon(raw)
+
+
+@given(_raw_operands, _raw_operands)
+def test_mul_matches_oracle(ra, rb):
+    a, b = CoeffPoly.from_terms(ra), CoeffPoly.from_terms(rb)
+    assert dict((a * b).terms()) == _ref_mul(_canon(ra), _canon(rb))
+
+
+@given(st.lists(st.tuples(_raw_operands, _raw_operands), max_size=6), st.booleans())
+def test_dot_matches_oracle(raw_pairs, cancel):
+    pairs = [(CoeffPoly.from_terms(ra), CoeffPoly.from_terms(rb)) for ra, rb in raw_pairs]
+    expected: dict = {}
+    for ra, rb in raw_pairs:
+        expected = _ref_add(expected, _ref_mul(_canon(ra), _canon(rb)))
+    if cancel:
+        # Each product again with the opposite sign: everything cancels.
+        pairs += [(-a, b) for a, b in pairs]
+        expected = {}
+    got = CoeffPoly.dot(pairs)
+    assert dict(got.terms()) == expected
+    assert got == CoeffPoly.from_terms(expected)
+
+
+@given(_raw_operands)
+def test_sorted_terms_follow_weight_then_dense_vector(raw):
+    p = CoeffPoly.from_terms(raw)
+    width = p.max_generator()
+
+    def dense(m):
+        exps = dict(m)
+        return tuple(exps.get(g, 0) for g in range(1, width + 1))
+
+    expected = sorted(_canon(raw).items(), key=lambda mq: (mono_weight(mq[0]), dense(mq[0])))
+    assert p.sorted_terms() == expected
+
+
+def test_dot_of_no_pairs_is_zero():
+    assert CoeffPoly.dot([]) == CoeffPoly.zero()
+
+
+def test_dot_of_constants_normalizes_once():
+    third, sixth = CoeffPoly.const(Fraction(1, 3)), CoeffPoly.const(Fraction(1, 6))
+    two = CoeffPoly.const(2)
+    got = CoeffPoly.dot([(third, sixth), (two, sixth), (sixth, CoeffPoly.const(-5))])
+    assert got == CoeffPoly.const(Fraction(1, 18) + Fraction(1, 3) - Fraction(5, 6))
+    assert got.is_constant() and not got.is_integral()

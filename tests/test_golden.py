@@ -10,6 +10,10 @@ which prints nothing on stdout and exits 2.  The benchmark-size in-A
 suites over all five integral betas and the remaining index formats were
 recorded from the package before the closed-form cross-check became
 g(f(u, v)) = g(u) + g(v) and the lattice basis lost its back-reduction.
+The last two, the benchmark's universal exact suite and a miscenko table
+with many generators and high weights, were recorded from the package
+before coefficient monomials were packed into integers and series
+products summed each output coefficient in one kernel call.
 """
 
 import hashlib
@@ -65,6 +69,10 @@ GOLDEN = [
      "c221a032773879ec0581beca5f713d7d6ff32bc42d984f30523a214f9dd06409"),
     ("index rp2", 0,
      "3c45c0dbc82fe675c0e34981864ecf19152eb13b57dda34c340b43c18745b831"),
+    ("verify exact --law miscenko --order 9 --format json", 0,
+     "c3cff95f6cbe105f7950c747b2a040b08c8d065f39235d388b3d81b3d74d884d"),
+    ("expand --law miscenko --order 14", 0,
+     "8ee71b83a6e0a1325ad7b53ba1b1ad40bc0c561eed1d22d28b2f8a68896be8a9"),
 ]
 
 
