@@ -25,30 +25,36 @@ MAX_RECURSION = 20      # chi recursion: --max (2,850 cases)
 MAX_GRASS_N = 24        # chi grass: --n (at most C(24, 12) = 2,704,156 cells)
 
 
-def _require_at_least(command: str, flag: str, value: int, least: int) -> None:
-    """Refuse a size below the subcommand's minimum, where a run would check
-    nothing (verify at order 0, chi recursion with no case) or could not
-    build its table."""
-    if value < least:
+#: (flag, least, most) per subcommand, checked before any work is done.  A
+#: size below the least would check nothing (verify at order 0, chi recursion
+#: with no case) or could not build its table; None means no minimum.
+LIMITS = {
+    "expand": ("--order", 1, MAX_ORDER),
+    "beta": ("--order", 2, MAX_ORDER),
+    "verify": ("--order", 1, MAX_ORDER),
+    "chi grass": ("--n", None, MAX_GRASS_N),
+    "chi recursion": ("--max", 2, MAX_RECURSION),
+}
+
+
+def _check_limits(args) -> None:
+    command = " ".join(filter(None, (args.command, getattr(args, "mode", None))))
+    if command not in LIMITS:
+        return
+    flag, least, most = LIMITS[command]
+    value = getattr(args, flag.lstrip("-"))
+    if least is not None and value < least:
         raise ValueError(f"{command}: {flag} must be >= {least}, got {value}")
-
-
-def _require_at_most(command: str, flag: str, value: int, most: int) -> None:
-    """Refuse a size above the subcommand's cap before any work is done."""
     if value > most:
         raise ValueError(f"{command}: {flag} must be <= {most}, got {value}")
 
 
-def _law_payload_entries(table, key_names=("i", "j")) -> list[dict]:
-    entries = []
-    for (i, j) in sorted(table, key=lambda ij: (ij[0] + ij[1], ij[0], ij[1])):
-        entries.append({key_names[0]: i, key_names[1]: j, "value": str(table[(i, j)])})
-    return entries
+def _law_payload_entries(table) -> list[dict]:
+    return [{"i": i, "j": j, "value": str(table[(i, j)])}
+            for i, j in sorted(table, key=lambda ij: (sum(ij), ij))]
 
 
 def _cmd_expand(args) -> tuple[dict, bool]:
-    _require_at_least("expand", "--order", args.order, 1)
-    _require_at_most("expand", "--order", args.order, MAX_ORDER)
     law = parse_law(args.law, args.order)
     return {
         "law": law.tag,
@@ -58,8 +64,6 @@ def _cmd_expand(args) -> tuple[dict, bool]:
 
 
 def _cmd_beta(args) -> tuple[dict, bool]:
-    _require_at_least("beta", "--order", args.order, 2)
-    _require_at_most("beta", "--order", args.order, MAX_ORDER)
     law = parse_law(args.law, args.order)
     addition = pontclass.b_series(law)
     return {
@@ -71,8 +75,6 @@ def _cmd_beta(args) -> tuple[dict, bool]:
 
 
 def _cmd_verify(args) -> tuple[dict, bool]:
-    _require_at_least("verify", "--order", args.order, 1)
-    _require_at_most("verify", "--order", args.order, MAX_ORDER)
     which = pontclass.normalize_suite_name(args.identity)
     rows = pontclass.verify_identity_suite(args.law, which, args.order)
     ok = all(r.passed for r in rows)
@@ -87,12 +89,9 @@ def _cmd_verify(args) -> tuple[dict, bool]:
 
 def _cmd_chi(args) -> tuple[dict, bool]:
     if args.mode == "grass":
-        _require_at_most("chi grass", "--n", args.n, MAX_GRASS_N)
         value = localize.chi_grassmann(args.n, args.k)
         return {"mode": "grass", "n": args.n, "k": args.k, "chi": value}, True
     if args.mode == "recursion":
-        _require_at_least("chi recursion", "--max", args.max, 2)
-        _require_at_most("chi recursion", "--max", args.max, MAX_RECURSION)
         rows = localize.localization_recursion_report(args.max)
         failures = [r.to_json() for r in rows if not r.passed]
         ok = not failures
@@ -220,6 +219,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_limits(args)
         payload, ok = args.run(args)
     except (LawError, OrderExceeded, FileNotFoundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -184,6 +184,20 @@ def multiplicative_law(beta, order: int) -> FormalGroupLaw:
         from_f(f, order, tag=f"mult:{beta}", log=multiplicative_log(beta, order)))
 
 
+#: Most digits a mult:BETA may spell out, a decimal exponent counting as
+#: that many zeros: 10^100 is accepted, 10^101 and 1e5000 are refused.
+MAX_BETA_DIGITS = 101
+
+
+def _beta_digits(raw: str) -> int:
+    """A bound, read off the text alone, on the digits of BETA's numerator
+    and denominator together; four exponent digits already exceed the cap."""
+    mantissa, _, exponent = raw.partition("e")
+    shift = exponent.lstrip("+-").replace("_", "").lstrip("0")[:4] or "0"
+    return (sum(ch.isdigit() for ch in mantissa)
+            + (int(shift) if shift.isdecimal() else 0))
+
+
 def parse_law(selector: str, order: int) -> FormalGroupLaw:
     """Law selector used by the CLI: miscenko | additive | mult:BETA."""
     selector = selector.strip().lower()
@@ -193,6 +207,10 @@ def parse_law(selector: str, order: int) -> FormalGroupLaw:
         return additive_law(order)
     if selector.startswith(("mult:", "multiplicative:")):
         raw = selector.split(":", 1)[1]
+        if _beta_digits(raw) > MAX_BETA_DIGITS:
+            raise LawError(
+                f"mult:BETA must have at most {MAX_BETA_DIGITS} digits, an "
+                "exponent counting as that many zeros")
         try:
             beta = Fraction(raw)
         except (ValueError, ZeroDivisionError) as exc:
@@ -253,24 +271,13 @@ def alpha_series(law: FormalGroupLaw) -> tuple[TruncatedSeries, TruncatedSeries,
     """alpha(u) = df/du at u = 0, plus its even/odd split
     alpha(u) = alpha0(u^2) + u*alpha1(u^2)."""
     dfdu = law.f.partial_derivative(U)
-    alpha = dfdu.evaluate({
-        U: TruncatedSeries.zero((V,), dfdu.order),
-        V: TruncatedSeries.variable(V, (V,), dfdu.order),
-    }).rename({V: U})
-    m = alpha.order
-    even: dict[tuple[int, ...], CoeffPoly] = {}
-    odd: dict[tuple[int, ...], CoeffPoly] = {}
-    for (e,), c in alpha.terms.items():
-        if e % 2 == 0:
-            even[(e // 2,)] = c
-        else:
-            odd[((e - 1) // 2,)] = c
-    alpha0 = TruncatedSeries(
-        alpha.variables, m // 2,
-        {ev: c for ev, c in even.items() if ev[0] <= m // 2})
-    alpha1 = TruncatedSeries(
-        alpha.variables, (m - 1) // 2,
-        {ev: c for ev, c in odd.items() if ev[0] <= (m - 1) // 2})
+    m = dfdu.order
+    alpha = TruncatedSeries(
+        (U,), m, {(j,): c for (i, j), c in dfdu.terms.items() if i == 0})
+    even = {(e // 2,): c for (e,), c in alpha.terms.items() if e % 2 == 0}
+    odd = {(e // 2,): c for (e,), c in alpha.terms.items() if e % 2 == 1}
+    alpha0 = TruncatedSeries(alpha.variables, m // 2, even)
+    alpha1 = TruncatedSeries(alpha.variables, (m - 1) // 2, odd)
     return alpha, alpha0, alpha1
 
 

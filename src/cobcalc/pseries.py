@@ -461,14 +461,10 @@ class TruncatedSeries:
         carry: dict[ExpVec, CoeffPoly] = {}
         for k in range(top, 0, -1):
             add_into(carry, by_deg.get(k, {}))
-            for ev, c in carry.items():
-                qev = ev[:ia] + (k - 1,) + ev[ia + 1:]
-                s = quotient.get(qev)
-                s = c if s is None else s + c
-                if s.is_zero():
-                    quotient.pop(qev, None)
-                else:
-                    quotient[qev] = s
+            # Carry keys hold 0 in the var_a slot and no zero values, so each
+            # k writes nonzero coefficients to keys no other k writes.
+            quotient.update({ev[:ia] + (k - 1,) + ev[ia + 1:]: c
+                             for ev, c in carry.items()})
             carry = shift_b(carry)
         remainder = dict(carry)
         add_into(remainder, by_deg.get(0, {}))

@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -231,6 +232,35 @@ def test_multiplicative_law_below_order_two_is_a_usage_error(capsys):
     assert (code, out) == (2, "")
     assert err == ("error: multiplicative law needs order >= 2 for its "
                    "degree-2 term beta*u*v, got 1\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ("expand", "--law", "mult:1e5000", "--order", "3"),
+    ("beta", "--law", "mult:1e101", "--order", "4"),
+    ("verify", "all", "--law", "multiplicative:-1e-101", "--order", "2"),
+])
+def test_oversized_beta_is_a_usage_error(capsys, monkeypatch, argv):
+    # refused from its text: no giant integer is built, no cryptic message
+    from cobcalc import fgl
+
+    def no_work(*_):
+        raise AssertionError("Fraction built before the size check")
+
+    monkeypatch.setattr(fgl, "Fraction", no_work)
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == ("error: mult:BETA must have at most 101 digits, an exponent "
+                   "counting as that many zeros\n")
+
+
+def test_beta_at_the_digit_cap_runs(capsys):
+    code, out, _ = run(capsys, "expand", "--law", "mult:1e100", "--order", "3",
+                       "--format", "json")
+    assert code == 0
+    assert json.loads(out)["alpha"] == [{"i": 1, "j": 1, "value": str(10 ** 100)}]
+    code, out, _ = run(capsys, "beta", "--law", "mult:1e100", "--order", "24")
+    assert code == 0
+    assert max(len(run_) for run_ in re.findall(r"\d+", out)) == 101
 
 
 def test_smallest_accepted_sizes_run(capsys):

@@ -135,6 +135,28 @@ def test_parse_law_selectors():
         fgl.parse_law("projective", 3)
 
 
+@pytest.mark.parametrize("beta", [
+    "1e5000", "1e101", "1E+101", "1e-101", "1e" + "9" * 5000, "9" * 102,
+    "1/" + "9" * 101, "99e100", "0." + "0" * 100 + "1"])
+def test_parse_law_refuses_oversized_beta_before_building_it(monkeypatch, beta):
+    def no_work(*_):
+        raise AssertionError("Fraction built before the size check")
+
+    monkeypatch.setattr(fgl, "Fraction", no_work)
+    for prefix in ("mult:", "multiplicative:"):
+        with pytest.raises(fgl.LawError, match="^mult:BETA must have at most 101 "):
+            fgl.parse_law(prefix + beta, 3)
+
+
+def test_parse_law_accepts_beta_at_the_digit_cap():
+    assert fgl.MAX_BETA_DIGITS == 101
+    for beta, value in [("1e100", Fraction(10) ** 100), ("1E-100", Fraction(1, 10 ** 100)),
+                        ("9" * 101, Fraction(10) ** 101 - 1), ("1e+0_100", Fraction(10) ** 100),
+                        ("-2", -2), ("1/3", Fraction(1, 3)), ("1.5", Fraction(3, 2))]:
+        law = fgl.parse_law(f"mult:{beta}", 3)
+        assert fgl.alpha_table(law)[(1, 1)] == CoeffPoly.const(value)
+
+
 # -- formal inverse ------------------------------------------------------------
 
 
@@ -260,6 +282,22 @@ def test_alpha_series_closed_forms():
     assert alpha == s1({(0,): 1, (1,): 1}, 5)
     assert alpha0 == TruncatedSeries.constant(1, U1, 2)
     assert alpha1 == TruncatedSeries.constant(1, U1, 2)
+
+
+@pytest.mark.parametrize("spec, order", [
+    ("miscenko", 8), ("additive", 6), ("mult:1", 9), ("mult:-2", 7), ("mult:1/3", 5)])
+def test_alpha_series_matches_df_du_at_zero(spec, order):
+    # oracle: compose df/du with u := 0 instead of reading its u-free terms
+    law = fgl.parse_law(spec, order)
+    for law in (law, fgl.mutate_alpha(law, 2, order - 2)):
+        dfdu = law.f.partial_derivative("u")
+        oracle = dfdu.evaluate({
+            "u": TruncatedSeries.zero(("v",), dfdu.order),
+            "v": TruncatedSeries.variable("v", ("v",), dfdu.order),
+        }).rename({"v": "u"})
+        alpha, alpha0, alpha1 = fgl.alpha_series(law)
+        assert (alpha, alpha.order) == (oracle, oracle.order)
+        assert (alpha0.order, alpha1.order) == (alpha.order // 2, (alpha.order - 1) // 2)
 
 
 def test_alpha_even_odd_split_recomposes(miscenko8):

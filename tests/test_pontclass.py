@@ -302,9 +302,60 @@ def test_in_a_suite_refuses_rational_beta():
 def test_suite_detects_mutation():
     law = fgl.mutate_alpha(fgl.miscenko_law(6), 1, 1, 1)
     rows = pc.verify_identity_suite(law, "all", 6)
-    failed = {r.identity for r in rows if not r.passed}
-    assert "associativity" in failed
+    failed = {r.identity: r for r in rows if not r.passed}
+    assert failed["associativity"].first_failing_degree == 4
     assert "lemma61" in failed
+
+
+def test_mutation_beyond_the_requested_order_is_not_reported():
+    # alpha_34 has degree 7: every degree <= 6 of the law is intact
+    law = fgl.mutate_alpha(fgl.miscenko_law(7), 3, 4)
+    rows = pc.verify_identity_suite(law, "axioms", 6)
+    assert [(r.identity, r.order, r.passed) for r in rows] == [
+        (name, 6, True) for name in ("unitality_right", "unitality_left",
+                                     "commutativity", "associativity", "inverse")]
+    # at order 7 the mutation is in range and is reported at degree 7
+    rows = pc.verify_identity_suite(law, "axioms", 7)
+    failed = {r.identity: r.first_failing_degree for r in rows if not r.passed}
+    assert failed == {"commutativity": 7, "associativity": 7}
+
+
+@pytest.mark.parametrize("spec", [
+    "miscenko", "additive", "mult:1", "mult:-1", "mult:2", "mult:-2", "mult:3",
+    "mult:1/2"])
+def test_every_row_reports_exactly_the_requested_order(spec):
+    # a selector law is built one order deeper; at no margin the lemma61 and
+    # Phi rows would stop one order short, and mult:BETA could not be built
+    # at order 1
+    for n in range(1, 10):
+        rows = pc.verify_identity_suite(spec, "all", n)
+        assert len(rows) == (18 if pc.is_integral_law(fgl.parse_law(spec, 2)) else 10)
+        assert [(r.identity, r.order, r.passed) for r in rows] == [
+            (r.identity, n, True) for r in rows]
+
+
+def test_in_a_groups_share_one_ring_per_variable_set(monkeypatch):
+    built = []
+
+    class Counted(pc.QuotientRingA):
+        def __init__(self, law, variables, order):
+            built.append((variables, order))
+            super().__init__(law, variables, order)
+
+    monkeypatch.setattr(pc, "QuotientRingA", Counted)
+    rows = pc.verify_identity_suite("mult:1", "all", 6)
+    assert all(r.passed for r in rows)
+    assert built == [(("u", "v"), 6), (("u", "v", "w"), 6)]
+
+
+def test_alias_groups_run_in_report_order():
+    rows = pc.verify_identity_suite("mult:1", "all", 4)
+    singles = [r for group in ("axioms", "lemma61", "phi_factorization",
+                               "two_series_hom", "u_equals_ubar_in_A", "lemma62",
+                               "thm66_in_A", "assoc_in_A")
+               for r in pc.verify_identity_suite("mult:1", group, 4)]
+    assert rows == singles
+    assert pc.SUITES[-3:] == ("exact", "in_A", "all")
 
 
 # -- Whitney signs ----------------------------------------------------------------------
