@@ -22,7 +22,7 @@ from .pseries import OrderExceeded
 #: size the benchmark, the tests and ``scripts/verify_all.py`` use.
 MAX_ORDER = 24          # expand, beta, verify: --order
 MAX_RECURSION = 20      # chi recursion: --max (2,850 cases)
-MAX_GRASS_N = 24        # chi grass: --n (at most C(24, 12) = 2,704,156 cells)
+MAX_GRASS_N = 24        # chi grass: --n (at most C(24, 12) = 2,704,156 k-subsets)
 
 
 #: (flag, least, most) per subcommand, checked before any work is done.  A

@@ -7,9 +7,13 @@ in Z (+) Z2: an integer part seen by the augmentation epsilon plus a
 is an axiom of the model, not something verified here.
 
 chi of the real Grassmannian RG_k^n is the signed count of Schubert cells,
-computed by brute-force enumeration of the partitions in a k x (n-k) box
-(the Gaussian binomial at q = -1); any closed form is a cross-check, not
-ground truth.  The localization recursion then states
+computed by brute force: every cell is visited once.  A cell is a partition
+lambda in a k x (n-k) box, or equivalently a k-subset S = {s_1 < ... < s_k}
+of {0, ..., n-1} with lambda_i = s_(k+1-i) - (k-i), so that
+|lambda| = sum(S) - k(k-1)/2 (Fulton, Young Tableaux, 1997, chapter 9);
+the cells are enumerated as those subsets.  The count is the Gaussian
+binomial at q = -1, and any closed form is a cross-check, not ground truth.
+The localization recursion then states
 
     chi(RG_k^(n1+n2)) = sum over k1+k2=k of
         (-1)^((n1-k1) k2) chi(RG_k1^n1) chi(RG_k2^n2).
@@ -21,8 +25,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
 from itertools import combinations
+from math import comb
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .report import IdentityResult
 
@@ -86,23 +91,16 @@ def ledger_sum(ledgers: Iterable[IndexLedger]) -> IndexLedger:
 # -- Grassmannian Euler characteristics ----------------------------------------
 
 
-def partitions_in_box(rows: int, cols: int, _first: int | None = None):
-    """All partitions fitting in a rows x cols box, as tuples."""
-    limit = cols if _first is None else min(cols, _first)
-    yield ()
-    if rows == 0:
-        return
-    for head in range(1, limit + 1):
-        for tail in partitions_in_box(rows - 1, cols, head):
-            yield (head,) + tail
-
-
 @lru_cache(maxsize=None)
 def chi_grassmann(n: int, k: int) -> int:
-    """chi(RG_k^n) as the signed Schubert-cell count sum (-1)^|lambda|."""
+    """chi(RG_k^n) as the signed Schubert-cell count sum (-1)^|lambda|, each
+    cell visited once as a k-subset S of range(n) of dimension
+    |lambda| = sum(S) - k(k-1)/2.  Of the C(n, k) cells, those with sum(S)
+    odd count -(-1)^(k(k-1)/2) and the rest +(-1)^(k(k-1)/2)."""
     if not 0 <= k <= n:
         raise ValueError(f"plane dimension {k} out of range for R^{n}")
-    return sum((-1) ** sum(p) for p in partitions_in_box(k, n - k))
+    odd_cells = sum(map((1).__and__, map(sum, combinations(range(n), k))))
+    return (-1) ** (k * (k - 1) // 2) * (comb(n, k) - 2 * odd_cells)
 
 
 def whitney_sign_formula(n1: int, n2: int, k: int) -> list[tuple[int, int, int]]:
@@ -141,6 +139,13 @@ def localization_recursion_report(max_total: int) -> list[IdentityResult]:
 # -- simplicial complexes ----------------------------------------------------------
 
 
+def _faces(vertices: frozenset) -> Iterator[frozenset]:
+    """Every nonempty face of the simplex on these vertices."""
+    for size in range(1, len(vertices) + 1):
+        for face in combinations(vertices, size):
+            yield frozenset(face)
+
+
 class SimplicialComplex:
     """Finite abstract simplicial complex, closed under taking faces."""
 
@@ -155,9 +160,7 @@ class SimplicialComplex:
             vertices = frozenset(simplex)
             if not vertices:
                 raise ValueError("the empty simplex is not stored")
-            for size in range(1, len(vertices) + 1):
-                for face in combinations(sorted(vertices, key=repr), size):
-                    closed.add(frozenset(face))
+            closed.update(_faces(vertices))
         return cls(frozenset(closed))
 
     @property
@@ -176,12 +179,30 @@ class SimplicialComplex:
     def euler_characteristic(self) -> int:
         return sum((-1) ** (len(s) - 1) for s in self._simplices)
 
+    def subdivision_size(self) -> int:
+        """The number of simplices of the barycentric subdivision, counted
+        without building it.  The chains ending at a face sigma number 1 plus
+        the sum of the chains ending at each proper face of sigma; every
+        proper face is in the complex, so that count depends only on the
+        number m of vertices of sigma:
+        c(m) = 1 + sum over 0 < j < m of C(m, j) c(j)."""
+        fv = self.f_vector()
+        chains_ending = [0]
+        for m in range(1, max(fv, default=-1) + 2):
+            chains_ending.append(1 + sum(comb(m, j) * chains_ending[j]
+                                         for j in range(1, m)))
+        return sum(count * chains_ending[d + 1] for d, count in fv.items())
+
     def barycentric_subdivision(self) -> "SimplicialComplex":
         """Vertices of the subdivision are the simplices; its simplices are
-        the chains under strict inclusion."""
-        order = sorted(self._simplices, key=lambda s: (len(s), sorted(map(repr, s))))
-        supersets: dict[frozenset, list[frozenset]] = {
-            s: [t for t in order if s < t] for s in order}
+        the chains under strict inclusion.  The cofaces of each face come
+        from the subsets of each simplex, not from comparing every pair of
+        faces, which is quadratic in their number."""
+        supersets: dict[frozenset, list[frozenset]] = {s: [] for s in self._simplices}
+        for t in self._simplices:
+            for size in range(1, len(t)):
+                for face in combinations(t, size):
+                    supersets[frozenset(face)].append(t)
         chains: set[frozenset] = set()
 
         def grow(chain: tuple) -> None:
@@ -189,22 +210,54 @@ class SimplicialComplex:
             for t in supersets[chain[-1]]:
                 grow(chain + (t,))
 
-        for s in order:
+        for s in self._simplices:
             grow((s,))
         return SimplicialComplex(frozenset(chains))
 
 
+#: Input caps for a complex read from text, checked before the work they
+#: bound: a simplex on m vertices closes to 2^m - 1 faces, and the
+#: subdivision of a complex can be far larger than the complex.  One
+#: simplex at the vertex cap subdivides into 94,585 simplices, inside the
+#: subdivision cap; the bundled Klein bottle subdivides into 576.
+MAX_SIMPLEX_VERTICES = 7
+MAX_SUBDIVISION_SIMPLICES = 100_000
+
+
 def load_complex_text(text: str) -> SimplicialComplex:
     """One simplex per line, space-separated vertex labels; faces are
-    auto-closed on load.  Blank lines and '#' comments are skipped."""
+    auto-closed on load.  Blank lines and '#' comments are skipped.
+
+    A simplex on more than MAX_SIMPLEX_VERTICES vertices is refused before
+    any face is built.  A complex whose barycentric subdivision would have
+    more than MAX_SUBDIVISION_SIMPLICES simplices is refused before it is
+    subdivided, and as soon as its faces outnumber that cap while they are
+    closed, since every face is a vertex of the subdivision."""
     simplices = []
-    for line in text.splitlines():
+    for number, line in enumerate(text.splitlines(), 1):
         line = line.split("#", 1)[0].strip()
-        if line:
-            simplices.append(line.split())
+        if not line:
+            continue
+        vertices = frozenset(line.split())
+        if len(vertices) > MAX_SIMPLEX_VERTICES:
+            raise ValueError(f"a simplex must have <= {MAX_SIMPLEX_VERTICES} "
+                             f"vertices, got {len(vertices)} on line {number}")
+        simplices.append(vertices)
     if not simplices:
         raise ValueError("no simplices in input")
-    return SimplicialComplex.from_simplices(simplices)
+    cap = MAX_SUBDIVISION_SIMPLICES
+    closed: set[frozenset] = set()
+    for vertices in simplices:
+        closed.update(_faces(vertices))
+        if len(closed) > cap:
+            raise ValueError(f"a barycentric subdivision must have <= {cap} "
+                             f"simplices, got more than {cap} faces to subdivide")
+    complex_ = SimplicialComplex(frozenset(closed))
+    size = complex_.subdivision_size()
+    if size > cap:
+        raise ValueError(f"a barycentric subdivision must have <= {cap} "
+                         f"simplices, got {size}")
+    return complex_
 
 
 def load_complex(path) -> SimplicialComplex:

@@ -119,6 +119,45 @@ def test_chi_simplicial_from_file(tmp_path, capsys):
     assert payload["status"] == "pass"
 
 
+@pytest.mark.parametrize("text, guarded, message", [
+    ("a b c d e f g h\n", "_faces",
+     "a simplex must have <= 7 vertices, got 8 on line 1"),
+    (" ".join(map(str, range(30))) + "\n", "_faces",
+     "a simplex must have <= 7 vertices, got 30 on line 1"),
+    ("a b c d e f g\nh i j k l m n\n", "SimplicialComplex.barycentric_subdivision",
+     "a barycentric subdivision must have <= 100000 simplices, got 189170"),
+    ("".join(f"v{i}\n" for i in range(100_001)),
+     "SimplicialComplex.subdivision_size",
+     "a barycentric subdivision must have <= 100000 simplices, "
+     "got more than 100000 faces to subdivide"),
+])
+def test_chi_simplicial_over_a_cap_is_a_usage_error(tmp_path, capsys, monkeypatch,
+                                                    text, guarded, message):
+    # refused before the work the cap bounds: face closure, or the subdivision
+    def no_work(*_):
+        raise AssertionError("work started before the size check")
+
+    monkeypatch.setattr(f"cobcalc.localize.{guarded}", no_work)
+    path = tmp_path / "complex.txt"
+    path.write_text(text)
+    code, out, err = run(capsys, "chi", "simplicial", "--file", str(path))
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+def test_chi_simplicial_at_the_caps_runs(tmp_path, capsys):
+    # one simplex at the vertex cap plus isolated vertices up to the
+    # subdivision cap: 94,585 + 5,415 = 100,000 chains
+    path = tmp_path / "complex.txt"
+    path.write_text("a b c d e f g\n" + "".join(f"v{i}\n" for i in range(5_415)))
+    code, out, _ = run(capsys, "chi", "simplicial", "--file", str(path),
+                       "--format", "json")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["f_vector"]["0"] == 7 + 5_415
+    assert payload["chi"] == payload["chi_subdivided"] == 1 + 5_415
+    assert payload["status"] == "pass"
+
+
 def test_index_klein_text_summary(capsys):
     code, out, _ = run(capsys, "index", "klein")
     assert code == 0

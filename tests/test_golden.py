@@ -17,7 +17,11 @@ products summed each output coefficient in one kernel call.  The last
 nine, every identity group of a multiplicative law at order 1 and the whole
 universal suite at order 3, are the cases that first show a law built too
 shallow for its suite; they were recorded from the package before the suite
-dispatch became one registry with one construction margin.
+dispatch became one registry with one construction margin.  The last
+three, the benchmark's localization recursion, the recursion at its cap and
+the largest Grassmannian at the chi grass cap, were recorded from the
+package before Schubert cells were enumerated as k-subsets instead of
+partitions in a box.
 """
 
 import hashlib
@@ -95,6 +99,12 @@ GOLDEN = [
      "af305d6520d59f9387bae8f4f19e3e6e790e3ba1eca3450b5778c6586b968418"),
     ("verify all --law miscenko --order 3 --format json", 0,
      "add7ebec257ab9cf0eab61b0f2fc9f1707e3232158ff71a36992c0a2493eb911"),
+    ("chi recursion --max 17 --format json", 0,
+     "236b8ab18893776d91de9da82088fc67398896d402ff02c7a539155958a2a714"),
+    ("chi recursion --max 20 --format json", 0,
+     "eff1e9c91d34b291d053f92cb2801854151de9f41bc6529faee14aa5d5e191b2"),
+    ("chi grass --n 24 --k 12 --format json", 0,
+     "7aff375f62379a8403ff36ca9f3e9f1af31151393a2716b8e52b4c8001240f36"),
 ]
 
 

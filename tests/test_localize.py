@@ -6,6 +6,8 @@ from hypothesis import strategies as st
 
 from cobcalc import localize as lz
 from cobcalc.report import IdentityResult
+from oracles import (chains_under_inclusion, chi_grassmann_by_partitions,
+                     partitions_in_box)
 
 ledgers = st.builds(lz.IndexLedger, st.integers(-20, 20), st.integers(0, 1))
 
@@ -77,15 +79,22 @@ def test_chi_duality():
 def test_chi_matches_gaussian_binomial_closed_form():
     # cross-check only: [n k]_(q=-1) = 0 for n even, k odd, else
     # C(floor(n/2), floor(k/2)); the enumeration stays the ground truth.
-    for n in range(17):
+    for n in range(21):
         for k in range(n + 1):
             expected = 0 if (n % 2 == 0 and k % 2 == 1) else comb(n // 2, k // 2)
             assert lz.chi_grassmann(n, k) == expected
 
 
+def test_chi_matches_partition_enumeration():
+    # the cells as k-subsets against the cells as partitions in a box
+    for n in range(15):
+        for k in range(n + 1):
+            assert lz.chi_grassmann(n, k) == chi_grassmann_by_partitions(n, k)
+
+
 def test_partitions_in_box_count():
-    assert sum(1 for _ in lz.partitions_in_box(2, 2)) == 6
-    assert list(lz.partitions_in_box(0, 5)) == [()]
+    assert sum(1 for _ in partitions_in_box(2, 2)) == 6
+    assert list(partitions_in_box(0, 5)) == [()]
 
 
 # -- localization recursion ------------------------------------------------------
@@ -164,6 +173,122 @@ def test_subdivision_statistics_of_circle():
     sd = lz.circle_complex().barycentric_subdivision()
     # hexagon: 6 vertices, 6 edges
     assert sd.f_vector() == {0: 6, 1: 6}
+
+
+def _subdivision_fixtures():
+    sphere = lz.SimplicialComplex.from_simplices(
+        [(1, 2, 3), (1, 2, 4), (1, 3, 4), (2, 3, 4)])
+    simplices = [lz.SimplicialComplex.from_simplices([range(m)]) for m in range(1, 6)]
+    mixed = lz.load_complex_text("a b c d\nc d e\ne f\ng\n")
+    return [lz.circle_complex(), lz.disk_complex(), lz.point_complex(),
+            lz.klein_bottle_complex(), lz.projective_plane_complex(), sphere,
+            mixed, *simplices]
+
+
+def test_barycentric_subdivision_matches_pairwise_chains():
+    for k in _subdivision_fixtures():
+        sd = k.barycentric_subdivision()
+        assert sd.simplices == chains_under_inclusion(k.simplices)
+
+
+def test_subdivision_size_counts_the_chains():
+    for k in _subdivision_fixtures():
+        assert k.subdivision_size() == len(k.barycentric_subdivision().simplices)
+    # chains in an m-simplex: sum of C(m, j) times the ordered Bell number of j
+    full = [lz.SimplicialComplex.from_simplices([range(m)]).subdivision_size()
+            for m in range(1, 8)]
+    assert full == [1, 5, 25, 149, 1081, 9365, 94585]
+
+
+def test_bundled_triangulations_are_far_inside_the_caps():
+    assert lz.klein_bottle_complex().subdivision_size() == 576
+    assert lz.projective_plane_complex().subdivision_size() == 181
+    assert 100 * 576 < lz.MAX_SUBDIVISION_SIMPLICES
+    for k in (lz.klein_bottle_complex(), lz.projective_plane_complex()):
+        assert max(map(len, k.simplices)) == 3 < lz.MAX_SIMPLEX_VERTICES
+
+
+def _no_work(*_):
+    raise AssertionError("work started before the size check")
+
+
+@pytest.mark.parametrize("text, vertices, line", [
+    ("a b c d e f g h\n", 8, 1),
+    ("a b\n# comment\n" + " ".join(f"v{i}" for i in range(30)) + "\n", 30, 3),
+])
+def test_load_refuses_a_simplex_over_the_vertex_cap(monkeypatch, text, vertices, line):
+    # refused before any face is closed
+    monkeypatch.setattr(lz, "_faces", _no_work)
+    with pytest.raises(ValueError) as err:
+        lz.load_complex_text(text)
+    assert str(err.value) == (f"a simplex must have <= 7 vertices, "
+                              f"got {vertices} on line {line}")
+
+
+def test_load_accepts_a_simplex_at_the_vertex_cap():
+    assert lz.MAX_SIMPLEX_VERTICES == 7
+    k = lz.load_complex_text("a b c d e f g\n")
+    assert len(k.simplices) == 127
+    # a repeated label is one vertex
+    assert lz.load_complex_text("a b c d e f g g a\n").simplices == k.simplices
+
+
+def _text_with_subdivision_size(size: int) -> str:
+    # one 7-vertex simplex (94,585 chains) plus isolated vertices (one each)
+    return "a b c d e f g\n" + "".join(f"v{i}\n" for i in range(size - 94_585))
+
+
+def test_load_refuses_a_subdivision_over_the_cap(monkeypatch):
+    # refused from the chain count, before the subdivision is built
+    monkeypatch.setattr(lz.SimplicialComplex, "barycentric_subdivision", _no_work)
+    with pytest.raises(ValueError) as err:
+        lz.load_complex_text("a b c d e f g\nh i j k l m n\n")
+    assert str(err.value) == ("a barycentric subdivision must have <= 100000 "
+                              "simplices, got 189170")
+    with pytest.raises(ValueError, match="got 100001$"):
+        lz.load_complex_text(_text_with_subdivision_size(100_001))
+
+
+def test_load_stops_closing_faces_past_the_cap(monkeypatch):
+    # every face is a vertex of the subdivision, so closing stops as soon as
+    # the faces outnumber the cap, long before the last line
+    monkeypatch.setattr(lz.SimplicialComplex, "subdivision_size", _no_work)
+    monkeypatch.setattr(lz.SimplicialComplex, "barycentric_subdivision", _no_work)
+    real_faces = lz._faces
+    closed = []
+
+    def counted_faces(vertices):
+        closed.append(vertices)
+        return real_faces(vertices)
+
+    monkeypatch.setattr(lz, "_faces", counted_faces)
+    # 2,000 disjoint 7-vertex simplices, 127 faces each
+    text = "".join(" ".join(f"v{7 * i + j}" for j in range(7)) + "\n"
+                   for i in range(2_000))
+    message = ("a barycentric subdivision must have <= 100000 simplices, "
+               "got more than 100000 faces to subdivide")
+    with pytest.raises(ValueError) as err:
+        lz.load_complex_text(text)
+    assert str(err.value) == message
+    assert len(closed) == 788     # 787 * 127 <= 100,000 < 788 * 127
+    with pytest.raises(ValueError) as err:
+        lz.load_complex_text("".join(f"v{i}\n" for i in range(100_001)))
+    assert str(err.value) == message
+
+
+def test_load_accepts_faces_at_the_cap():
+    k = lz.load_complex_text("".join(f"v{i}\n" for i in range(100_000)))
+    assert len(k.simplices) == k.subdivision_size() == 100_000
+    assert k.barycentric_subdivision().euler_characteristic() == 100_000
+
+
+def test_load_accepts_a_subdivision_at_the_cap():
+    assert lz.MAX_SUBDIVISION_SIMPLICES == 100_000
+    k = lz.load_complex_text(_text_with_subdivision_size(100_000))
+    assert k.subdivision_size() == 100_000
+    sd = k.barycentric_subdivision()
+    assert len(sd.simplices) == 100_000
+    assert sd.euler_characteristic() == k.euler_characteristic() == 1 + 5_415
 
 
 # -- bundled example checks -----------------------------------------------------------
