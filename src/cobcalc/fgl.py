@@ -5,9 +5,10 @@ fixed truncation order.  The universal law here is normalized by the
 logarithm g(u) = sum cp_n u^(n+1)/(n+1) with cp0 = 1, so g'(u) is the
 series 1 + cp1 u + cp2 u^2 + ...; every coefficient sign downstream is
 whatever reversion of that logarithm yields.  The additive and
-multiplicative specializations are built from closed form and checked
-against their logarithms as g(f(u, v)) = g(u) + g(v), which over Q is the
-same identity as f = g^{-1}(g(u) + g(v)) but needs no reversion.
+multiplicative specializations are built from closed form, inverse
+included, and checked against their logarithms as
+g(f(u, v)) = g(u) + g(v), which over Q is the same identity as
+f = g^{-1}(g(u) + g(v)) but needs no reversion.
 """
 
 from __future__ import annotations
@@ -39,14 +40,6 @@ def miscenko_log(order: int) -> TruncatedSeries:
     return TruncatedSeries.from_terms(terms, (U,), order)
 
 
-def universal_cp_series(order: int) -> TruncatedSeries:
-    """g'(u) = 1 + cp1 u + cp2 u^2 + ... in closed form."""
-    terms: dict[tuple[int, ...], CoeffPoly] = {(0,): CoeffPoly.one()}
-    for n in range(1, order + 1):
-        terms[(n,)] = CoeffPoly.gen(n)
-    return TruncatedSeries.from_terms(terms, (U,), order)
-
-
 def additive_log(order: int) -> TruncatedSeries:
     return TruncatedSeries.variable(U, (U,), order)
 
@@ -65,10 +58,9 @@ def multiplicative_log(beta: Fraction, order: int) -> TruncatedSeries:
 class FormalGroupLaw:
     tag: str
     order: int
-    f: TruncatedSeries                  # in (u, v)
-    inverse: TruncatedSeries            # ubar(u), one variable
-    phi: TruncatedSeries                # ubar = u * phi(u)
-    log: TruncatedSeries | None = None  # None for hand-corrupted laws
+    f: TruncatedSeries        # in (u, v)
+    inverse: TruncatedSeries  # ubar(u), one variable
+    log: TruncatedSeries      # g(u), one variable
     derived: dict = field(default_factory=dict, init=False, repr=False)
 
     def __repr__(self) -> str:
@@ -79,8 +71,7 @@ class FormalGroupLaw:
             self.tag, order,
             self.f.truncate(order),
             self.inverse.truncate(order),
-            self.phi.truncate(min(order, self.phi.order)),
-            None if self.log is None else self.log.truncate(order),
+            self.log.truncate(order),
         )
 
 
@@ -95,22 +86,6 @@ def per_law(fn):
             law.derived[key] = fn(law, *args)
         return law.derived[key]
     return cached
-
-
-def _solve_inverse(f: TruncatedSeries, order: int) -> TruncatedSeries:
-    """Solve f(u, ubar(u)) = 0 degree by degree; always solvable since
-    f = u + v + higher."""
-    u1 = TruncatedSeries.variable(U, (U,), order)
-    ubar = -u1
-    while True:
-        residue = f.evaluate({U: u1, V: ubar})
-        low = residue.lowest_term()
-        if low is None:
-            return ubar
-        degree, ev, coeff = low
-        if degree > order:
-            return ubar
-        ubar = ubar - TruncatedSeries.from_terms({ev: coeff}, (U,), order)
 
 
 def from_log(log: TruncatedSeries, order: int | None = None,
@@ -131,20 +106,15 @@ def from_log(log: TruncatedSeries, order: int | None = None,
     return from_f(f, order, tag, log, inverse=ginv.evaluate({x: -gu}))
 
 
-def from_f(f: TruncatedSeries, order: int, tag: str = "custom",
-           log: TruncatedSeries | None = None,
-           inverse: TruncatedSeries | None = None) -> FormalGroupLaw:
-    """Bundle an explicit f.  Without an inverse (closed forms, mutation
-    tests) it is solved degree by degree; a given inverse must pass the
-    residue check f(u, ubar) = 0 at the working order."""
+def from_f(f: TruncatedSeries, order: int, tag: str, log: TruncatedSeries,
+           inverse: TruncatedSeries) -> FormalGroupLaw:
+    """Bundle f with its log and its formal inverse; the inverse must pass
+    the residue check f(u, ubar) = 0 at the working order."""
     f = f.truncate(order)
-    if inverse is None:
-        inverse = _solve_inverse(f, order)
-    elif not f.evaluate({U: TruncatedSeries.variable(U, (U,), order),
-                         V: inverse.truncate(order)}).is_zero():
+    if not f.evaluate({U: TruncatedSeries.variable(U, (U,), order),
+                       V: inverse.truncate(order)}).is_zero():
         raise CheckFailed(f"law {tag}: f(u, ubar(u)) is not zero")
-    phi = inverse.divided_by_variable(U)
-    return FormalGroupLaw(tag, order, f, inverse, phi, log)
+    return FormalGroupLaw(tag, order, f, inverse, log)
 
 
 def _check_log_route(law: FormalGroupLaw) -> FormalGroupLaw:
@@ -168,7 +138,8 @@ def miscenko_law(order: int) -> FormalGroupLaw:
 
 def additive_law(order: int) -> FormalGroupLaw:
     f = TruncatedSeries.from_terms({(1, 0): 1, (0, 1): 1}, UV, order)
-    return _check_log_route(from_f(f, order, tag="additive", log=additive_log(order)))
+    inverse = TruncatedSeries.from_terms({(1,): -1}, (U,), order)
+    return _check_log_route(from_f(f, order, "additive", additive_log(order), inverse))
 
 
 def multiplicative_law(beta, order: int) -> FormalGroupLaw:
@@ -180,8 +151,11 @@ def multiplicative_law(beta, order: int) -> FormalGroupLaw:
             f"multiplicative law needs order >= 2 for its degree-2 term beta*u*v, "
             f"got {order}")
     f = TruncatedSeries.from_terms({(1, 0): 1, (0, 1): 1, (1, 1): beta}, UV, order)
+    # ubar = -u/(1 + beta*u) = sum -(-beta)^(k-1) u^k
+    inverse = TruncatedSeries.from_terms(
+        {(k,): -(-beta) ** (k - 1) for k in range(1, order + 1)}, (U,), order)
     return _check_log_route(
-        from_f(f, order, tag=f"mult:{beta}", log=multiplicative_log(beta, order)))
+        from_f(f, order, f"mult:{beta}", multiplicative_log(beta, order), inverse))
 
 
 #: Most digits a mult:BETA may spell out, a decimal exponent counting as
@@ -226,8 +200,6 @@ def parse_law(selector: str, order: int) -> FormalGroupLaw:
 @per_law
 def cp_series(law: FormalGroupLaw) -> TruncatedSeries:
     """g'(u); for the universal law this is 1 + cp1 u + cp2 u^2 + ..."""
-    if law.log is None:
-        raise LawError(f"law {law.tag!r} has no logarithm")
     return law.log.partial_derivative(U)
 
 
@@ -241,14 +213,6 @@ def n_series(law: FormalGroupLaw, n: int) -> TruncatedSeries:
     for _ in range(n - 1):
         ser = law.f.evaluate({U: u1, V: ser})
     return ser
-
-
-def n_series_via_log(law: FormalGroupLaw, n: int) -> TruncatedSeries:
-    """[u]_n = g^{-1}(n g(u)); equal to the substitution route over Q."""
-    if law.log is None:
-        raise LawError(f"law {law.tag!r} has no logarithm")
-    x = law.log.variables[0]
-    return law.log.reversion().evaluate({x: law.log.scale(n)})
 
 
 @per_law
@@ -313,10 +277,3 @@ def verify_axioms(law: FormalGroupLaw) -> list[IdentityResult]:
     inv = f.evaluate({U: u1, V: law.inverse})
     results.append(check_zero("inverse", law.tag, inv))
     return results
-
-
-def mutate_alpha(law: FormalGroupLaw, i: int, j: int, delta=1) -> FormalGroupLaw:
-    """Bump alpha_ij by delta, re-solving the inverse; the logarithm is
-    kept so identity checks against g' see the corruption."""
-    bump = TruncatedSeries.from_terms({(i, j): CoeffPoly.const(delta)}, UV, law.order)
-    return from_f(law.f + bump, law.order, tag=f"{law.tag}+e{i}{j}", log=law.log)

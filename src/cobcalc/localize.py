@@ -29,7 +29,7 @@ from math import comb
 from pathlib import Path
 from typing import Iterable, Iterator
 
-from .report import IdentityResult
+from .report import IdentityResult, check_equal
 
 
 # -- index ledger ----------------------------------------------------------
@@ -128,11 +128,9 @@ def localization_recursion_report(max_total: int) -> list[IdentityResult]:
             for k in range(n1 + n2 + 1):
                 lhs = localization_sum(n1, n2, k)
                 rhs = chi_grassmann(n1 + n2, k)
-                ok = lhs == rhs
-                rows.append(IdentityResult(
-                    f"chi_recursion[{n1},{n2},{k}]", "grassmann", n1 + n2, ok,
-                    None if ok else 0,
-                    None if ok else f"sum={lhs} chi={rhs}"))
+                rows.append(check_equal(
+                    f"chi_recursion[{n1},{n2},{k}]", "grassmann", n1 + n2,
+                    lhs, rhs, f"sum={lhs} chi={rhs}"))
     return rows
 
 
@@ -332,48 +330,40 @@ def is_closed_surface(complex_: SimplicialComplex) -> bool:
 
 
 def is_orientable(complex_: SimplicialComplex) -> bool:
-    """Try to orient the triangles consistently (matched edges must be
-    traversed in opposite directions)."""
+    """Orient the triangles consistently, one sign per triangle: with sign
+    +1 the sorted (a, b, c) runs a->b, b->c and c->a, with sign -1 the
+    other way, and two triangles that share an edge must traverse it in
+    opposite directions.  The signs spread from triangle to triangle by a
+    stack walk; a conflict means the complex is not orientable."""
     triangles = [tuple(sorted(t, key=repr)) for t in complex_.simplices if len(t) == 3]
-    by_edge: dict[frozenset, list[int]] = {}
-    for idx, t in enumerate(triangles):
-        for e in combinations(t, 2):
-            by_edge.setdefault(frozenset(e), []).append(idx)
-    orientation: dict[int, tuple] = {}
 
-    def directed_edges(tri: tuple) -> list[tuple]:
+    def edges(tri: tuple) -> list[tuple[tuple, int]]:
+        """Each sorted edge with the direction the +1 orientation runs it."""
         a, b, c = tri
-        return [(a, b), (b, c), (c, a)]
+        return [((a, b), 1), ((b, c), 1), ((a, c), -1)]
 
+    by_edge: dict[tuple, list[tuple[int, int]]] = {}
+    for idx, tri in enumerate(triangles):
+        for edge, direction in edges(tri):
+            by_edge.setdefault(edge, []).append((idx, direction))
+    sign: dict[int, int] = {}
     for start in range(len(triangles)):
-        if start in orientation:
+        if start in sign:
             continue
-        orientation[start] = triangles[start]
+        sign[start] = 1
         stack = [start]
         while stack:
             idx = stack.pop()
-            tri = orientation[idx]
-            for (a, b) in directed_edges(tri):
-                for jdx in by_edge[frozenset((a, b))]:
+            for edge, direction in edges(triangles[idx]):
+                for jdx, other in by_edge[edge]:
                     if jdx == idx:
                         continue
-                    x, y, z = triangles[jdx]
-                    want = (b, a)  # the neighbour must traverse it backwards
-                    candidates = [(x, y, z), (y, z, x), (z, x, y),
-                                  (x, z, y), (z, y, x), (y, x, z)]
-                    good = [c for c in candidates
-                            if want in [(c[0], c[1]), (c[1], c[2]), (c[2], c[0])]]
-                    fixed = good[0]
-                    if jdx in orientation:
-                        ok_now = orientation[jdx] in [
-                            (fixed[0], fixed[1], fixed[2]),
-                            (fixed[1], fixed[2], fixed[0]),
-                            (fixed[2], fixed[0], fixed[1])]
-                        if not ok_now:
-                            return False
-                    else:
-                        orientation[jdx] = fixed
+                    want = -sign[idx] * direction * other
+                    if jdx not in sign:
+                        sign[jdx] = want
                         stack.append(jdx)
+                    elif sign[jdx] != want:
+                        return False
     return True
 
 
@@ -394,15 +384,14 @@ def rp2_decomposition_check() -> tuple[str, list[IdentityResult]]:
     summary = (f"epsilon(-1 + u) * chi(S^1) + epsilon(1) * chi(pt) "
                f"= ({ind_circle.epsilon})*{circle_chi} "
                f"+ {LEDGER_ONE.epsilon}*{point_chi} = {total} = chi(RP^2)")
+    square = ind_circle * ind_circle
     rows = [
-        IdentityResult("rp2_weighted_sum", "ledger", 0, total == expected,
-                       None if total == expected else 0,
-                       None if total == expected else f"sum={total} chi={expected}"),
-        IdentityResult("rp2_fixture_chi", "ledger", 0, fixture == expected,
-                       None if fixture == expected else 0,
-                       None if fixture == expected else f"fixture={fixture}"),
-        IdentityResult("index_square_is_one", "ledger", 0,
-                       ind_circle * ind_circle == LEDGER_ONE),
+        check_equal("rp2_weighted_sum", "ledger", 0, total, expected,
+                    f"sum={total} chi={expected}"),
+        check_equal("rp2_fixture_chi", "ledger", 0, fixture, expected,
+                    f"fixture={fixture}"),
+        check_equal("index_square_is_one", "ledger", 0, square, LEDGER_ONE,
+                    f"square={square}"),
     ]
     return summary, rows
 
@@ -417,13 +406,9 @@ def klein_index_check() -> tuple[str, list[IdentityResult]]:
     summary = (f"1 + (-1 + u) = {total}; epsilon = {total.epsilon} "
                f"= chi(Klein bottle) = {fixture}")
     rows = [
-        IdentityResult("klein_total_index_is_u", "ledger", 0, total == LEDGER_U,
-                       None if total == LEDGER_U else 0,
-                       None if total == LEDGER_U else str(total)),
-        IdentityResult("klein_epsilon_matches_chi", "ledger", 0,
-                       total.epsilon == fixture,
-                       None if total.epsilon == fixture else 0,
-                       None if total.epsilon == fixture else
-                       f"epsilon={total.epsilon} chi={fixture}"),
+        check_equal("klein_total_index_is_u", "ledger", 0, total, LEDGER_U,
+                    str(total)),
+        check_equal("klein_epsilon_matches_chi", "ledger", 0, total.epsilon,
+                    fixture, f"epsilon={total.epsilon} chi={fixture}"),
     ]
     return summary, rows

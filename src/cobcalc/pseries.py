@@ -11,8 +11,7 @@ Division by a variable difference (u - v) is exact polynomial division
 with a hard error on a nonzero remainder: the series this package divides
 are divisible by construction, so a remainder signals a false identity.
 
-Series reversion runs Newton iteration; :func:`lagrange_reversion` is an
-independent implementation kept as a cross-check oracle.
+Series reversion runs Newton iteration with a doubling working order.
 """
 
 from __future__ import annotations
@@ -538,27 +537,6 @@ class TruncatedSeries:
         if self.evaluate({x: t})._assume_order(n) != ident:
             raise CheckFailed("reversion postcondition failed")
         return t
-
-
-def lagrange_reversion(s: TruncatedSeries) -> TruncatedSeries:
-    """Compositional inverse via the Lagrange inversion formula.
-
-    Independent of the Newton route: the n-th coefficient of the inverse
-    is (1/n) times the (n-1)-st coefficient of (x / s(x))^n.
-    """
-    x, _ = s._reversion_checks()
-    n = s.order
-    psi = s.divided_by_variable(x)            # order n - 1
-    phi = psi.reciprocal()                    # (x / s(x)), order n - 1
-    coeffs: dict[ExpVec, CoeffPoly] = {}
-    power = TruncatedSeries.one(s.variables, phi.order)
-    for k in range(1, n + 1):
-        power = power * phi
-        if k - 1 <= power.order:
-            c = power.terms.get((k - 1,), CoeffPoly.zero()).scale(Fraction(1, k))
-            if not c.is_zero():
-                coeffs[(k,)] = c
-    return TruncatedSeries(s.variables, n, coeffs)
 
 
 def series_str(s: TruncatedSeries) -> str:

@@ -46,3 +46,12 @@ def check_zero(identity: str, law: str, difference: TruncatedSeries) -> Identity
     degree, ev, coeff = difference.lowest_term()
     witness = series_str(difference.homogeneous_part(degree))
     return IdentityResult(identity, law, difference.order, False, degree, witness)
+
+
+def check_equal(identity: str, law: str, order: int, got, expected,
+                witness: str) -> IdentityResult:
+    """Report whether two values are equal; a mismatch fails at degree 0
+    with the witness text."""
+    if got == expected:
+        return IdentityResult(identity, law, order, True)
+    return IdentityResult(identity, law, order, False, 0, witness)

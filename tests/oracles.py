@@ -1,6 +1,118 @@
 """Independent reference implementations that tests compare the package
 against.  Each one computes the same value as a package routine by a
-different, slower route."""
+different, slower route.  ``mutate_alpha`` builds the corrupted laws that
+the identity checks must refuse."""
+
+from fractions import Fraction
+from itertools import combinations
+
+from cobcalc import fgl
+from cobcalc.coeffring import CoeffPoly
+from cobcalc.pseries import TruncatedSeries
+
+U1 = ("u",)
+UV = ("u", "v")
+
+
+def lagrange_reversion(s: TruncatedSeries) -> TruncatedSeries:
+    """Compositional inverse via the Lagrange inversion formula, independent
+    of the package's Newton route: the n-th coefficient of the inverse is
+    (1/n) times the (n-1)-st coefficient of (x / s(x))^n."""
+    x, _ = s._reversion_checks()
+    n = s.order
+    psi = s.divided_by_variable(x)            # order n - 1
+    phi = psi.reciprocal()                    # (x / s(x)), order n - 1
+    coeffs = {}
+    power = TruncatedSeries.one(s.variables, phi.order)
+    for k in range(1, n + 1):
+        power = power * phi
+        if k - 1 <= power.order:
+            c = power.terms.get((k - 1,), CoeffPoly.zero()).scale(Fraction(1, k))
+            if not c.is_zero():
+                coeffs[(k,)] = c
+    return TruncatedSeries(s.variables, n, coeffs)
+
+
+def solve_inverse(f: TruncatedSeries, order: int) -> TruncatedSeries:
+    """Solve f(u, ubar(u)) = 0 degree by degree, one composition per
+    degree; always solvable since f = u + v + higher."""
+    u1 = TruncatedSeries.variable("u", U1, order)
+    ubar = -u1
+    while True:
+        low = f.evaluate({"u": u1, "v": ubar}).lowest_term()
+        if low is None or low[0] > order:
+            return ubar
+        _, ev, coeff = low
+        ubar = ubar - TruncatedSeries.from_terms({ev: coeff}, U1, order)
+
+
+def universal_cp_series(order: int) -> TruncatedSeries:
+    """g'(u) = 1 + cp1 u + cp2 u^2 + ... in closed form."""
+    terms = {(0,): CoeffPoly.one()}
+    for n in range(1, order + 1):
+        terms[(n,)] = CoeffPoly.gen(n)
+    return TruncatedSeries.from_terms(terms, U1, order)
+
+
+def n_series_via_log(law, n: int) -> TruncatedSeries:
+    """[u]_n = g^{-1}(n g(u)); equal to the substitution route over Q."""
+    x = law.log.variables[0]
+    return law.log.reversion().evaluate({x: law.log.scale(n)})
+
+
+def mutate_alpha(law, i: int, j: int, delta) -> "fgl.FormalGroupLaw":
+    """Bump alpha_ij by delta and solve the inverse of the corrupted f; the
+    logarithm is kept so identity checks against g' see the corruption."""
+    bump = TruncatedSeries.from_terms({(i, j): CoeffPoly.const(delta)}, UV, law.order)
+    f = law.f + bump
+    return fgl.from_f(f, law.order, f"{law.tag}+e{i}{j}", law.log,
+                      solve_inverse(f, law.order))
+
+
+def is_orientable_by_rotations(complex_) -> bool:
+    """Orient the triangles consistently by searching the six orderings of
+    each neighbour for one that traverses the shared edge backwards."""
+    triangles = [tuple(sorted(t, key=repr)) for t in complex_.simplices if len(t) == 3]
+    by_edge: dict[frozenset, list[int]] = {}
+    for idx, t in enumerate(triangles):
+        for e in combinations(t, 2):
+            by_edge.setdefault(frozenset(e), []).append(idx)
+    orientation: dict[int, tuple] = {}
+
+    def directed_edges(tri: tuple) -> list[tuple]:
+        a, b, c = tri
+        return [(a, b), (b, c), (c, a)]
+
+    for start in range(len(triangles)):
+        if start in orientation:
+            continue
+        orientation[start] = triangles[start]
+        stack = [start]
+        while stack:
+            idx = stack.pop()
+            tri = orientation[idx]
+            for (a, b) in directed_edges(tri):
+                for jdx in by_edge[frozenset((a, b))]:
+                    if jdx == idx:
+                        continue
+                    x, y, z = triangles[jdx]
+                    want = (b, a)  # the neighbour must traverse it backwards
+                    candidates = [(x, y, z), (y, z, x), (z, x, y),
+                                  (x, z, y), (z, y, x), (y, x, z)]
+                    good = [c for c in candidates
+                            if want in [(c[0], c[1]), (c[1], c[2]), (c[2], c[0])]]
+                    fixed = good[0]
+                    if jdx in orientation:
+                        ok_now = orientation[jdx] in [
+                            (fixed[0], fixed[1], fixed[2]),
+                            (fixed[1], fixed[2], fixed[0]),
+                            (fixed[2], fixed[0], fixed[1])]
+                        if not ok_now:
+                            return False
+                    else:
+                        orientation[jdx] = fixed
+                        stack.append(jdx)
+    return True
 
 
 def partitions_in_box(rows: int, cols: int, _first: int | None = None):

@@ -1,5 +1,6 @@
 import json
 import re
+from pathlib import Path
 
 import pytest
 
@@ -184,12 +185,13 @@ def test_out_flag_writes_file(tmp_path, capsys):
 
 def test_verify_failure_reports_on_stderr(capsys, monkeypatch):
     # corrupt the law the CLI builds to check the exit-code contract
-    from cobcalc import fgl, pontclass
+    from cobcalc import pontclass
+    from oracles import mutate_alpha
 
     real_parse = pontclass.parse_law
 
     def corrupted(spec, order):
-        return fgl.mutate_alpha(real_parse(spec, order), 1, 1, 1)
+        return mutate_alpha(real_parse(spec, order), 1, 1, 1)
 
     monkeypatch.setattr(pontclass, "parse_law", corrupted)
     code, out, err = run(capsys, "verify", "axioms", "--law", "miscenko",
@@ -264,6 +266,16 @@ def test_sizes_at_the_cap_run(capsys, monkeypatch):
     assert (code, json.loads(out)["chi"]) == (0, 1)
     monkeypatch.setattr(localize, "localization_recursion_report", lambda _: [])
     assert run(capsys, "chi", "recursion", "--max", "20")[0] == 0
+
+
+def test_readme_states_every_limit():
+    from cobcalc import cli
+
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    for command, (flag, least, most) in cli.LIMITS.items():
+        assert f"`{flag} <= {most}`" in readme, command
+        if least is not None:
+            assert f"`{flag} >= {least}`" in readme, command
 
 
 def test_multiplicative_law_below_order_two_is_a_usage_error(capsys):

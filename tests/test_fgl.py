@@ -11,6 +11,8 @@ from hypothesis import strategies as st
 from cobcalc import fgl
 from cobcalc.coeffring import CoeffPoly
 from cobcalc.pseries import CheckFailed, OrderExceeded, TruncatedSeries
+from oracles import (lagrange_reversion, mutate_alpha, n_series_via_log,
+                     solve_inverse, universal_cp_series)
 
 cp1 = CoeffPoly.gen(1)
 cp2 = CoeffPoly.gen(2)
@@ -33,7 +35,7 @@ def test_miscenko_log_low_orders():
 def test_log_derivative_is_cp_series():
     got = fgl.miscenko_log(4).partial_derivative("u")
     assert got == s1({(0,): 1, (1,): cp1, (2,): cp2, (3,): CoeffPoly.gen(3)}, 3)
-    assert got == fgl.universal_cp_series(3)
+    assert got == universal_cp_series(3)
 
 
 def test_miscenko_log_reversion_round_trip():
@@ -43,7 +45,6 @@ def test_miscenko_log_reversion_round_trip():
     assert g.evaluate({"u": ginv}) == ident
     assert ginv.evaluate({"u": g}) == ident
     # independent oracle on polynomial coefficients
-    from cobcalc.pseries import lagrange_reversion
     assert lagrange_reversion(g) == ginv
 
 
@@ -163,7 +164,6 @@ def test_parse_law_accepts_beta_at_the_digit_cap():
 def test_additive_inverse_is_negation():
     law = fgl.additive_law(6)
     assert law.inverse == s1({(1,): -1}, 6)
-    assert law.phi == TruncatedSeries.constant(-1, U1, 5)
 
 
 def test_multiplicative_inverse_matches_geometric_series():
@@ -171,7 +171,6 @@ def test_multiplicative_inverse_matches_geometric_series():
     law = fgl.multiplicative_law(1, 8)
     expected = s1({(n,): (-1) ** n for n in range(1, 9)}, 8)
     assert law.inverse == expected
-    assert law.phi.constant_term() == CoeffPoly.const(-1)
 
 
 def test_miscenko_inverse_low_orders():
@@ -193,32 +192,38 @@ def test_log_route_inverse_matches_degree_by_degree_solver():
     # ubar = g^{-1}(-g(u)) against the independent solver of f(u, ubar) = 0
     for n in range(1, 11):
         law = fgl.miscenko_law(n)
-        assert law.inverse == fgl._solve_inverse(law.f, n)
+        assert law.inverse == solve_inverse(law.f, n)
     for n in range(1, 17):
         law = fgl.from_log(fgl.additive_log(n))
-        assert law.inverse == fgl._solve_inverse(law.f, n)
+        assert law.inverse == solve_inverse(law.f, n)
     for beta in (1, -1, 2, Fraction(1, 2)):
         for n in range(2, 17):
             law = fgl.from_log(fgl.multiplicative_log(Fraction(beta), n))
-            assert law.inverse == fgl._solve_inverse(law.f, n)
+            assert law.inverse == solve_inverse(law.f, n)
 
 
 def test_residue_check_refuses_a_wrong_inverse(miscenko8):
     law = miscenko8
     bump = s1({(5,): cp2 * cp2}, 8)
     with pytest.raises(CheckFailed, match="f\\(u, ubar\\(u\\)\\) is not zero"):
-        fgl.from_f(law.f, 8, inverse=law.inverse + bump)
+        fgl.from_f(law.f, 8, law.tag, law.log, law.inverse + bump)
     # an inverse known to a lower order cannot vouch for the working order
     with pytest.raises(OrderExceeded):
-        fgl.from_f(law.f, 8, inverse=law.inverse.truncate(7))
-    assert fgl.from_f(law.f, 8, inverse=law.inverse).inverse == law.inverse
+        fgl.from_f(law.f, 8, law.tag, law.log, law.inverse.truncate(7))
+    assert fgl.from_f(law.f, 8, law.tag, law.log, law.inverse).inverse == law.inverse
+    # a closed-form inverse off by one in its top coefficient
+    for beta in LOG_ROUTE_BETAS:
+        for n in (2, 6, 11):
+            law = fgl.multiplicative_law(beta, n)
+            with pytest.raises(CheckFailed, match=f"law mult:{beta}: f\\(u, ubar"):
+                fgl.from_f(law.f, n, law.tag, law.log, law.inverse + s1({(n,): 1}, n))
 
 
 def test_mutated_laws_still_solve_their_inverse():
     # f no longer matches its log, so the inverse comes from the solver
     base = fgl.miscenko_law(6)
     for i, j in ((1, 1), (2, 1), (1, 3), (2, 2)):
-        law = fgl.mutate_alpha(base, i, j, 1)
+        law = mutate_alpha(base, i, j, 1)
         assert law.inverse != base.inverse
         rows = {r.identity: r for r in fgl.verify_axioms(law)}
         assert rows["inverse"].passed
@@ -255,9 +260,9 @@ def test_n_series_additivity(miscenko8):
 
 def test_n_series_matches_log_route(miscenko8):
     for n in (2, 3, 5):
-        assert fgl.n_series(miscenko8, n) == fgl.n_series_via_log(miscenko8, n)
+        assert fgl.n_series(miscenko8, n) == n_series_via_log(miscenko8, n)
     mult = fgl.multiplicative_law(-2, 8)
-    assert fgl.n_series(mult, 3) == fgl.n_series_via_log(mult, 3)
+    assert fgl.n_series(mult, 3) == n_series_via_log(mult, 3)
 
 
 def test_two_series_homomorphism(miscenko8):
@@ -289,7 +294,7 @@ def test_alpha_series_closed_forms():
 def test_alpha_series_matches_df_du_at_zero(spec, order):
     # oracle: compose df/du with u := 0 instead of reading its u-free terms
     law = fgl.parse_law(spec, order)
-    for law in (law, fgl.mutate_alpha(law, 2, order - 2)):
+    for law in (law, mutate_alpha(law, 2, order - 2, 1)):
         dfdu = law.f.partial_derivative("u")
         oracle = dfdu.evaluate({
             "u": TruncatedSeries.zero(("v",), dfdu.order),
@@ -419,13 +424,29 @@ def _mult_f(beta, n):
     return TruncatedSeries.from_terms({(1, 0): 1, (0, 1): 1, (1, 1): beta}, UV, n)
 
 
+def _closed_form_laws():
+    return ([fgl.additive_law(n) for n in range(1, 17)]
+            + [fgl.multiplicative_law(beta, n)
+               for beta in LOG_ROUTE_BETAS for n in range(2, 17)])
+
+
 def test_log_route_accepts_every_additive_and_multiplicative_law():
-    laws = [fgl.additive_law(n) for n in range(1, 17)]
-    laws += [fgl.multiplicative_law(beta, n)
-             for beta in LOG_ROUTE_BETAS for n in range(2, 17)]
-    for law in laws:
+    for law in _closed_form_laws():
         assert _log_route_accepts(law), law
         assert _old_log_route_agrees(law), law
+
+
+def test_closed_form_inverses_match_the_solver_and_the_log_route():
+    # ubar = -u and ubar = -u/(1 + beta*u) against f(u, ubar) = 0 solved
+    # degree by degree, and against g^{-1}(-g(u)) from the law's log
+    for law in _closed_form_laws():
+        g = law.log
+        assert law.inverse == solve_inverse(law.f, law.order), law
+        assert law.inverse == g.reversion().evaluate({"u": -g}), law
+
+
+def _custom_law(f, n, log):
+    return fgl.from_f(f, n, "custom", log, solve_inverse(f, n))
 
 
 def _one_coefficient_off():
@@ -435,15 +456,15 @@ def _one_coefficient_off():
     for beta in LOG_ROUTE_BETAS:
         for n in (2, 3, 6, 11):
             log = fgl.multiplicative_log(Fraction(beta), n)
-            cases.append(fgl.from_f(_mult_f(beta + 1, n), n, log=log))
+            cases.append(_custom_law(_mult_f(beta + 1, n), n, log))
             for i in range(n + 1):
                 top = TruncatedSeries.from_terms({(i, n - i): 1}, UV, n)
-                cases.append(fgl.from_f(_mult_f(beta, n) + top, n, log=log))
+                cases.append(_custom_law(_mult_f(beta, n) + top, n, log))
             bumped = log + s1({(n,): Fraction(1, 7)}, n)
-            cases.append(fgl.from_f(_mult_f(beta, n), n, log=bumped))
+            cases.append(_custom_law(_mult_f(beta, n), n, bumped))
     for n in (2, 4, 9):  # at n = 1 a bumped log is a rescaled one, same law
         ident = TruncatedSeries.from_terms({(1, 0): 1, (0, 1): 1}, UV, n)
-        cases.append(fgl.from_f(ident, n, log=fgl.additive_log(n) + s1({(n,): 1}, n)))
+        cases.append(_custom_law(ident, n, fgl.additive_log(n) + s1({(n,): 1}, n)))
     return cases
 
 
@@ -468,7 +489,7 @@ def test_log_route_builds_no_reversion(monkeypatch):
 
 
 def test_mutated_alpha11_breaks_associativity():
-    law = fgl.mutate_alpha(fgl.miscenko_law(6), 1, 1, 1)
+    law = mutate_alpha(fgl.miscenko_law(6), 1, 1, 1)
     rows = {r.identity: r for r in fgl.verify_axioms(law)}
     assert rows["commutativity"].passed
     assert not rows["associativity"].passed
@@ -482,7 +503,7 @@ def test_mutated_alpha11_breaks_associativity():
                      lambda ij: sum(ij) <= 5))
 def test_any_single_alpha_mutation_fails_some_check(ij):
     i, j = ij
-    law = fgl.mutate_alpha(fgl.miscenko_law(5), i, j, 1)
+    law = mutate_alpha(fgl.miscenko_law(5), i, j, 1)
     cp = fgl.cp_series(law)
     lhs = law.f.partial_derivative("v") * cp.evaluate({"u": law.f})
     rhs = cp.rename({"u": "v"}).extend(UV)

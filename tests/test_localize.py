@@ -1,13 +1,13 @@
 from math import comb
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cobcalc import localize as lz
 from cobcalc.report import IdentityResult
 from oracles import (chains_under_inclusion, chi_grassmann_by_partitions,
-                     partitions_in_box)
+                     is_orientable_by_rotations, partitions_in_box)
 
 ledgers = st.builds(lz.IndexLedger, st.integers(-20, 20), st.integers(0, 1))
 
@@ -161,6 +161,23 @@ def test_orientability_detects_torus_like_surfaces():
     assert not lz.is_closed_surface(lz.disk_complex())
 
 
+def test_orientability_matches_the_rotation_search_on_fixtures():
+    sphere = lz.SimplicialComplex.from_simplices(
+        [(1, 2, 3), (1, 2, 4), (1, 3, 4), (2, 3, 4)])
+    fixtures = [lz.klein_bottle_complex(), lz.projective_plane_complex(), sphere,
+                lz.disk_complex(), lz.circle_complex(), lz.point_complex()]
+    got = [lz.is_orientable(k) for k in fixtures]
+    assert got == [is_orientable_by_rotations(k) for k in fixtures]
+    assert got == [False, False, True, True, True, True]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sets(st.integers(0, 6), min_size=3, max_size=3), max_size=14))
+def test_orientability_matches_the_rotation_search(triangles):
+    complex_ = lz.SimplicialComplex.from_simplices(triangles or [(0,)])
+    assert lz.is_orientable(complex_) == is_orientable_by_rotations(complex_)
+
+
 def test_barycentric_subdivision_preserves_chi():
     fixtures = [lz.circle_complex(), lz.disk_complex(),
                 lz.klein_bottle_complex(), lz.projective_plane_complex()]
@@ -304,3 +321,26 @@ def test_rp2_decomposition_check():
 
 def test_klein_index_check():
     assert _all_pass(lz.klein_index_check()[1])
+
+
+def test_failing_ledger_and_recursion_rows_carry_degree_zero_and_a_witness(monkeypatch):
+    sphere = lz.SimplicialComplex.from_simplices(
+        [(1, 2, 3), (1, 2, 4), (1, 3, 4), (2, 3, 4)])
+    monkeypatch.setattr(lz, "klein_bottle_complex", lambda: sphere)
+    monkeypatch.setattr(lz, "projective_plane_complex", lambda: sphere)
+    monkeypatch.setattr(lz, "LEDGER_ONE", lz.IndexLedger(2))
+    monkeypatch.setattr(lz, "localization_sum", lambda n1, n2, k: 7)
+    rows = (lz.klein_index_check()[1] + lz.rp2_decomposition_check()[1]
+            + lz.localization_recursion_report(2))
+    got = {r.identity: (r.passed, r.first_failing_degree, r.witness_term) for r in rows}
+    assert got == {
+        "klein_total_index_is_u": (False, 0, "1 + u"),
+        "klein_epsilon_matches_chi": (False, 0, "epsilon=1 chi=2"),
+        "rp2_weighted_sum": (False, 0, "sum=2 chi=1"),
+        "rp2_fixture_chi": (False, 0, "fixture=2"),
+        "index_square_is_one": (False, 0, "square=1"),
+        "chi_recursion[1,1,0]": (False, 0, "sum=7 chi=1"),
+        "chi_recursion[1,1,1]": (False, 0, "sum=7 chi=0"),
+        "chi_recursion[1,1,2]": (False, 0, "sum=7 chi=1"),
+    }
+    assert all(r.order == (2 if r.law == "grassmann" else 0) for r in rows)

@@ -13,9 +13,10 @@ from cobcalc import fgl
 from cobcalc.coeffring import CoeffPoly
 from cobcalc.pseries import (NonUnitLeadingTerm, NonzeroConstantTerm,
                              NonzeroRemainder, OrderExceeded, TruncatedSeries,
-                             VariableMismatch, lagrange_reversion)
+                             VariableMismatch)
 
 from conftest import revertible_series, series_uv
+from oracles import lagrange_reversion
 
 UV = ("u", "v")
 
