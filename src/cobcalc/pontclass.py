@@ -6,9 +6,9 @@ divided differences delta(u,v) = (a(u) - a(v))/(u - v) and
 d(u,v) = (v a(u) - u a(v))/(u - v); the addition series
 b(u,v) = u + v - uv [alpha0(uv) delta(u,v) + alpha1(uv) d(u,v)] with its
 beta coefficient table; the line-bundle index series gamma(c) = 1 - a(c);
-and the one-sided addition series u + v - a(f(u,v)) v.  Phi, delta/d and
-b are memoized on the law (:func:`cobcalc.fgl.per_law`), so each is built
-at most once per law however many identities use it.
+and the one-sided addition series u + v - a(f(u,v)) v.  Phi, delta/d,
+a(f(u,v)) and b are memoized on the law (:func:`cobcalc.fgl.per_law`), so
+each is built at most once per law however many identities use it.
 
 Identities that only hold modulo the ideal ([u]_2, [v]_2) are checked in
 :class:`QuotientRingA`, a truncated quotient over an integer
@@ -88,6 +88,12 @@ def b_series(law: FormalGroupLaw) -> AdditionSeries:
     return AdditionSeries(law.tag, b, beta)
 
 
+@per_law
+def a_of_f(law: FormalGroupLaw) -> TruncatedSeries:
+    """a(f(u,v)), trusted to order n - 1 like a itself."""
+    return a_series(law).evaluate({U: law.f})
+
+
 def gamma_line(law: FormalGroupLaw) -> TruncatedSeries:
     """gamma(c) = -1 - sum alpha_ij c^(i+j-1) = 1 - a(c), the index series
     of a line bundle."""
@@ -99,7 +105,7 @@ def cor63_series(law: FormalGroupLaw) -> TruncatedSeries:
     """The one-sided addition series u - v - sum alpha_ij f(u,v)^(i+j-1) v,
     i.e. u + v - a(f(u,v)) v; it agrees with the b series only modulo the
     ideal ([u]_2, [v]_2)."""
-    af = a_series(law).evaluate({U: law.f})
+    af = a_of_f(law)
     n = af.order + 1
     return (TruncatedSeries.variable(U, UV, n)
             + TruncatedSeries.variable(V, UV, n)
@@ -276,15 +282,20 @@ def _two_series_hom(law: FormalGroupLaw, order: int) -> list[IdentityResult]:
     two = n_series(law, 2)
     two_u = two.extend(UV)
     two_v = two.rename({U: V}).extend(UV)
-    f_two = law.f.evaluate({U: two_u, V: two_v})
-    two_of_f = two.evaluate({U: law.f})
+    af = a_of_f(law)
+    # The first row needs no extra order: it is checked on the law and the
+    # 2-series truncated to m.  [f]_2 = f a(f) is exact to m although a(f)
+    # is trusted only to n - 1 >= m - 1, since f has no constant term.
+    m = min(order, n)
+    f = law.f.truncate(m)
+    f_two = f.evaluate({U: two_u.truncate(m), V: two_v.truncate(m)})
+    two_of_f = f * af._assume_order(m)
     rows = [_row("two_series_hom", law, f_two - two_of_f, order)]
 
     phi = phi_series(law)
     ub2 = law.inverse.extend(UV)
     two_ubar = two.evaluate({U: law.inverse}).extend(UV)
     v2 = TruncatedSeries.variable(V, UV, n)
-    af = a_series(law).evaluate({U: law.f})
     lhs = (two_v - two_ubar) * phi.evaluate({U: two_u, V: two_v})
     rhs = (v2 - ub2) * phi * af
     rows.append(_row("chained_phi", law, lhs - rhs, order))
@@ -327,7 +338,7 @@ def _lemma62(law: FormalGroupLaw, order: int) -> list[IdentityResult]:
 def _thm66(law: FormalGroupLaw, order: int) -> list[IdentityResult]:
     ring = _quotient_ring(law, UV, order)
     delta, _ = delta_d_series(law)
-    af = a_series(law).evaluate({U: law.f})
+    af = a_of_f(law)
     phi = phi_series(law)
     return [_row("a_transfer_in_A", law, ring.reduce(
                 af.times_monomial((0, 1)) - af.times_monomial((1, 0))), order),

@@ -7,6 +7,13 @@ trusted.  Ring operations return ``min`` of the operand orders; exact
 monomial shifts raise the order by the shift degree; composition sharpens
 the bound using the lowest degree of the substituted values.
 
+A product with a factor that is one term with coefficient 1 (``one``, a
+variable, a monomial such as u*v) is an exponent shift: every term of
+the other factor moves and keeps its coefficient, terms past the result
+order are dropped, and no coefficient is multiplied.  Composition starts
+each term's product from the first power it needs, so a term that uses
+one variable costs no product at all.
+
 Division by a variable difference (u - v) is exact polynomial division
 with a hard error on a nonzero remainder: the series this package divides
 are divisible by construction, so a remainder signals a false identity.
@@ -25,6 +32,7 @@ from .coeffring import CoeffPoly, ScalarLike, as_coeff
 ExpVec = tuple[int, ...]
 
 _BIG = 10**9  # stands in for "exact to all orders" in order arithmetic
+_ONE = CoeffPoly.one()
 
 
 class VariableMismatch(ValueError):
@@ -217,6 +225,16 @@ class TruncatedSeries:
         if isinstance(other, TruncatedSeries):
             self._check_compatible(other)
             order = min(self.order, other.order)
+            for unit, rest in ((other, self), (self, other)):
+                if len(unit.terms) == 1:
+                    (shift, c), = unit.terms.items()
+                    if c == _ONE:
+                        # A unit monomial only moves the terms of the other
+                        # factor; those past the order are dropped.
+                        room = order - sum(shift)
+                        return TruncatedSeries(self.variables, order, {
+                            tuple(map(add, ev, shift)): t
+                            for ev, t in rest.terms.items() if sum(ev) <= room})
             # The coefficient pairs of each output exponent vector go to one
             # CoeffPoly.dot, which normalizes once per output coefficient.
             buckets: dict[ExpVec, list[tuple[CoeffPoly, CoeffPoly]]] = {}
@@ -376,20 +394,22 @@ class TruncatedSeries:
 
         work_order = result_order
         lows = [min(v.lowest_degree(), work_order + 1) for v in vals]
-        powers: list[list[TruncatedSeries]] = [
-            [TruncatedSeries.one(target_vars, work_order)] for _ in vals]
+        one = TruncatedSeries.one(target_vars, work_order)
+        powers: list[list[TruncatedSeries]] = [[one] for _ in vals]
         buckets: dict[ExpVec, list[tuple[CoeffPoly, CoeffPoly]]] = {}
         for ev, c in self.terms.items():
             if sum(e * low for e, low in zip(ev, lows)) > work_order:
                 continue
-            prod = TruncatedSeries.one(target_vars, work_order)
+            # The first power needed starts the product; one is only kept
+            # for the constant term.
+            prod = one
             for idx, e in enumerate(ev):
                 if not e:
                     continue
                 pw = powers[idx]
                 while len(pw) <= e:
                     pw.append(pw[-1] * vals[idx])
-                prod = prod * pw[e]
+                prod = pw[e] if prod is one else prod * pw[e]
             for pev, pc in prod.terms.items():
                 pairs = buckets.get(pev)
                 if pairs is None:

@@ -5,10 +5,12 @@ the identity checks must refuse."""
 
 from fractions import Fraction
 from itertools import combinations
+from operator import add
 
 from cobcalc import fgl
 from cobcalc.coeffring import CoeffPoly
 from cobcalc.pseries import TruncatedSeries
+from cobcalc.report import check_zero
 
 U1 = ("u",)
 UV = ("u", "v")
@@ -31,6 +33,55 @@ def lagrange_reversion(s: TruncatedSeries) -> TruncatedSeries:
             if not c.is_zero():
                 coeffs[(k,)] = c
     return TruncatedSeries(s.variables, n, coeffs)
+
+
+def bucket_product(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
+    """The general series product, with no shortcut for a unit-monomial
+    factor: each output exponent vector sums its coefficient products in
+    one ``CoeffPoly.dot``."""
+    order = min(a.order, b.order)
+    buckets: dict = {}
+    for ea, ca in a.terms.items():
+        for eb, cb in b.terms.items():
+            if sum(ea) + sum(eb) <= order:
+                buckets.setdefault(tuple(map(add, ea, eb)), []).append((ca, cb))
+    terms = {ev: c for ev, pairs in buckets.items() if (c := CoeffPoly.dot(pairs))}
+    return TruncatedSeries(a.variables, order, terms)
+
+
+def evaluate_per_term(s: TruncatedSeries, values) -> TruncatedSeries:
+    """Composition as one product per term of s: each term starts from one
+    and is multiplied by every power it needs, all through
+    :func:`bucket_product`, at the result order of
+    ``TruncatedSeries.evaluate``; the terms are summed with ``+``."""
+    vals = [values[v] for v in s.variables]
+    target_vars = vals[0].variables
+    lmin = min(v.lowest_degree() for v in vals)
+    order = min(min(v.order for v in vals), (s.order + 1) * lmin - 1)
+    one = TruncatedSeries.one(target_vars, order)
+    powers = [[one] for _ in vals]
+    total = TruncatedSeries.zero(target_vars, order)
+    for ev, c in s.terms.items():
+        prod = one
+        for idx, e in enumerate(ev):
+            if not e:
+                continue
+            pw = powers[idx]
+            while len(pw) <= e:
+                pw.append(bucket_product(pw[-1], vals[idx]))
+            prod = bucket_product(prod, pw[e])
+        total = total + prod.scale(c)
+    return total
+
+
+def direct_associativity(law) -> "fgl.IdentityResult":
+    """The associativity row with both sides composed, f(f(u,v), w) against
+    f(u, f(v,w)), whether or not f is commutative."""
+    f, n = law.f, law.order
+    u3, v3, w3 = (TruncatedSeries.variable(x, fgl.UVW, n) for x in fgl.UVW)
+    lhs = f.evaluate({"u": f.evaluate({"u": u3, "v": v3}), "v": w3})
+    rhs = f.evaluate({"u": u3, "v": f.evaluate({"u": v3, "v": w3})})
+    return check_zero("associativity", law.tag, lhs - rhs)
 
 
 def solve_inverse(f: TruncatedSeries, order: int) -> TruncatedSeries:

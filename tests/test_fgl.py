@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 from cobcalc import fgl
 from cobcalc.coeffring import CoeffPoly
 from cobcalc.pseries import CheckFailed, OrderExceeded, TruncatedSeries
-from oracles import (lagrange_reversion, mutate_alpha, n_series_via_log,
-                     solve_inverse, universal_cp_series)
+from oracles import (direct_associativity, lagrange_reversion, mutate_alpha,
+                     n_series_via_log, solve_inverse, universal_cp_series)
 
 cp1 = CoeffPoly.gen(1)
 cp2 = CoeffPoly.gen(2)
@@ -347,6 +347,40 @@ def test_miscenko_axioms_all_pass(miscenko8):
                        "inverse": True}
 
 
+@pytest.mark.parametrize("spec", [
+    "miscenko", "additive", "mult:1", "mult:-1", "mult:2", "mult:-2", "mult:3",
+    "mult:1/2"])
+def test_associativity_by_symmetry_matches_the_direct_route(spec):
+    law = fgl.parse_law(spec, 9)
+    for n in range(1, 10):
+        rows = {r.identity: r for r in fgl.verify_axioms(law.truncate(n))}
+        assert rows["commutativity"].passed
+        assert rows["associativity"] == direct_associativity(law.truncate(n))
+
+
+def _three_variable_compositions(monkeypatch, law) -> int:
+    counted = []
+    real = TruncatedSeries.evaluate
+
+    def counting(self, values):
+        counted.append(next(iter(values.values())).variables == fgl.UVW)
+        return real(self, values)
+
+    monkeypatch.setattr(TruncatedSeries, "evaluate", counting)
+    fgl.verify_axioms(law)
+    monkeypatch.undo()
+    return sum(counted)
+
+
+def test_associativity_composes_the_right_side_only_without_commutativity(
+        monkeypatch):
+    # f(u,v) and the left side; the right side is the renamed left side
+    assert _three_variable_compositions(monkeypatch, fgl.miscenko_law(6)) == 2
+    # a non-commutative f also composes f(v,w) and f(u, f(v,w))
+    law = mutate_alpha(fgl.miscenko_law(7), 3, 4, 1)
+    assert _three_variable_compositions(monkeypatch, law) == 4
+
+
 def test_miscenko_grading(miscenko8):
     assert miscenko8.f.is_graded(1)
     assert miscenko8.inverse.is_graded(1)
@@ -495,6 +529,18 @@ def test_mutated_alpha11_breaks_associativity():
     assert not rows["associativity"].passed
     # the first associator obstruction of a commutative jet sits in degree 4
     assert rows["associativity"].first_failing_degree == 4
+    assert rows["associativity"] == direct_associativity(law)
+
+
+def test_non_commutative_mutation_fails_both_rows_at_its_degree():
+    # alpha_34 alone breaks the symmetry of f, so the right side is
+    # composed directly and the associator is that of the mutated f
+    law = mutate_alpha(fgl.miscenko_law(7), 3, 4, 1)
+    rows = {r.identity: r for r in fgl.verify_axioms(law)}
+    assert not rows["commutativity"].passed
+    assert rows["commutativity"].first_failing_degree == 7
+    assert rows["associativity"].first_failing_degree == 7
+    assert rows["associativity"] == direct_associativity(law)
 
 
 @settings(max_examples=10, deadline=None)

@@ -21,7 +21,12 @@ dispatch became one registry with one construction margin.  The last
 three, the benchmark's localization recursion, the recursion at its cap and
 the largest Grassmannian at the chi grass cap, were recorded from the
 package before Schubert cells were enumerated as k-subsets instead of
-partitions in a box.
+partitions in a box.  The last four, the universal exact suite and a
+first-row-only two_series_hom run at orders past the benchmark's, the
+axioms of a multiplicative law at order 14 and a whole integral suite at
+order 16, were recorded from the package before a product by a unit
+monomial became an exponent shift, associativity reused commutativity,
+and [f]_2 became f a(f).
 """
 
 import hashlib
@@ -105,6 +110,14 @@ GOLDEN = [
      "eff1e9c91d34b291d053f92cb2801854151de9f41bc6529faee14aa5d5e191b2"),
     ("chi grass --n 24 --k 12 --format json", 0,
      "7aff375f62379a8403ff36ca9f3e9f1af31151393a2716b8e52b4c8001240f36"),
+    ("verify exact --law miscenko --order 12 --format json", 0,
+     "dfa3043b197ed3b533694a9de8b5a08a0ef283aa38b611191a78cbb66dc3778b"),
+    ("verify axioms --law mult:-2 --order 14 --format json", 0,
+     "aca8cfa3a9f2323586537ff9c8226fc63fc123e1256b4dbd6a2a15d615f672cb"),
+    ("verify two_series_hom --law miscenko --order 10 --format json", 0,
+     "3373beb8ae9946ef90dce485677d52ba3abf69a23fbf6354053c6477bead37e8"),
+    ("verify all --law mult:3 --order 16 --format json", 0,
+     "dc2c024cdf5f9aa0d90f99aca7c90f2b0529588801ce46a5de945bcdab08bde0"),
 ]
 
 

@@ -1,3 +1,6 @@
+import contextlib
+import functools
+import io
 import random
 from fractions import Fraction
 
@@ -6,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cobcalc import fgl, pontclass as pc
+from cobcalc.cli import main
 from cobcalc.coeffring import CoeffPoly
 from cobcalc.intlattice import IntegerLattice
 from cobcalc.pseries import TruncatedSeries
@@ -141,6 +145,41 @@ def test_two_series_of_f_is_f_times_a_of_f(miscenko8):
     lhs = two.evaluate({"u": miscenko8.f})
     rhs = miscenko8.f * fgl.a_series(miscenko8).evaluate({"u": miscenko8.f})
     assert (lhs - rhs).is_zero()
+
+
+@pytest.mark.parametrize("spec, order", [
+    *[(spec, n) for spec in ("miscenko", "additive") for n in range(1, 10)],
+    *[(spec, n) for spec in ("mult:1", "mult:-2", "mult:3") for n in range(2, 13)]])
+def test_two_series_of_f_is_exactly_f_times_a_of_f(spec, order):
+    # a(f) is trusted to n - 1, yet f a(f) is exact to n in every term
+    law = fgl.parse_law(spec, order)
+    two_of_f = fgl.n_series(law, 2).evaluate({"u": law.f})
+    assert two_of_f == law.f * pc.a_of_f(law)._assume_order(order)
+    assert two_of_f.order == order
+
+
+def test_a_of_f_is_built_once_per_law(monkeypatch):
+    built = []
+    build = pc.a_of_f.__wrapped__
+
+    @functools.wraps(build)
+    def counted(law):
+        built.append(law.tag)
+        return build(law)
+
+    monkeypatch.setattr(pc, "a_of_f", fgl.per_law(counted))
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["verify", "all", "--law", "mult:1", "--order", "6"]) == 0
+    assert built == ["mult:1"]
+
+
+def test_caller_built_law_reports_two_series_hom_at_its_order():
+    # the first row is exact at the law's own order although a(f) is
+    # trusted one order less; Phi, and so chained_phi, stops one short
+    for n in range(2, 9):
+        rows = pc.verify_identity_suite(fgl.miscenko_law(n), "two_series_hom", n)
+        assert [(r.identity, r.order, r.passed) for r in rows] == [
+            ("two_series_hom", n, True), ("chained_phi", n - 1, True)]
 
 
 # -- gamma and the one-sided series ----------------------------------------------------

@@ -9,14 +9,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cobcalc import fgl
+from cobcalc import fgl, pontclass
 from cobcalc.coeffring import CoeffPoly
 from cobcalc.pseries import (NonUnitLeadingTerm, NonzeroConstantTerm,
                              NonzeroRemainder, OrderExceeded, TruncatedSeries,
                              VariableMismatch)
 
-from conftest import revertible_series, series_uv
-from oracles import lagrange_reversion
+from conftest import coeff_polys, revertible_series, series_uv
+from oracles import bucket_product, evaluate_per_term, lagrange_reversion
 
 UV = ("u", "v")
 
@@ -62,6 +62,75 @@ def test_order_is_min_of_operands():
     b = s2({(0, 1): 1}, 3)
     assert (a + b).order == 3
     assert (a * b).order == 3
+
+
+# -- unit-monomial products ---------------------------------------------------
+
+
+@st.composite
+def unit_monomial_products(draw):
+    """A unit monomial x^shift and a series over the same 1-3 variables,
+    each at its own order; the series may be empty, and the shift may move
+    some or all of its terms past the result order."""
+    names = ("u", "v", "w")[:draw(st.integers(min_value=1, max_value=3))]
+    width = len(names)
+    shift = tuple(draw(st.lists(st.integers(min_value=0, max_value=3),
+                                min_size=width, max_size=width)))
+    unit_order = sum(shift) + draw(st.integers(min_value=0, max_value=3))
+    unit = TruncatedSeries.from_terms({shift: 1}, names, unit_order)
+    order = draw(st.integers(min_value=0, max_value=6))
+    expvecs = st.lists(st.integers(min_value=0, max_value=order),
+                       min_size=width, max_size=width).map(tuple).filter(
+        lambda ev: sum(ev) <= order)
+    terms = draw(st.dictionaries(expvecs, coeff_polys, max_size=6))
+    return unit, TruncatedSeries.from_terms(terms, names, order)
+
+
+@settings(max_examples=200)
+@given(unit_monomial_products())
+def test_unit_monomial_product_is_the_bucket_product(pair):
+    unit, other = pair
+    assert unit * other == bucket_product(unit, other)
+    assert other * unit == bucket_product(other, unit)
+
+
+def test_unit_monomial_product_examples():
+    s = s2({(0, 0): 3, (1, 0): CoeffPoly.gen(1), (2, 2): -1, (0, 3): 2}, 4)
+    one = TruncatedSeries.one(UV, 6)
+    assert one * s == s and s * one == s
+    # u*v moves every term up by two; the ones past order 4 are dropped
+    uv = s2({(1, 1): 1}, 5)
+    assert uv * s == s * uv == s2({(1, 1): 3, (2, 1): CoeffPoly.gen(1)}, 4)
+    # a shift past the result order leaves nothing, at the lower order
+    assert s2({(3, 2): 1}, 5) * s == s2({}, 4)
+    # a single term with another coefficient takes the general product
+    assert s2({(1, 0): 2}, 5) * s == bucket_product(s2({(1, 0): 2}, 5), s)
+    assert TruncatedSeries.zero(UV, 3) * uv == s2({}, 3)
+
+
+SUITE_LAWS = ([("miscenko", n) for n in range(1, 10)]
+              + [(spec, n) for spec in ("mult:1", "mult:-2") for n in range(2, 13)])
+
+
+@pytest.mark.parametrize("spec, order", SUITE_LAWS)
+def test_evaluate_matches_the_per_term_route_on_suite_compositions(
+        monkeypatch, spec, order):
+    # every composition the suite (law construction included) makes,
+    # against one product per term started from one, with no shift path
+    calls = []
+    real = TruncatedSeries.evaluate
+
+    def recorded(self, values):
+        result = real(self, values)
+        calls.append((self, dict(values), result))
+        return result
+
+    monkeypatch.setattr(TruncatedSeries, "evaluate", recorded)
+    assert all(r.passed for r in pontclass.verify_identity_suite(spec, "all", order))
+    monkeypatch.undo()
+    assert calls
+    for s, values, result in calls:
+        assert result == evaluate_per_term(s, values)
 
 
 # -- substitution -----------------------------------------------------------
