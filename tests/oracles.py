@@ -10,7 +10,7 @@ from operator import add
 from cobcalc import fgl
 from cobcalc.coeffring import CoeffPoly
 from cobcalc.pseries import TruncatedSeries
-from cobcalc.report import check_zero
+from cobcalc.report import IdentityResult, check_zero
 
 U1 = ("u",)
 UV = ("u", "v")
@@ -74,7 +74,7 @@ def evaluate_per_term(s: TruncatedSeries, values) -> TruncatedSeries:
     return total
 
 
-def direct_associativity(law) -> "fgl.IdentityResult":
+def direct_associativity(law) -> IdentityResult:
     """The associativity row with both sides composed, f(f(u,v), w) against
     f(u, f(v,w)), whether or not f is commutative."""
     f, n = law.f, law.order
