@@ -21,6 +21,7 @@ by the exact pre-quotient identities plus the integral specializations.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import gcd
 
 from .coeffring import CoeffPoly
 from .fgl import (U, UV, UVW, V, W, FormalGroupLaw, LawError, a_series,
@@ -145,6 +146,27 @@ class QuotientRingA:
     multiple of its pivot value g yet smaller than g in absolute value (see
     ``intlattice``).  So reduction is idempotent and zero exactly on members
     of the truncated ideal.
+
+    The lattice L is spanned by the rows row(m; i) = m g(x_i) truncated at
+    the ring order, where g = c_1 x + ... + c_K x^K is [x]_2 so truncated
+    (c_1 = 2) and m runs over monomials.  Let e = gcd(c_k) and c' = c_K / e.
+    When c' is odd, the rows whose multiplier m has exponent >= K in some
+    variable x_j before x_i are redundant (the Koszul syzygies of the
+    regular sequence g(x_1), ..., g(x_n)), and only the others are built:
+
+    1. g(x_j) m' g(x_i) = g(x_i) m' g(x_j), and truncation is linear, so
+       sum_k c_k row(x_j^k m'; i) = sum_k c_k row(x_i^k m'; j).  Divided by
+       e, this writes c' row(x_j^K m'; i) through rows lower in the order
+       (multiplier degree, then variable).  By induction c'^t R lies in
+       L' = span(kept rows) for every skipped row R.
+    2. For every monomial M, with x the first variable of M, the kept rows
+       include row(M/x; x), whose lowest-degree term is 2M.  So each M has
+       2-power order in Z^n/L' (downward in degree), a 2-group.
+    3. L/L' lies in that 2-group and is killed by an odd number, so
+       L' = L.  The columns are unchanged, so the normal form, which
+       depends only on the lattice and the column order, is too.
+
+    When c' is even (mult:4, say) the argument fails and every row is kept.
     """
 
     def __init__(self, law: FormalGroupLaw, variables: tuple[str, ...] = UV,
@@ -172,9 +194,17 @@ class QuotientRingA:
                     f"[u]_2 coefficient {c} is not an integer scalar")
             rel_coeffs.append((k, c.as_int()))
 
+        # Koszul row selection (see the class docstring): cap the exponents
+        # of the variables before the row's own at K - 1 when c' is odd.  A
+        # cap of `order` caps nothing; at order 0 there are no coefficients.
+        cap = order
+        if rel_coeffs:
+            top, c_top = max(rel_coeffs)
+            if c_top // gcd(*(c for _, c in rel_coeffs)) % 2:
+                cap = top - 1
         rows = []
         for axis in range(width):
-            for m in _expvecs(width, order - 1):
+            for m in _expvecs(width, order - 1, (cap,) * axis):
                 row: dict[int, int] = {}
                 for k, c in rel_coeffs:
                     ev = list(m)
@@ -210,12 +240,15 @@ class QuotientRingA:
         return self.reduce(s).is_zero()
 
 
-def _expvecs(width: int, max_degree: int):
+def _expvecs(width: int, max_degree: int, caps: tuple[int, ...] = ()):
+    """Exponent vectors of total degree <= max_degree whose leading entries
+    are also at most the matching caps."""
     if width == 0:
         yield ()
         return
-    for head in range(max_degree + 1):
-        for tail in _expvecs(width - 1, max_degree - head):
+    top = min(max_degree, caps[0]) if caps else max_degree
+    for head in range(top + 1):
+        for tail in _expvecs(width - 1, max_degree - head, caps[1:]):
             yield (head,) + tail
 
 

@@ -4,7 +4,7 @@ different, slower route.  ``mutate_alpha`` builds the corrupted laws that
 the identity checks must refuse."""
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 from operator import add
 
 from cobcalc import fgl
@@ -82,6 +82,35 @@ def direct_associativity(law) -> IdentityResult:
     lhs = f.evaluate({"u": f.evaluate({"u": u3, "v": v3}), "v": w3})
     rhs = f.evaluate({"u": u3, "v": f.evaluate({"u": v3, "v": w3})})
     return check_zero("associativity", law.tag, lhs - rhs)
+
+
+def relation_rows(law, variables, order: int) -> list[dict[int, int]]:
+    """Every generator row of the lattice of
+    ``QuotientRingA(law, variables, order)``: m [x]_2 truncated at the
+    order, for each variable x and each monomial m of degree below the
+    order, as ``{column: value}`` over the ring's columns (the monomials of
+    degree 1..order, highest degree first).  The ring itself builds only
+    the rows that the Koszul syzygies do not make redundant."""
+    width = len(variables)
+    monos = [ev for ev in product(range(order + 1), repeat=width)
+             if 1 <= sum(ev) <= order]
+    monos.sort(key=lambda ev: (sum(ev), ev), reverse=True)
+    col_of = {ev: i for i, ev in enumerate(monos)}
+    two = fgl.n_series(law, 2).truncate(order)
+    rel = [(k, c.as_int()) for (k,), c in two.terms.items()]
+    rows = []
+    for axis in range(width):
+        for m in product(range(order), repeat=width):
+            if sum(m) >= order:
+                continue
+            row = {}
+            for k, c in rel:
+                ev = list(m)
+                ev[axis] += k
+                if sum(ev) <= order:
+                    row[col_of[tuple(ev)]] = c
+            rows.append(row)
+    return rows
 
 
 def solve_inverse(f: TruncatedSeries, order: int) -> TruncatedSeries:

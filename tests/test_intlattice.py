@@ -2,11 +2,13 @@
 
 The lattices are the ones ``QuotientRingA`` builds for integral
 multiplicative laws over (u, v) and (u, v, w).  Adding any integer
-combination of the original generator rows (not of the echelon pivots)
-must leave the normal form unchanged, every pivot-column entry of a normal
-form must be a least-absolute residue, and the normal form must equal the
-one reduced against a back-reduced basis, which is how the lattice used to
-be built.
+combination of the full set of generator rows (not of the echelon pivots,
+and including the rows the ring skips as Koszul-redundant) must leave the
+normal form unchanged, every pivot-column entry of a normal form must be a
+least-absolute residue, and the normal form must equal the one reduced
+against a back-reduced basis, which is how the lattice used to be built.
+The ring's lattice must also equal the one built from every generator row,
+pivot for pivot.
 """
 
 import random
@@ -15,6 +17,7 @@ import pytest
 
 from cobcalc import fgl, pontclass
 from cobcalc.intlattice import IntegerLattice
+from oracles import relation_rows
 
 BETAS = (1, -1, 2, -2, 3)
 ORDERS = (3, 6, 10)
@@ -75,8 +78,9 @@ def _random_vector(rng, ncols):
 def test_normal_form_is_invariant_on_each_coset(beta, variables):
     law = fgl.multiplicative_law(beta, max(ORDERS))
     for order in ORDERS:
-        lattice, rows = _ring_lattice(law, variables, order)
-        assert rows and lattice.pivots
+        lattice, kept = _ring_lattice(law, variables, order)
+        assert kept and lattice.pivots
+        rows = relation_rows(law, variables, order)
         rng = random.Random(f"{beta} {variables} {order}")
         for _ in range(6):
             vec = _random_vector(rng, lattice.ncols)
@@ -86,6 +90,52 @@ def test_normal_form_is_invariant_on_each_coset(beta, variables):
             assert lattice.reduce(shifted) == lattice.reduce(vec)
         for row in rows:
             assert lattice.reduce(row) == {}
+
+
+def _row_multiset(rows):
+    return sorted(tuple(sorted(r.items())) for r in rows)
+
+
+KOSZUL_LAWS = ["additive"] + [f"mult:{b}" for b in (1, -1, 2, -2, 3, -3, 4, -4,
+                                                    5, 6, 8, 12)]
+KEEPS_EVERY_ROW = {"mult:4", "mult:-4", "mult:8", "mult:12"}
+
+
+@pytest.mark.parametrize("variables", [("u",), ("u", "v"), ("u", "v", "w")])
+@pytest.mark.parametrize("selector", KOSZUL_LAWS)
+def test_ring_lattice_equals_the_full_generator_lattice(selector, variables):
+    law = fgl.parse_law(selector, 12)
+    for order in range(11 if len(variables) == 3 else 13):
+        lattice, kept = _ring_lattice(law, variables, order)
+        rows = relation_rows(law, variables, order)
+        oracle = IntegerLattice(rows, lattice.ncols)
+        assert lattice.ncols == oracle.ncols
+        assert ([(col, prow[col]) for col, prow in lattice.pivots]
+                == [(col, prow[col]) for col, prow in oracle.pivots])
+        rng = random.Random(f"{selector} {variables} {order} koszul")
+        for _ in range(10 if lattice.ncols else 0):
+            vec = _random_vector(rng, lattice.ncols)
+            assert lattice.reduce(vec) == oracle.reduce(vec)
+        kept_rows, all_rows = _row_multiset(kept), _row_multiset(rows)
+        if selector in KEEPS_EVERY_ROW or len(variables) == 1:
+            assert kept_rows == all_rows
+        else:
+            assert set(kept_rows) <= set(all_rows)
+
+
+@pytest.mark.parametrize("selector, rows_in", [("mult:1", 2016), ("additive", 1770),
+                                               ("mult:4", 4620)])
+def test_ring_hands_the_lattice_only_the_koszul_rows(selector, rows_in):
+    # 1,770 columns over (u, v, w) at order 20; additive keeps one row per
+    # column, mult:1 drops 2,604 of 4,620 rows, mult:4 (c' even) drops none
+    lattice, kept = _ring_lattice(fgl.parse_law(selector, 20), ("u", "v", "w"), 20)
+    assert lattice.ncols == 1770
+    assert len(kept) == rows_in
+
+
+def test_order_zero_ring_builds_an_empty_lattice():
+    lattice, kept = _ring_lattice(fgl.multiplicative_law(1, 4), ("u", "v"), 0)
+    assert kept == [] and lattice.ncols == 0 and lattice.pivots == []
 
 
 @pytest.mark.parametrize("variables", [("u", "v"), ("u", "v", "w")])
