@@ -1,7 +1,7 @@
 """Coset invariance of the quotient-ring normal form.
 
-The lattices are the ones ``QuotientRingA`` builds for integral
-multiplicative laws over (u, v) and (u, v, w).  Adding any integer
+The lattices are the ones ``QuotientRingA`` builds for integral laws
+over one to three variables.  Adding any integer
 combination of the full set of generator rows (not of the echelon pivots,
 and including the rows the ring skips as Koszul-redundant) must leave the
 normal form unchanged, every pivot-column entry of a normal form must be a
