@@ -221,14 +221,14 @@ def main(argv=None) -> int:
     try:
         _check_limits(args)
         payload, ok = args.run(args)
-    except (LawError, OrderExceeded, FileNotFoundError, ValueError) as exc:
+        text = (json.dumps(payload, indent=2) if args.format == "json"
+                else render_text(payload))
+        if args.out is not None:
+            args.out.write_text(text + "\n")
+    except (LawError, OrderExceeded, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    text = (json.dumps(payload, indent=2) if args.format == "json"
-            else render_text(payload))
-    if args.out is not None:
-        args.out.write_text(text + "\n")
-    else:
+    if args.out is None:
         print(text)
     if not ok:
         failures = [r for r in payload.get("results", payload.get("failures", []))

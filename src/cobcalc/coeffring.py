@@ -18,7 +18,7 @@ next generator's field.  The guard refuses with :class:`ExponentOverflow`
 an exponent of 128 or more where a monomial is packed, and any product
 whose keys have a field's top bit set.  CLI inputs stay far below the
 limit: an exponent of cpg in a coefficient of weight w is at most w / g,
-and at ``--order <= 24`` (plus the two orders a suite adds) the series
+and at ``--order <= 24`` (plus the one order a suite adds) the series
 built carry coefficients of weight below 30.  The tuple form
 :data:`Monomial` appears only at the API boundary (``from_terms``,
 ``terms``, ``coefficient``, rendering, ``specialize``, ``weights``).
@@ -258,9 +258,6 @@ class CoeffPoly:
         for m, c in self._num.items():
             yield _unpack(m), Fraction(c, den)
 
-    def max_generator(self) -> int:
-        return max(map(_fields, self._num), default=0)
-
     def weights(self) -> set[int]:
         return {mono_weight(_unpack(m)) for m in self._num}
 
@@ -273,13 +270,6 @@ class CoeffPoly:
         if weight is None:
             return len(ws) == 1
         return ws == {weight}
-
-    def weight(self) -> int | None:
-        """The homogeneous weight, or None for zero / inhomogeneous."""
-        ws = self.weights()
-        if len(ws) == 1:
-            return next(iter(ws))
-        return None
 
     # -- ring operations ---------------------------------------------------
 
@@ -379,12 +369,6 @@ class CoeffPoly:
         """(weight, exponent vector, text, numerator) of each term, sorted by
         weight, then by the exponent vector (cp1 first)."""
         return sorted([(*_mono_render(m), c) for m, c in self._num.items()])
-
-    def sorted_terms(self) -> list[tuple[Monomial, Fraction]]:
-        """Terms sorted by weight, then by the dense exponent vector."""
-        den = self._den
-        return [(_dense_mono(dense), Fraction(c, den))
-                for _, dense, _, c in self._sorted_rows()]
 
     def __str__(self) -> str:
         if not self._num:

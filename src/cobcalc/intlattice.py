@@ -89,6 +89,3 @@ class IntegerLattice:
             if val:
                 _row_subtract(vec, _least_abs_quotient(val, prow[col]), prow)
         return vec
-
-    def contains(self, vector: Row) -> bool:
-        return not self.reduce(vector)

@@ -47,21 +47,9 @@ class IndexLedger:
     def __add__(self, other: "IndexLedger") -> "IndexLedger":
         return IndexLedger(self.eps + other.eps, (self.tor + other.tor) % 2)
 
-    def __neg__(self) -> "IndexLedger":
-        return IndexLedger(-self.eps, self.tor)
-
-    def __sub__(self, other: "IndexLedger") -> "IndexLedger":
-        return self + (-other)
-
     def __mul__(self, other: "IndexLedger") -> "IndexLedger":
         return IndexLedger(self.eps * other.eps,
                            (self.eps * other.tor + other.eps * self.tor) % 2)
-
-    def __pow__(self, n: int) -> "IndexLedger":
-        result = IndexLedger(1)
-        for _ in range(n):
-            result = result * self
-        return result
 
     @property
     def epsilon(self) -> int:
@@ -269,10 +257,6 @@ def _bundled(name: str) -> SimplicialComplex:
 
 def circle_complex() -> SimplicialComplex:
     return SimplicialComplex.from_simplices([("a", "b"), ("b", "c"), ("a", "c")])
-
-
-def disk_complex() -> SimplicialComplex:
-    return SimplicialComplex.from_simplices([("a", "b", "c")])
 
 
 def point_complex() -> SimplicialComplex:

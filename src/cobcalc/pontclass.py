@@ -84,7 +84,7 @@ def b_series(law: FormalGroupLaw) -> AdditionSeries:
     bracket = alpha0.evaluate({U: uv}) * delta + alpha1.evaluate({U: uv}) * d
     b = (TruncatedSeries.variable(U, UV, bracket.order + 2)
          + TruncatedSeries.variable(V, UV, bracket.order + 2)
-         + bracket.times_monomial((1, 1), -1))
+         - bracket.times_monomial((1, 1)))
     beta = {(k, l): c for (k, l), c in b.terms.items() if k >= 1 and l >= 1}
     return AdditionSeries(law.tag, b, beta)
 

@@ -59,6 +59,17 @@ class CheckFailed(ValueError):
     """A postcondition or cross-check failed; the result cannot be trusted."""
 
 
+def _add_into(dst: dict[ExpVec, CoeffPoly], src: Mapping[ExpVec, CoeffPoly]) -> None:
+    """Add the terms of src into dst, dropping sums that cancel."""
+    for ev, c in src.items():
+        s = dst.get(ev)
+        s = c if s is None else s + c
+        if s.is_zero():
+            dst.pop(ev, None)
+        else:
+            dst[ev] = s
+
+
 def _dot_buckets(buckets: dict[ExpVec, list[tuple[CoeffPoly, CoeffPoly]]]
                  ) -> dict[ExpVec, CoeffPoly]:
     """The nonzero sums of products, one per exponent vector."""
@@ -147,13 +158,6 @@ class TruncatedSeries:
     def constant_term(self) -> CoeffPoly:
         return self.terms.get((0,) * len(self.variables), CoeffPoly.zero())
 
-    def lowest_term(self) -> tuple[int, ExpVec, CoeffPoly] | None:
-        """(degree, exponent vector, coefficient) of the lowest nonzero term."""
-        if not self.terms:
-            return None
-        ev = min(self.terms, key=lambda e: (sum(e), e))
-        return sum(ev), ev, self.terms[ev]
-
     def lowest_degree(self) -> int:
         """Degree of the lowest stored term; _BIG when no terms are stored."""
         if not self.terms:
@@ -181,9 +185,6 @@ class TruncatedSeries:
         return (self.variables == other.variables and self.order == other.order
                 and self.terms == other.terms)
 
-    def __hash__(self) -> int:
-        return hash((self.variables, self.order, frozenset(self.terms.items())))
-
     def __str__(self) -> str:
         return series_str(self)
 
@@ -203,15 +204,7 @@ class TruncatedSeries:
         self._check_compatible(other)
         order = min(self.order, other.order)
         terms = {ev: c for ev, c in self.terms.items() if sum(ev) <= order}
-        for ev, c in other.terms.items():
-            if sum(ev) > order:
-                continue
-            s = terms.get(ev)
-            s = c if s is None else s + c
-            if s.is_zero():
-                terms.pop(ev, None)
-            else:
-                terms[ev] = s
+        _add_into(terms, {ev: c for ev, c in other.terms.items() if sum(ev) <= order})
         return TruncatedSeries(self.variables, order, terms)
 
     def __sub__(self, other: "TruncatedSeries") -> "TruncatedSeries":
@@ -229,12 +222,7 @@ class TruncatedSeries:
                 if len(unit.terms) == 1:
                     (shift, c), = unit.terms.items()
                     if c == _ONE:
-                        # A unit monomial only moves the terms of the other
-                        # factor; those past the order are dropped.
-                        room = order - sum(shift)
-                        return TruncatedSeries(self.variables, order, {
-                            tuple(map(add, ev, shift)): t
-                            for ev, t in rest.terms.items() if sum(ev) <= room})
+                        return rest._shifted(shift, order)
             # The coefficient pairs of each output exponent vector go to one
             # CoeffPoly.dot, which normalizes once per output coefficient.
             buckets: dict[ExpVec, list[tuple[CoeffPoly, CoeffPoly]]] = {}
@@ -277,22 +265,22 @@ class TruncatedSeries:
             result = result * self
         return result
 
-    def times_monomial(self, expvec: ExpVec,
-                       value: Union[CoeffPoly, ScalarLike] = 1) -> "TruncatedSeries":
-        """Multiply by an exact monomial; the trusted order rises by its degree."""
+    def _shifted(self, shift: ExpVec, order: int) -> "TruncatedSeries":
+        """The product by the unit monomial of exponent vector ``shift``,
+        trusted to ``order``: every term moves and keeps its coefficient,
+        and those past the order are dropped."""
+        room = order - sum(shift)
+        return TruncatedSeries(self.variables, order, {
+            tuple(map(add, ev, shift)): t
+            for ev, t in self.terms.items() if sum(ev) <= room})
+
+    def times_monomial(self, expvec: ExpVec) -> "TruncatedSeries":
+        """Multiply by an exact unit monomial; the trusted order rises by its
+        degree, so no term is dropped."""
         expvec = tuple(expvec)
         if len(expvec) != len(self.variables):
             raise VariableMismatch(f"{expvec} does not fit {self.variables}")
-        shift = sum(expvec)
-        c = as_coeff(value)
-        if c.is_zero():
-            return TruncatedSeries(self.variables, self.order + shift, {})
-        terms = {}
-        for ev, t in self.terms.items():
-            prod = t * c
-            if not prod.is_zero():
-                terms[tuple(x + y for x, y in zip(ev, expvec))] = prod
-        return TruncatedSeries(self.variables, self.order + shift, terms)
+        return self._shifted(expvec, self.order + sum(expvec))
 
     # -- order management ----------------------------------------------------
 
@@ -361,10 +349,8 @@ class TruncatedSeries:
             e = ev[i]
             if not e:
                 continue
-            new_ev = ev[:i] + (e - 1,) + ev[i + 1:]
-            d = c.scale(e)
-            s = terms.get(new_ev)
-            terms[new_ev] = d if s is None else s + d
+            # Distinct source terms land on distinct exponent vectors.
+            terms[ev[:i] + (e - 1,) + ev[i + 1:]] = c.scale(e)
         return TruncatedSeries(self.variables, max(self.order - 1, 0), terms)
 
     # -- composition ------------------------------------------------------------
@@ -467,26 +453,17 @@ class TruncatedSeries:
         def shift_b(terms: dict[ExpVec, CoeffPoly]) -> dict[ExpVec, CoeffPoly]:
             return {ev[:ib] + (ev[ib] + 1,) + ev[ib + 1:]: c for ev, c in terms.items()}
 
-        def add_into(dst: dict[ExpVec, CoeffPoly], src: dict[ExpVec, CoeffPoly]) -> None:
-            for ev, c in src.items():
-                s = dst.get(ev)
-                s = c if s is None else s + c
-                if s.is_zero():
-                    dst.pop(ev, None)
-                else:
-                    dst[ev] = s
-
         quotient: dict[ExpVec, CoeffPoly] = {}
         carry: dict[ExpVec, CoeffPoly] = {}
         for k in range(top, 0, -1):
-            add_into(carry, by_deg.get(k, {}))
+            _add_into(carry, by_deg.get(k, {}))
             # Carry keys hold 0 in the var_a slot and no zero values, so each
             # k writes nonzero coefficients to keys no other k writes.
             quotient.update({ev[:ia] + (k - 1,) + ev[ia + 1:]: c
                              for ev, c in carry.items()})
             carry = shift_b(carry)
         remainder = dict(carry)
-        add_into(remainder, by_deg.get(0, {}))
+        _add_into(remainder, by_deg.get(0, {}))
         if remainder:
             ev = min(remainder, key=lambda e: (sum(e), e))
             raise NonzeroRemainder(

@@ -43,7 +43,7 @@ def check_zero(identity: str, law: str, difference: TruncatedSeries) -> Identity
     """Report whether a difference series vanishes at its trusted order."""
     if difference.is_zero():
         return IdentityResult(identity, law, difference.order, True)
-    degree, ev, coeff = difference.lowest_term()
+    degree = difference.lowest_degree()
     witness = series_str(difference.homogeneous_part(degree))
     return IdentityResult(identity, law, difference.order, False, degree, witness)
 

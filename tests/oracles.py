@@ -8,7 +8,7 @@ from itertools import combinations, product
 from operator import add
 
 from cobcalc import fgl
-from cobcalc.coeffring import CoeffPoly
+from cobcalc.coeffring import CoeffPoly, Monomial, _dense_mono
 from cobcalc.pseries import TruncatedSeries
 from cobcalc.report import IdentityResult, check_zero
 
@@ -33,6 +33,13 @@ def lagrange_reversion(s: TruncatedSeries) -> TruncatedSeries:
             if not c.is_zero():
                 coeffs[(k,)] = c
     return TruncatedSeries(s.variables, n, coeffs)
+
+
+def sorted_terms(p: CoeffPoly) -> list[tuple[Monomial, Fraction]]:
+    """The terms of p in the order ``str`` renders them: by weight, then by
+    the dense exponent vector (cp1 first)."""
+    monos = [_dense_mono(dense) for _, dense, _, _ in p._sorted_rows()]
+    return [(m, p.coefficient(m)) for m in monos]
 
 
 def bucket_product(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
@@ -119,11 +126,11 @@ def solve_inverse(f: TruncatedSeries, order: int) -> TruncatedSeries:
     u1 = TruncatedSeries.variable("u", U1, order)
     ubar = -u1
     while True:
-        low = f.evaluate({"u": u1, "v": ubar}).lowest_term()
-        if low is None or low[0] > order:
+        terms = f.evaluate({"u": u1, "v": ubar}).terms
+        ev = min(terms, key=lambda e: (sum(e), e), default=None)
+        if ev is None or sum(ev) > order:
             return ubar
-        _, ev, coeff = low
-        ubar = ubar - TruncatedSeries.from_terms({ev: coeff}, U1, order)
+        ubar = ubar - TruncatedSeries.from_terms({ev: terms[ev]}, U1, order)
 
 
 def universal_cp_series(order: int) -> TruncatedSeries:

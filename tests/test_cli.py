@@ -183,6 +183,18 @@ def test_out_flag_writes_file(tmp_path, capsys):
     assert json.loads(target.read_text())["law"] == "mult:1"
 
 
+@pytest.mark.parametrize("argv", [
+    ("chi", "simplicial", "--file", "{tmp}"),
+    ("chi", "simplicial", "--file", "{tmp}/missing.txt"),
+    ("expand", "--law", "mult:1", "--order", "4", "--out", "{tmp}"),
+    ("expand", "--law", "mult:1", "--order", "4", "--out", "{tmp}/missing/x.txt"),
+])
+def test_unreadable_file_or_unwritable_out_is_a_usage_error(tmp_path, capsys, argv):
+    code, out, err = run(capsys, *(a.format(tmp=tmp_path) for a in argv))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_verify_failure_reports_on_stderr(capsys, monkeypatch):
     # corrupt the law the CLI builds to check the exit-code contract
     from cobcalc import pontclass

@@ -324,7 +324,7 @@ def test_specializing_universal_alpha_recovers_the_laws(miscenko8):
     # cp_n -> (-1)^n collapses the universal law to mult:1, cp_n -> 0 to
     # the additive law; checked entry by entry on the alpha tables.
     table = fgl.alpha_table(miscenko8)
-    top = max(g for c in table.values() for g in [c.max_generator()] if g) or 1
+    top = max(g for c in table.values() for m, _ in c.terms() for g, _ in m)
     to_mult = {n: Fraction((-1) ** n) for n in range(1, top + 1)}
     to_add = {n: Fraction(0) for n in range(1, top + 1)}
     for (i, j), c in table.items():

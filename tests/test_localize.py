@@ -119,8 +119,12 @@ def test_triangle_boundary_is_circle():
     assert lz.circle_complex().euler_characteristic() == 0
 
 
+def _disk():
+    return lz.SimplicialComplex.from_simplices([("a", "b", "c")])
+
+
 def test_full_simplex_is_disk():
-    assert lz.disk_complex().euler_characteristic() == 1
+    assert _disk().euler_characteristic() == 1
 
 
 def test_face_closure_on_load():
@@ -158,14 +162,14 @@ def test_orientability_detects_torus_like_surfaces():
     assert lz.is_closed_surface(sphere)
     assert lz.is_orientable(sphere)
     assert sphere.euler_characteristic() == 2
-    assert not lz.is_closed_surface(lz.disk_complex())
+    assert not lz.is_closed_surface(_disk())
 
 
 def test_orientability_matches_the_rotation_search_on_fixtures():
     sphere = lz.SimplicialComplex.from_simplices(
         [(1, 2, 3), (1, 2, 4), (1, 3, 4), (2, 3, 4)])
     fixtures = [lz.klein_bottle_complex(), lz.projective_plane_complex(), sphere,
-                lz.disk_complex(), lz.circle_complex(), lz.point_complex()]
+                _disk(), lz.circle_complex(), lz.point_complex()]
     got = [lz.is_orientable(k) for k in fixtures]
     assert got == [is_orientable_by_rotations(k) for k in fixtures]
     assert got == [False, False, True, True, True, True]
@@ -179,7 +183,7 @@ def test_orientability_matches_the_rotation_search(triangles):
 
 
 def test_barycentric_subdivision_preserves_chi():
-    fixtures = [lz.circle_complex(), lz.disk_complex(),
+    fixtures = [lz.circle_complex(), _disk(),
                 lz.klein_bottle_complex(), lz.projective_plane_complex()]
     for k in fixtures:
         sd = k.barycentric_subdivision()
@@ -197,7 +201,7 @@ def _subdivision_fixtures():
         [(1, 2, 3), (1, 2, 4), (1, 3, 4), (2, 3, 4)])
     simplices = [lz.SimplicialComplex.from_simplices([range(m)]) for m in range(1, 6)]
     mixed = lz.load_complex_text("a b c d\nc d e\ne f\ng\n")
-    return [lz.circle_complex(), lz.disk_complex(), lz.point_complex(),
+    return [lz.circle_complex(), _disk(), lz.point_complex(),
             lz.klein_bottle_complex(), lz.projective_plane_complex(), sphere,
             mixed, *simplices]
 

@@ -92,6 +92,11 @@ def test_unit_monomial_product_is_the_bucket_product(pair):
     unit, other = pair
     assert unit * other == bucket_product(unit, other)
     assert other * unit == bucket_product(other, unit)
+    # times_monomial shares the shift and keeps every term at a raised order
+    (shift,) = unit.terms
+    order = other.order + sum(shift)
+    assert other.times_monomial(shift) == bucket_product(
+        unit._assume_order(order), other._assume_order(order))
 
 
 def test_unit_monomial_product_examples():
@@ -341,7 +346,7 @@ def test_truncation_coherence(a, b, m):
 
 def test_times_monomial_raises_order():
     s = s2({(1, 0): 1}, 3)
-    shifted = s.times_monomial((1, 1), -2)
+    shifted = s.times_monomial((1, 1)).scale(-2)
     assert shifted.order == 5
     assert shifted == s2({(2, 1): -2}, 5)
 
