@@ -14,8 +14,7 @@ import sys
 from pathlib import Path
 
 from . import localize, pontclass
-from .fgl import LawError, alpha_table, parse_law
-from .pseries import OrderExceeded
+from .fgl import alpha_table, parse_law
 
 
 #: Size caps, so that no invocation runs unbounded.  Each sits above every
@@ -65,12 +64,12 @@ def _cmd_expand(args) -> tuple[dict, bool]:
 
 def _cmd_beta(args) -> tuple[dict, bool]:
     law = parse_law(args.law, args.order)
-    addition = pontclass.b_series(law)
+    b = pontclass.b_series(law)
     return {
         "law": law.tag,
         "order": args.order,
         "beta": _law_payload_entries(
-            {kl: c for kl, c in addition.beta.items() if sum(kl) <= args.order}),
+            {(k, l): c for (k, l), c in b.terms.items() if k >= 1 and l >= 1}),
     }, True
 
 
@@ -140,10 +139,7 @@ def render_text(obj: dict) -> str:
                 continue
             lines.append(f"{key}:")
             for item in val:
-                if isinstance(item, dict):
-                    lines.append("  " + "  ".join(f"{k}={v}" for k, v in item.items()))
-                else:
-                    lines.append(f"  {item}")
+                lines.append("  " + "  ".join(f"{k}={v}" for k, v in item.items()))
         elif isinstance(val, dict):
             lines.append(f"{key}: " + " ".join(f"{k}={v}" for k, v in val.items()))
         else:
@@ -225,7 +221,7 @@ def main(argv=None) -> int:
                 else render_text(payload))
         if args.out is not None:
             args.out.write_text(text + "\n")
-    except (LawError, OrderExceeded, OSError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if args.out is None:

@@ -14,7 +14,6 @@ f = g^{-1}(g(u) + g(v)) but needs no reversion.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .coeffring import CoeffPoly
@@ -54,14 +53,20 @@ def multiplicative_log(beta: Fraction, order: int) -> TruncatedSeries:
     return TruncatedSeries.from_terms(terms, (U,), order)
 
 
-@dataclass(frozen=True, eq=False)
 class FormalGroupLaw:
-    tag: str
-    order: int
-    f: TruncatedSeries        # in (u, v)
-    inverse: TruncatedSeries  # ubar(u), one variable
-    log: TruncatedSeries      # g(u), one variable
-    derived: dict = field(default_factory=dict, init=False, repr=False)
+    """A law at a fixed order: f in (u, v), its inverse ubar(u) and its log
+    g(u), each one variable.  Laws compare by identity, and ``derived``
+    holds this law's memoized series (see :func:`per_law`)."""
+    __slots__ = ("tag", "order", "f", "inverse", "log", "derived")
+
+    def __init__(self, tag: str, order: int, f: TruncatedSeries,
+                 inverse: TruncatedSeries, log: TruncatedSeries):
+        self.tag = tag
+        self.order = order
+        self.f = f
+        self.inverse = inverse
+        self.log = log
+        self.derived: dict = {}
 
     def __repr__(self) -> str:
         return f"FormalGroupLaw({self.tag}, order={self.order})"

@@ -21,7 +21,7 @@ The localization recursion then states
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 from importlib import resources
 from itertools import combinations
@@ -35,32 +35,27 @@ from .report import IdentityResult, check_equal
 # -- index ledger ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class IndexLedger:
-    """Element eps + tor*u of Z (+) Z2, with u^2 = 0 and epsilon(u) = 0."""
-    eps: int
-    tor: int = 0
+class IndexLedger(namedtuple("IndexLedger", "epsilon tor")):
+    """Element epsilon + tor*u of Z (+) Z2, with u^2 = 0 and epsilon(u) = 0;
+    tor is reduced mod 2 on construction."""
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "tor", self.tor % 2)
+    def __new__(cls, epsilon: int, tor: int = 0):
+        return super().__new__(cls, epsilon, tor % 2)
 
     def __add__(self, other: "IndexLedger") -> "IndexLedger":
-        return IndexLedger(self.eps + other.eps, (self.tor + other.tor) % 2)
+        return IndexLedger(self.epsilon + other.epsilon, self.tor + other.tor)
 
     def __mul__(self, other: "IndexLedger") -> "IndexLedger":
-        return IndexLedger(self.eps * other.eps,
-                           (self.eps * other.tor + other.eps * self.tor) % 2)
-
-    @property
-    def epsilon(self) -> int:
-        return self.eps
+        return IndexLedger(self.epsilon * other.epsilon,
+                           self.epsilon * other.tor + other.epsilon * self.tor)
 
     def __str__(self) -> str:
         if not self.tor:
-            return str(self.eps)
-        if not self.eps:
+            return str(self.epsilon)
+        if not self.epsilon:
             return "u"
-        return f"{self.eps} + u"
+        return f"{self.epsilon} + u"
 
 
 LEDGER_ONE = IndexLedger(1)

@@ -4,11 +4,12 @@ Everything here is derived from a formal group law: the factorization
 series Phi with f(u,v) - f(u,ubar) = (v - ubar) Phi(u,v); the symmetric
 divided differences delta(u,v) = (a(u) - a(v))/(u - v) and
 d(u,v) = (v a(u) - u a(v))/(u - v); the addition series
-b(u,v) = u + v - uv [alpha0(uv) delta(u,v) + alpha1(uv) d(u,v)] with its
-beta coefficient table; the line-bundle index series gamma(c) = 1 - a(c);
-and the one-sided addition series u + v - a(f(u,v)) v.  Phi, delta/d,
-a(f(u,v)) and b are memoized on the law (:func:`cobcalc.fgl.per_law`), so
-each is built at most once per law however many identities use it.
+b(u,v) = u + v - uv [alpha0(uv) delta(u,v) + alpha1(uv) d(u,v)], whose
+mixed coefficients beta_kl (k, l >= 1) are the beta table; the
+line-bundle index series gamma(c) = 1 - a(c); and the one-sided addition
+series u + v - a(f(u,v)) v.  Phi, delta/d, a(f(u,v)) and b are memoized
+on the law (:func:`cobcalc.fgl.per_law`), so each is built at most once
+per law however many identities use it.
 
 Identities that only hold modulo the ideal ([u]_2, [v]_2) are checked in
 :class:`QuotientRingA`, a truncated quotient over an integer
@@ -20,7 +21,6 @@ by the exact pre-quotient identities plus the integral specializations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from math import gcd
 
 from .coeffring import CoeffPoly
@@ -63,30 +63,17 @@ def delta_d_series(law: FormalGroupLaw) -> tuple[TruncatedSeries, TruncatedSerie
     return delta, d
 
 
-@dataclass(frozen=True, eq=False)
-class AdditionSeries:
-    """b(u,v) = u + v + sum beta_kl u^k v^l and its coefficient table."""
-    law: str
-    b: TruncatedSeries
-    beta: dict[tuple[int, int], CoeffPoly] = field(default_factory=dict)
-
-    def __repr__(self) -> str:
-        return f"AdditionSeries({self.law}, order={self.b.order})"
-
-
 @per_law
-def b_series(law: FormalGroupLaw) -> AdditionSeries:
+def b_series(law: FormalGroupLaw) -> TruncatedSeries:
     """The addition series of the first half-integer class."""
     delta, d = delta_d_series(law)
     _, alpha0, alpha1 = alpha_series(law)
     n = law.order
     uv = TruncatedSeries.from_terms({(1, 1): 1}, UV, n)
     bracket = alpha0.evaluate({U: uv}) * delta + alpha1.evaluate({U: uv}) * d
-    b = (TruncatedSeries.variable(U, UV, bracket.order + 2)
-         + TruncatedSeries.variable(V, UV, bracket.order + 2)
-         - bracket.times_monomial((1, 1)))
-    beta = {(k, l): c for (k, l), c in b.terms.items() if k >= 1 and l >= 1}
-    return AdditionSeries(law.tag, b, beta)
+    return (TruncatedSeries.variable(U, UV, bracket.order + 2)
+            + TruncatedSeries.variable(V, UV, bracket.order + 2)
+            - bracket.times_monomial((1, 1)))
 
 
 @per_law
@@ -169,10 +156,8 @@ class QuotientRingA:
     When c' is even (mult:4, say) the argument fails and every row is kept.
     """
 
-    def __init__(self, law: FormalGroupLaw, variables: tuple[str, ...] = UV,
-                 order: int | None = None):
-        if order is None:
-            order = law.order
+    def __init__(self, law: FormalGroupLaw, variables: tuple[str, ...],
+                 order: int):
         if order > law.order:
             raise OrderExceeded(f"law is only trusted to order {law.order}")
         self.law = law
@@ -379,12 +364,12 @@ def _thm66(law: FormalGroupLaw, order: int) -> list[IdentityResult]:
                 (phi * af).times_monomial((0, 1)) - delta.times_monomial((1, 1))),
                 order),
             _row("cor63_equals_b_in_A", law, ring.reduce(
-                cor63_series(law) - b_series(law).b), order)]
+                cor63_series(law) - b_series(law)), order)]
 
 
 def _assoc(law: FormalGroupLaw, order: int) -> list[IdentityResult]:
     ring = _quotient_ring(law, UVW, order)
-    b = b_series(law).b
+    b = b_series(law)
     u3, v3, w3 = (TruncatedSeries.variable(x, UVW, b.order) for x in UVW)
     lhs = b.evaluate({U: b.evaluate({U: u3, V: v3}), V: w3})
     rhs = b.evaluate({U: u3, V: b.evaluate({U: v3, V: w3})})

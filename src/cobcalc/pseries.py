@@ -512,25 +512,25 @@ class TruncatedSeries:
 
     def reversion(self) -> "TruncatedSeries":
         """Compositional inverse by Newton iteration with a doubling working
-        order (Brent & Kung 1978): an inverse exact to degree p becomes exact
-        to degree 2p + 1 after one step, so each step runs at order
-        p = min(2p + 1, n) on ``self`` truncated to p."""
+        order (Brent & Kung 1978).  The step t <- t - (g(t) - x) t' uses the
+        iterate's own derivative: if t is exact to degree p, then t' equals
+        1/g'(t) to degree p - 1, g(t) - x starts at degree p + 1, and one
+        step makes t exact to degree 2p.  So each step runs at order
+        p = min(2p, n) on ``self`` truncated to p."""
         x, c1 = self._reversion_checks()
         n = self.order
         ident = TruncatedSeries.variable(x, self.variables, n)
         t = ident.truncate(1).scale(Fraction(1) / c1)
-        sprime = self.partial_derivative(x)
         p = 1
         while p < n:
-            p = min(2 * p + 1, n)
-            # t is exact to its old order; one step makes it exact to p.
+            p = min(2 * p, n)
+            # t is exact to its old order q; one step makes it exact to p.
+            # err starts at degree q + 1, so degrees <= p <= 2q of the
+            # product read t' only to its stored order q - 1.
+            dt = t.partial_derivative(x)._assume_order(p)
             t = t._assume_order(p)
             err = self.truncate(p).evaluate({x: t}) - ident.truncate(p)
-            # err starts at degree >= 2, so degrees <= p of the product never
-            # touch the reciprocal coefficients beyond its stored order p - 1;
-            # bumping its claimed order keeps the top correction term.
-            recip = sprime.truncate(p - 1).evaluate({x: t}).reciprocal()
-            t = t - err * recip._assume_order(p)
+            t = t - err * dt
         if self.evaluate({x: t})._assume_order(n) != ident:
             raise CheckFailed("reversion postcondition failed")
         return t

@@ -7,13 +7,12 @@ term so a broken identity can be located immediately.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .pseries import TruncatedSeries, series_str
 
 
-@dataclass(frozen=True)
-class IdentityResult:
+class IdentityResult(NamedTuple):
     identity: str
     law: str
     order: int
@@ -30,13 +29,6 @@ class IdentityResult:
             "first_failing_degree": self.first_failing_degree,
             "witness_term": self.witness_term,
         }
-
-    def __str__(self) -> str:
-        mark = "pass" if self.passed else "FAIL"
-        extra = ""
-        if not self.passed and self.first_failing_degree is not None:
-            extra = f" (first failure at degree {self.first_failing_degree}: {self.witness_term})"
-        return f"[{mark}] {self.identity} law={self.law} order={self.order}{extra}"
 
 
 def check_zero(identity: str, law: str, difference: TruncatedSeries) -> IdentityResult:

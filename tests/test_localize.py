@@ -30,6 +30,11 @@ def test_epsilon_kills_reduced_part():
     assert lz.IndexLedger(-1, 1).epsilon == -1
 
 
+def test_torsion_part_is_reduced_mod_two_on_construction():
+    assert lz.IndexLedger(0, 3) == lz.IndexLedger(0, 1)
+    assert lz.IndexLedger(2, -1).tor == 1
+
+
 def test_empty_ledger_sum_is_zero():
     assert lz.ledger_sum([]) == lz.IndexLedger(0)
 

@@ -240,13 +240,13 @@ def test_doubling_newton_matches_lagrange_on_scalar_series(c1, tail):
 
 
 def test_reversion_postcondition_is_not_stripped_by_python_O():
-    # a reciprocal off by a factor 2 slows Newton to linear convergence, so
+    # a derivative off by a factor 2 slows Newton to linear convergence, so
     # the result is wrong at the top degrees; -O strips assert statements
     script = textwrap.dedent("""
         import sys
         from cobcalc.pseries import CheckFailed, TruncatedSeries
-        real = TruncatedSeries.reciprocal
-        TruncatedSeries.reciprocal = lambda self: real(self).scale(2)
+        real = TruncatedSeries.partial_derivative
+        TruncatedSeries.partial_derivative = lambda self, var: real(self, var).scale(2)
         s = TruncatedSeries.from_terms({(1,): 1, (2,): 1}, ("u",), 6)
         try:
             s.reversion()
