@@ -11,7 +11,8 @@ computed by brute force: every cell is visited once.  A cell is a partition
 lambda in a k x (n-k) box, or equivalently a k-subset S = {s_1 < ... < s_k}
 of {0, ..., n-1} with lambda_i = s_(k+1-i) - (k-i), so that
 |lambda| = sum(S) - k(k-1)/2 (Fulton, Young Tableaux, 1997, chapter 9);
-the cells are enumerated as those subsets.  The count is the Gaussian
+the cells are enumerated as those subsets, each S by chi(RG_|S|^(max S + 1))
+alone, so no subset is visited twice across n.  The count is the Gaussian
 binomial at q = -1, and any closed form is a cross-check, not ground truth.
 The localization recursion then states
 
@@ -24,7 +25,7 @@ from __future__ import annotations
 from collections import namedtuple
 from functools import lru_cache
 from importlib import resources
-from itertools import combinations
+from itertools import combinations, repeat
 from math import comb
 from pathlib import Path
 from typing import Iterable, Iterator
@@ -79,11 +80,19 @@ def chi_grassmann(n: int, k: int) -> int:
     """chi(RG_k^n) as the signed Schubert-cell count sum (-1)^|lambda|, each
     cell visited once as a k-subset S of range(n) of dimension
     |lambda| = sum(S) - k(k-1)/2.  Of the C(n, k) cells, those with sum(S)
-    odd count -(-1)^(k(k-1)/2) and the rest +(-1)^(k(k-1)/2)."""
+    odd count -(-1)^(k(k-1)/2) and the rest +(-1)^(k(k-1)/2).  For 0 < k < n,
+    the cells with n-1 not in S are those of RG_k^(n-1), whose odd count is
+    read back from its cached chi; only S = T + {n-1}, T a (k-1)-subset of
+    range(n-1), are enumerated here.  k = 0 and k = n are one cell each."""
     if not 0 <= k <= n:
         raise ValueError(f"plane dimension {k} out of range for R^{n}")
-    odd_cells = sum(map((1).__and__, map(sum, combinations(range(n), k))))
-    return (-1) ** (k * (k - 1) // 2) * (comb(n, k) - 2 * odd_cells)
+    if k in (0, n):
+        return 1
+    sign = (-1) ** (k * (k - 1) // 2)
+    odd_cells = (comb(n - 1, k) - sign * chi_grassmann(n - 1, k)) // 2
+    new_sums = map(sum, combinations(range(n - 1), k - 1), repeat(n - 1))
+    odd_cells += sum(map((1).__and__, new_sums))
+    return sign * (comb(n, k) - 2 * odd_cells)
 
 
 def whitney_sign_formula(n1: int, n2: int, k: int) -> list[tuple[int, int, int]]:
