@@ -5,6 +5,7 @@ the identity checks must refuse."""
 
 from fractions import Fraction
 from itertools import combinations, product
+from math import comb
 from operator import add
 
 from cobcalc import fgl
@@ -156,6 +157,35 @@ def mutate_alpha(law, i: int, j: int, delta) -> "fgl.FormalGroupLaw":
                       solve_inverse(f, law.order))
 
 
+#: The (a, b) of the two-parameter laws the tests run: the top coefficient
+#: of the truncated 2-series is odd for some of them and even for others.
+TWO_PARAMETER_GRID = ((1, -1), (1, 2), (2, 3), (1, 3), (3, -1), (2, -2), (1, 1))
+
+
+def two_parameter_law(a: int, b: int, order: int) -> "fgl.FormalGroupLaw":
+    """The law of the two-parameter Todd genus chi_(a,b) (Buchstaber, Panov
+    and Ray, "Toric genera", 2010): f = (u + v - (a+b)uv)/(1 - ab uv), with
+    log g = sum h_(k-1)(a, b) u^k / k, where h_(k-1)(a, b) = sum a^i b^(k-1-i)
+    = (a^k - b^k)/(a - b), and inverse ubar = -u/(1 - (a+b)u).  a = 0 gives
+    mult:-b and a = b = 0 the additive law.  For integers a and b the law
+    is integral, and its truncated 2-series has top degree order or
+    order - 1, where every law of the package has at most 2."""
+    f = {}
+    for m in range(order // 2 + 1):           # (ab uv)^m times the numerator
+        w = (a * b) ** m
+        for ev, c in (((m + 1, m), w), ((m, m + 1), w),
+                      ((m + 1, m + 1), -(a + b) * w)):
+            if sum(ev) <= order:
+                f[ev] = c
+    log = {(k,): Fraction(sum(a ** i * b ** (k - 1 - i) for i in range(k)), k)
+           for k in range(1, order + 1)}
+    inverse = {(k,): -(a + b) ** (k - 1) for k in range(1, order + 1)}
+    return fgl._check_log_route(fgl.from_f(
+        TruncatedSeries.from_terms(f, UV, order), order, f"todd:{a},{b}",
+        TruncatedSeries.from_terms(log, U1, order),
+        TruncatedSeries.from_terms(inverse, U1, order)))
+
+
 def is_orientable_by_rotations(complex_) -> bool:
     """Orient the triangles consistently by searching the six orderings of
     each neighbour for one that traverses the shared edge backwards."""
@@ -217,6 +247,14 @@ def chi_grassmann_by_partitions(n: int, k: int) -> int:
     """chi(RG_k^n) as sum (-1)^|lambda| over the partitions lambda in a
     k x (n-k) box, one per Schubert cell."""
     return sum((-1) ** sum(p) for p in partitions_in_box(k, n - k))
+
+
+def chi_grassmann_flat(n: int, k: int) -> int:
+    """chi(RG_k^n) from one flat pass over every k-subset S of range(n),
+    with nothing taken from smaller n: a cell counts -(-1)^(k(k-1)/2) when
+    sum(S) is odd and +(-1)^(k(k-1)/2) otherwise."""
+    odd_cells = sum(map((1).__and__, map(sum, combinations(range(n), k))))
+    return (-1) ** (k * (k - 1) // 2) * (comb(n, k) - 2 * odd_cells)
 
 
 def chains_under_inclusion(simplices) -> frozenset:

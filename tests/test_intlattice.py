@@ -17,7 +17,7 @@ import pytest
 
 from cobcalc import fgl, pontclass
 from cobcalc.intlattice import IntegerLattice
-from oracles import relation_rows
+from oracles import TWO_PARAMETER_GRID, relation_rows, two_parameter_law
 
 BETAS = (1, -1, 2, -2, 3)
 ORDERS = (3, 6, 10)
@@ -101,22 +101,30 @@ KOSZUL_LAWS = ["additive"] + [f"mult:{b}" for b in (1, -1, 2, -2, 3, -3, 4, -4,
 KEEPS_EVERY_ROW = {"mult:4", "mult:-4", "mult:8", "mult:12"}
 
 
+def _assert_equals_full_lattice(law, variables, order, seed):
+    """The ring's lattice against the one built from every generator row,
+    pivot for pivot and on random reductions; returns the kept and the full
+    generator rows."""
+    lattice, kept = _ring_lattice(law, variables, order)
+    rows = relation_rows(law, variables, order)
+    oracle = IntegerLattice(rows, lattice.ncols)
+    assert lattice.ncols == oracle.ncols
+    assert ([(col, prow[col]) for col, prow in lattice.pivots]
+            == [(col, prow[col]) for col, prow in oracle.pivots])
+    rng = random.Random(seed)
+    for _ in range(10 if lattice.ncols else 0):
+        vec = _random_vector(rng, lattice.ncols)
+        assert lattice.reduce(vec) == oracle.reduce(vec)
+    return _row_multiset(kept), _row_multiset(rows)
+
+
 @pytest.mark.parametrize("variables", [("u",), ("u", "v"), ("u", "v", "w")])
 @pytest.mark.parametrize("selector", KOSZUL_LAWS)
 def test_ring_lattice_equals_the_full_generator_lattice(selector, variables):
     law = fgl.parse_law(selector, 12)
     for order in range(11 if len(variables) == 3 else 13):
-        lattice, kept = _ring_lattice(law, variables, order)
-        rows = relation_rows(law, variables, order)
-        oracle = IntegerLattice(rows, lattice.ncols)
-        assert lattice.ncols == oracle.ncols
-        assert ([(col, prow[col]) for col, prow in lattice.pivots]
-                == [(col, prow[col]) for col, prow in oracle.pivots])
-        rng = random.Random(f"{selector} {variables} {order} koszul")
-        for _ in range(10 if lattice.ncols else 0):
-            vec = _random_vector(rng, lattice.ncols)
-            assert lattice.reduce(vec) == oracle.reduce(vec)
-        kept_rows, all_rows = _row_multiset(kept), _row_multiset(rows)
+        kept_rows, all_rows = _assert_equals_full_lattice(
+            law, variables, order, f"{selector} {variables} {order} koszul")
         if selector in KEEPS_EVERY_ROW or len(variables) == 1:
             assert kept_rows == all_rows
         else:
@@ -187,3 +195,26 @@ def test_random_lattices_match_back_reduced_oracle():
                 shifted = _add(shifted, rng.randint(-4, 4), row)
             assert lattice.reduce(shifted) == got
     assert changed > 50
+
+
+@pytest.mark.parametrize("variables", [("u",), ("u", "v"), ("u", "v", "w")])
+@pytest.mark.parametrize("a, b", TWO_PARAMETER_GRID)
+def test_ring_lattice_equals_the_full_generator_lattice_two_parameter_law(a, b, variables):
+    # here [u]_2 truncates at degree order - 1 or order, not 2
+    law = two_parameter_law(a, b, 12)
+    for order in (6, 9, 12):
+        kept_rows, all_rows = _assert_equals_full_lattice(
+            law, variables, order, f"{a},{b} {variables} {order} koszul")
+        assert set(kept_rows) <= set(all_rows)
+
+
+def test_two_parameter_grid_takes_both_koszul_branches():
+    # an odd top coefficient c' skips the Koszul-redundant rows, an even one
+    # keeps every row; the grid must exercise both
+    skips = set()
+    for a, b in TWO_PARAMETER_GRID:
+        law = two_parameter_law(a, b, 12)
+        for order in (6, 9, 12):
+            kept = _ring_lattice(law, ("u", "v"), order)[1]
+            skips.add(len(kept) < len(relation_rows(law, ("u", "v"), order)))
+    assert skips == {True, False}

@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 from cobcalc import localize as lz
 from cobcalc.report import IdentityResult
 from oracles import (chains_under_inclusion, chi_grassmann_by_partitions,
-                     is_orientable_by_rotations, partitions_in_box)
+                     chi_grassmann_flat, is_orientable_by_rotations,
+                     partitions_in_box)
 
 ledgers = st.builds(lz.IndexLedger, st.integers(-20, 20), st.integers(0, 1))
 
@@ -95,6 +96,68 @@ def test_chi_matches_partition_enumeration():
     for n in range(15):
         for k in range(n + 1):
             assert lz.chi_grassmann(n, k) == chi_grassmann_by_partitions(n, k)
+
+
+@pytest.fixture(scope="module")
+def flat_chi():
+    return {(n, k): chi_grassmann_flat(n, k) for n in range(21) for k in range(n + 1)}
+
+
+@pytest.mark.parametrize("ns", [range(21), range(20, -1, -1)],
+                         ids=["ascending", "descending"])
+def test_chi_matches_flat_enumeration(flat_chi, ns):
+    # ascending n finds every smaller n cached; descending n starts each k
+    # with a cold recursion down from n = 20
+    lz.chi_grassmann.cache_clear()
+    for n in ns:
+        for k in range(n + 1):
+            assert lz.chi_grassmann(n, k) == flat_chi[n, k]
+
+
+def _count_subsets(monkeypatch) -> list[int]:
+    visits = [0]
+    real = lz.combinations
+
+    def counted(iterable, r):
+        for subset in real(iterable, r):
+            visits[0] += 1
+            yield subset
+
+    monkeypatch.setattr(lz, "combinations", counted)
+    return visits
+
+
+def test_each_cell_is_visited_once_across_n(monkeypatch):
+    # the report reaches n = 10: each nonempty subset S of range(10) is
+    # visited once, by chi(RG_|S|^(max S + 1)), except the 10 initial
+    # segments {0, ..., m - 1}, which are the one-cell cases k = n
+    visits = _count_subsets(monkeypatch)
+    lz.chi_grassmann.cache_clear()
+    lz.localization_recursion_report(10)
+    assert visits[0] == 2 ** 10 - 10 - 1 == 1_013
+    visits[0] = 0
+    lz.chi_grassmann.cache_clear()
+    lz.chi_grassmann(20, 10)
+    assert visits[0] == comb(20, 10) - 1 == 184_755
+
+
+def test_cache_misses_equal_the_distinct_arguments_seen_by_a_rebinding(monkeypatch):
+    # the benchmark tracer rebinds the module name and checks this; the
+    # recursion must go through that name, or its cache misses go unseen
+    cached = lz.chi_grassmann
+    seen = set()
+
+    def recording(n, k):
+        seen.add((n, k))
+        return cached(n, k)
+
+    monkeypatch.setattr(lz, "chi_grassmann", recording)
+    cached.cache_clear()
+    lz.localization_recursion_report(8)
+    assert cached.cache_info().misses == len(seen) == 44
+    lz.chi_grassmann(12, 5)       # cold below (12, 5) down to (8, 5)
+    assert cached.cache_info().misses == len(seen) == 48
+    assert {(n, 5) for n in range(9, 13)} <= seen
 
 
 def test_partitions_in_box_count():

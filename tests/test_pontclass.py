@@ -13,7 +13,7 @@ from cobcalc.cli import main
 from cobcalc.coeffring import CoeffPoly
 from cobcalc.intlattice import IntegerLattice
 from cobcalc.pseries import TruncatedSeries
-from oracles import mutate_alpha
+from oracles import TWO_PARAMETER_GRID, mutate_alpha, two_parameter_law
 
 U1 = ("u",)
 UV = ("u", "v")
@@ -323,14 +323,16 @@ def test_exact_suite_miscenko():
         "two_series_hom", "chained_phi"}
 
 
+IN_A_ROWS = {"u_equals_ubar_in_A", "v_equals_vbar_in_A",
+             "lemma62_delta_to_d_in_A", "lemma62_uv_shift_in_A",
+             "a_transfer_in_A", "phi_a_delta_in_A", "cor63_equals_b_in_A",
+             "assoc_b_in_A"}
+
+
 def test_in_a_suite_multiplicative():
     rows = pc.verify_identity_suite("mult:1", "in_A", 10)
     assert rows and all(r.passed for r in rows)
-    assert {r.identity for r in rows} == {
-        "u_equals_ubar_in_A", "v_equals_vbar_in_A",
-        "lemma62_delta_to_d_in_A", "lemma62_uv_shift_in_A",
-        "a_transfer_in_A", "phi_a_delta_in_A", "cor63_equals_b_in_A",
-        "assoc_b_in_A"}
+    assert {r.identity for r in rows} == IN_A_ROWS
 
 
 def test_in_a_suite_additive():
@@ -341,6 +343,44 @@ def test_in_a_suite_additive():
 def test_in_a_suite_refuses_rational_beta():
     with pytest.raises(pc.NonIntegralLaw):
         pc.verify_identity_suite("mult:1/2", "lemma62", 8)
+
+
+def test_two_parameter_law_specializes_to_the_package_laws():
+    for order in (2, 7):
+        for law, known in ((two_parameter_law(0, 2, order),
+                            fgl.multiplicative_law(-2, order)),
+                           (two_parameter_law(0, 0, order), fgl.additive_law(order))):
+            assert (law.f, law.log, law.inverse) == (known.f, known.log,
+                                                     known.inverse)
+
+
+@pytest.mark.parametrize("order", [6, 9, 12])
+@pytest.mark.parametrize("a, b", TWO_PARAMETER_GRID)
+def test_in_a_suite_two_parameter_law(a, b, order):
+    law = two_parameter_law(a, b, order + 1)
+    # [u]_2 reaches the top degree of the ring, where mult:beta stops at 2
+    top = max(k for (k,) in fgl.n_series(law, 2).truncate(order).terms)
+    assert top in (order - 1, order)
+    rows = pc.verify_identity_suite(law, "in_A", order)
+    assert {r.identity for r in rows} == IN_A_ROWS
+    assert all(r.passed and r.order == order for r in rows)
+
+
+@pytest.mark.parametrize("order", [6, 9])
+@pytest.mark.parametrize("a, b", [(1, -1), (2, 3), (1, 1), (3, -1)])
+def test_all_suite_two_parameter_law(a, b, order):
+    rows = pc.verify_identity_suite(two_parameter_law(a, b, order + 1), "all", order)
+    assert len(rows) == 18
+    assert all(r.passed and r.order == order for r in rows)
+
+
+@pytest.mark.parametrize("i, j", [(1, 2), (2, 3)])
+def test_in_a_suite_detects_mutation_of_a_two_parameter_law(i, j):
+    law = mutate_alpha(two_parameter_law(2, 3, 10), i, j, 1)
+    rows = pc.verify_identity_suite(law, "in_A", 9)
+    assert {r.identity for r in rows} == IN_A_ROWS
+    assert {r.identity for r in rows if not r.passed} == {
+        "phi_a_delta_in_A", "cor63_equals_b_in_A"}
 
 
 def test_suite_detects_mutation():
