@@ -22,6 +22,7 @@ STEPS = [
     ["verify", "exact", "--law", "miscenko", "--order", "10"],
     ["verify", "all", "--law", "mult:1", "--order", "12"],
     ["verify", "all", "--law", "additive", "--order", "12"],
+    ["verify", "in_A", "--law", "mult:4", "--order", "9"],
     ["chi", "recursion", "--max", "10"],
     ["chi", "grass", "--n", "4", "--k", "2"],
     ["index", "klein"],

@@ -7,29 +7,4 @@ series and identity suites; ``localize`` index ledgers and
 Euler-characteristic checks; ``cli`` the batch front end.
 """
 
-from .coeffring import CoeffPoly, Rational
-from .fgl import (FormalGroupLaw, additive_law, from_log, miscenko_law,
-                  multiplicative_law, parse_law)
-from .localize import IndexLedger, SimplicialComplex, chi_grassmann
-from .pontclass import QuotientRingA, b_series, verify_identity_suite
-from .pseries import TruncatedSeries
-
-__all__ = [
-    "CoeffPoly",
-    "FormalGroupLaw",
-    "IndexLedger",
-    "QuotientRingA",
-    "Rational",
-    "SimplicialComplex",
-    "TruncatedSeries",
-    "additive_law",
-    "b_series",
-    "chi_grassmann",
-    "from_log",
-    "miscenko_law",
-    "multiplicative_law",
-    "parse_law",
-    "verify_identity_suite",
-]
-
 __version__ = "0.1.0"

@@ -21,6 +21,7 @@ by the exact pre-quotient identities plus the integral specializations.
 
 from __future__ import annotations
 
+from itertools import combinations_with_replacement
 from math import gcd
 
 from .coeffring import CoeffPoly
@@ -107,6 +108,10 @@ class NonIntegralLaw(LawError):
     """Quotient-ring reduction needs an integer-coefficient law."""
 
 
+def is_integral_law(law: FormalGroupLaw) -> bool:
+    return all(c.is_constant() and c.is_integral() for c in law.f.terms.values())
+
+
 def _series_int_vector(s: TruncatedSeries, col_of) -> dict[int, int]:
     vec: dict[int, int] = {}
     for ev, c in s.terms.items():
@@ -158,26 +163,27 @@ class QuotientRingA:
 
     def __init__(self, law: FormalGroupLaw, variables: tuple[str, ...],
                  order: int):
+        if not is_integral_law(law):
+            raise NonIntegralLaw(
+                f"law {law.tag!r} has non-integer coefficients; in-A "
+                "identities run only over integral specializations")
         if order > law.order:
             raise OrderExceeded(f"law is only trusted to order {law.order}")
         self.law = law
         self.variables = tuple(variables)
         self.order = order
-        width = len(self.variables)
+        axes = range(len(self.variables))
 
-        # Columns: monomials of degree 1..order, eliminated highest-first.
-        monos = [ev for ev in _expvecs(width, order) if sum(ev) >= 1]
-        monos.sort(key=lambda ev: (sum(ev), ev), reverse=True)
-        self._col_of = {ev: i for i, ev in enumerate(monos)}
+        # Columns: degrees order..1, each in descending exponent-vector
+        # order, which is the elimination order.
+        monos = [tuple(map(c.count, axes)) for d in range(order, 0, -1)
+                 for c in combinations_with_replacement(axes, d)]
+        self._col_of = col_of = {ev: i for i, ev in enumerate(monos)}
         self._monos = monos
 
+        # [u]_2 = f(u, u) is integral because f is.
         self._two = n_series(law, 2).truncate(order)
-        rel_coeffs = []
-        for (k,), c in self._two.terms.items():
-            if not (c.is_constant() and c.is_integral()):
-                raise NonIntegralLaw(
-                    f"[u]_2 coefficient {c} is not an integer scalar")
-            rel_coeffs.append((k, c.as_int()))
+        rel_coeffs = [(k, c.as_int()) for (k,), c in self._two.terms.items()]
 
         # Koszul row selection (see the class docstring): cap the exponents
         # of the variables before the row's own at K - 1 when c' is odd.  A
@@ -187,17 +193,17 @@ class QuotientRingA:
             top, c_top = max(rel_coeffs)
             if c_top // gcd(*(c for _, c in rel_coeffs)) % 2:
                 cap = top - 1
+        # Row m [x_i]_2 is read off the column M = m x_i of its lowest term
+        # 2M, and kept while no variable before x_i exceeds the cap in M.
         rows = []
-        for axis in range(width):
-            for m in _expvecs(width, order - 1, (cap,) * axis):
-                row: dict[int, int] = {}
-                for k, c in rel_coeffs:
-                    ev = list(m)
-                    ev[axis] += k
-                    if sum(ev) <= order:
-                        row[self._col_of[tuple(ev)]] = c
-                if row:
-                    rows.append(row)
+        for ev in monos:
+            room = order - sum(ev)
+            for i in axes:
+                if ev[i]:
+                    rows.append({col_of[ev[:i] + (ev[i] + k - 1,) + ev[i + 1:]]: c
+                                 for k, c in rel_coeffs if k - 1 <= room})
+                if ev[i] > cap:
+                    break
         self._lattice = IntegerLattice(rows, len(monos))
 
     def two_series(self, var: str) -> TruncatedSeries:
@@ -223,18 +229,6 @@ class QuotientRingA:
 
     def is_zero(self, s: TruncatedSeries) -> bool:
         return self.reduce(s).is_zero()
-
-
-def _expvecs(width: int, max_degree: int, caps: tuple[int, ...] = ()):
-    """Exponent vectors of total degree <= max_degree whose leading entries
-    are also at most the matching caps."""
-    if width == 0:
-        yield ()
-        return
-    top = min(max_degree, caps[0]) if caps else max_degree
-    for head in range(top + 1):
-        for tail in _expvecs(width - 1, max_degree - head, caps[1:]):
-            yield (head,) + tail
 
 
 # -- Whitney sign bookkeeping --------------------------------------------------
@@ -320,18 +314,10 @@ def _two_series_hom(law: FormalGroupLaw, order: int) -> list[IdentityResult]:
     return rows
 
 
-def is_integral_law(law: FormalGroupLaw) -> bool:
-    return all(c.is_constant() and c.is_integral() for c in law.f.terms.values())
-
-
 @per_law
 def _quotient_ring(law: FormalGroupLaw, variables: tuple[str, ...],
                    order: int) -> QuotientRingA:
     """The quotient ring A shared by the in-A groups of one law and order."""
-    if not is_integral_law(law):
-        raise NonIntegralLaw(
-            f"law {law.tag!r} has non-integer coefficients; in-A "
-            "identities run only over integral specializations")
     return QuotientRingA(law, variables, order)
 
 

@@ -92,18 +92,25 @@ def direct_associativity(law) -> IdentityResult:
     return check_zero("associativity", law.tag, lhs - rhs)
 
 
+def ring_columns(width: int, order: int) -> list[tuple[int, ...]]:
+    """The columns of a quotient ring over ``width`` variables: every
+    exponent vector of degree 1..order, sorted by degree and then by the
+    vector itself, both descending."""
+    monos = [ev for ev in product(range(order + 1), repeat=width)
+             if 1 <= sum(ev) <= order]
+    monos.sort(key=lambda ev: (sum(ev), ev), reverse=True)
+    return monos
+
+
 def relation_rows(law, variables, order: int) -> list[dict[int, int]]:
     """Every generator row of the lattice of
     ``QuotientRingA(law, variables, order)``: m [x]_2 truncated at the
     order, for each variable x and each monomial m of degree below the
-    order, as ``{column: value}`` over the ring's columns (the monomials of
-    degree 1..order, highest degree first).  The ring itself builds only
-    the rows that the Koszul syzygies do not make redundant."""
+    order, as ``{column: value}`` over :func:`ring_columns`.  The ring
+    itself builds only the rows that the Koszul syzygies do not make
+    redundant."""
     width = len(variables)
-    monos = [ev for ev in product(range(order + 1), repeat=width)
-             if 1 <= sum(ev) <= order]
-    monos.sort(key=lambda ev: (sum(ev), ev), reverse=True)
-    col_of = {ev: i for i, ev in enumerate(monos)}
+    col_of = {ev: i for i, ev in enumerate(ring_columns(width, order))}
     two = fgl.n_series(law, 2).truncate(order)
     rel = [(k, c.as_int()) for (k,), c in two.terms.items()]
     rows = []

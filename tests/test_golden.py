@@ -32,6 +32,11 @@ Koszul-redundant rows (mult:3), and the additive suite at the benchmark's
 order, were recorded from the package before the quotient ring stopped
 handing the lattice the relation rows that the 2-series syzygies make
 redundant; the benchmark-size mult:-2 case above covers the same change.
+The last three, an in-A suite whose c' is odd at an odd order (mult:-1),
+one whose c' = 4 is even so every relation row is kept (mult:8), and the
+smallest ring whose Koszul exponent cap is active (mult:2 at order 2), were
+recorded from the package before the quotient ring read its relation rows
+off one column list generated in elimination order.
 """
 
 import hashlib
@@ -129,6 +134,12 @@ GOLDEN = [
      "4dacad9b0188738b40b83a5c7dc9f87a294530842607095de2f8d7f05c05d038"),
     ("verify all --law additive --order 20 --format json", 0,
      "8b160e2515faa24088e44b308b0f3c259dcd7b21cb481b952cebae75d72bebf5"),
+    ("verify in_A --law mult:-1 --order 11 --format json", 0,
+     "c8e8e06587100e418a63fbe98a15c7488dc585f0cc63c241f79da7ca320437d1"),
+    ("verify in_A --law mult:8 --order 9 --format json", 0,
+     "cda09a1437b6e0438b6b3f54a94503ff0d68832d1a22c24e00bcae826d84b73b"),
+    ("verify all --law mult:2 --order 2 --format json", 0,
+     "102a384bad478e6d099a9d7e2a4535cfd0a0e07614adf2e619a68338dda3189b"),
 ]
 
 

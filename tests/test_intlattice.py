@@ -8,7 +8,7 @@ normal form unchanged, every pivot-column entry of a normal form must be a
 least-absolute residue, and the normal form must equal the one reduced
 against a back-reduced basis, which is how the lattice used to be built.
 The ring's lattice must also equal the one built from every generator row,
-pivot for pivot.
+pivot for pivot, and its columns must come in elimination order.
 """
 
 import random
@@ -17,7 +17,8 @@ import pytest
 
 from cobcalc import fgl, pontclass
 from cobcalc.intlattice import IntegerLattice
-from oracles import TWO_PARAMETER_GRID, relation_rows, two_parameter_law
+from oracles import (TWO_PARAMETER_GRID, relation_rows, ring_columns,
+                     two_parameter_law)
 
 BETAS = (1, -1, 2, -2, 3)
 ORDERS = (3, 6, 10)
@@ -144,6 +145,15 @@ def test_ring_hands_the_lattice_only_the_koszul_rows(selector, rows_in):
 def test_order_zero_ring_builds_an_empty_lattice():
     lattice, kept = _ring_lattice(fgl.multiplicative_law(1, 4), ("u", "v"), 0)
     assert kept == [] and lattice.ncols == 0 and lattice.pivots == []
+
+
+@pytest.mark.parametrize("variables", [("u",), ("u", "v"), ("u", "v", "w")])
+def test_ring_columns_come_in_elimination_order(variables):
+    # degree descending, then exponent vector descending, as the oracle sorts
+    law = fgl.multiplicative_law(1, 12)
+    for order in range(13):
+        ring = pontclass.QuotientRingA(law, variables, order)
+        assert ring._monos == ring_columns(len(variables), order)
 
 
 @pytest.mark.parametrize("variables", [("u", "v"), ("u", "v", "w")])

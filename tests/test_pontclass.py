@@ -383,6 +383,23 @@ def test_in_a_suite_detects_mutation_of_a_two_parameter_law(i, j):
         "phi_a_delta_in_A", "cor63_equals_b_in_A"}
 
 
+@pytest.mark.parametrize("law", [two_parameter_law(2, 3, 10), two_parameter_law(1, 2, 10),
+                                 fgl.multiplicative_law(1, 10)], ids=lambda law: law.tag)
+def test_bumped_alpha11_fails_the_same_rows(law):
+    # The in-A rows are known to be blind to this mutation; the exact rows
+    # catch it.  Pinned so the quotient ring neither gains nor loses a row
+    # here.  On mult:1 the bumped f is mult:2's, and only lemma61 (which
+    # reads the kept mult:1 log) fails.
+    rows = pc.verify_identity_suite(mutate_alpha(law, 1, 1, 1), "all", 9)
+    assert len(rows) == 18
+    failed = {r.identity: r.first_failing_degree for r in rows if not r.passed}
+    if law.tag == "mult:1":
+        assert failed == {"lemma61": 1}
+    else:
+        assert failed == {"associativity": 4, "lemma61": 1, "two_series_hom": 4,
+                          "chained_phi": 4}
+
+
 def test_suite_detects_mutation():
     law = mutate_alpha(fgl.miscenko_law(6), 1, 1, 1)
     rows = pc.verify_identity_suite(law, "all", 6)
