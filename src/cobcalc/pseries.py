@@ -14,6 +14,15 @@ order are dropped, and no coefficient is multiplied.  Composition starts
 each term's product from the first power it needs, so a term that uses
 one variable costs no product at all.
 
+A product of two series that are unchanged when the first two variables
+are swapped, and a composition whose substituted values all are, is
+itself unchanged by the swap (the law f(u,v) is commutative, so its
+powers, a(f), f·a(f) and f(f(u,v), w) are such series).  Each operand is
+checked in one pass over its terms; when all pass, only the exponent
+vectors with e0 <= e1 are bucketed and summed, and each coefficient is
+copied to its mirror.  Nothing is assumed: an operand that fails the
+check takes the general path.
+
 Division by a variable difference (u - v) is exact polynomial division
 with a hard error on a nonzero remainder: the series this package divides
 are divisible by construction, so a remainder signals a false identity.
@@ -70,15 +79,19 @@ def _add_into(dst: dict[ExpVec, CoeffPoly], src: Mapping[ExpVec, CoeffPoly]) -> 
             dst[ev] = s
 
 
-def _dot_buckets(buckets: dict[ExpVec, list[tuple[CoeffPoly, CoeffPoly]]]
-                 ) -> dict[ExpVec, CoeffPoly]:
-    """The nonzero sums of products, one per exponent vector."""
+def _dot_buckets(buckets: dict[ExpVec, list[tuple[CoeffPoly, CoeffPoly]]],
+                 mirror: bool) -> dict[ExpVec, CoeffPoly]:
+    """The nonzero sums of products, one per exponent vector; with
+    ``mirror`` the buckets hold only e0 <= e1 and each sum is also stored
+    at the exponent vector with e0 and e1 swapped."""
     dot = CoeffPoly.dot
     terms = {}
     for ev, pairs in buckets.items():
         c = dot(pairs)
         if c:
             terms[ev] = c
+            if mirror and ev[0] < ev[1]:
+                terms[(ev[1], ev[0]) + ev[2:]] = c
     return terms
 
 
@@ -164,6 +177,13 @@ class TruncatedSeries:
             return _BIG
         return min(sum(ev) for ev in self.terms)
 
+    def _swap_invariant(self) -> bool:
+        """Whether swapping the first two variables leaves self unchanged:
+        every term finds its mirror stored with an equal coefficient."""
+        terms = self.terms
+        return len(self.variables) >= 2 and all(
+            terms.get((ev[1], ev[0]) + ev[2:]) == c for ev, c in terms.items())
+
     def homogeneous_part(self, degree: int) -> "TruncatedSeries":
         part = {ev: c for ev, c in self.terms.items() if sum(ev) == degree}
         return TruncatedSeries(self.variables, self.order, part)
@@ -225,6 +245,7 @@ class TruncatedSeries:
                         return rest._shifted(shift, order)
             # The coefficient pairs of each output exponent vector go to one
             # CoeffPoly.dot, which normalizes once per output coefficient.
+            half = self._swap_invariant() and other._swap_invariant()
             buckets: dict[ExpVec, list[tuple[CoeffPoly, CoeffPoly]]] = {}
             bitems = [(ev, sum(ev), c) for ev, c in other.terms.items()]
             for ea, ca in self.terms.items():
@@ -235,12 +256,15 @@ class TruncatedSeries:
                     if db > room:
                         continue
                     ev = tuple(map(add, ea, eb))
+                    if half and ev[0] > ev[1]:
+                        continue
                     pairs = buckets.get(ev)
                     if pairs is None:
                         buckets[ev] = [(ca, cb)]
                     else:
                         pairs.append((ca, cb))
-            return TruncatedSeries(self.variables, order, _dot_buckets(buckets))
+            return TruncatedSeries(self.variables, order,
+                                   _dot_buckets(buckets, half))
         return self.scale(other)
 
     def __rmul__(self, other) -> "TruncatedSeries":
@@ -379,6 +403,7 @@ class TruncatedSeries:
         result_order = min(target_order, (self.order + 1) * lmin - 1)
 
         work_order = result_order
+        half = all(v._swap_invariant() for v in vals)
         lows = [min(v.lowest_degree(), work_order + 1) for v in vals]
         one = TruncatedSeries.one(target_vars, work_order)
         powers: list[list[TruncatedSeries]] = [[one] for _ in vals]
@@ -397,6 +422,8 @@ class TruncatedSeries:
                     pw.append(pw[-1] * vals[idx])
                 prod = pw[e] if prod is one else prod * pw[e]
             for pev, pc in prod.terms.items():
+                if half and pev[0] > pev[1]:
+                    continue
                 pairs = buckets.get(pev)
                 if pairs is None:
                     buckets[pev] = [(pc, c)]
@@ -404,7 +431,7 @@ class TruncatedSeries:
                     pairs.append((pc, c))
         # prod is truncated at work_order = result_order, so every bucket
         # is a stored degree of the result.
-        return TruncatedSeries(target_vars, result_order, _dot_buckets(buckets))
+        return TruncatedSeries(target_vars, result_order, _dot_buckets(buckets, half))
 
     def substitute(self, var: str, value: "TruncatedSeries") -> "TruncatedSeries":
         """Replace one variable; the others map to themselves in the
@@ -470,10 +497,12 @@ class TruncatedSeries:
                 f"division by ({var_a} - {var_b}) leaves remainder term "
                 f"{remainder[ev]} at {ev}: the claimed identity is false")
         q = TruncatedSeries(self.variables, max(self.order - 1, 0), quotient)
-        # Re-verify the factorization on every call; cheap at desk orders.
-        va = TruncatedSeries.variable(var_a, self.variables, self.order)
-        vb = TruncatedSeries.variable(var_b, self.variables, self.order)
-        if not (q._assume_order(self.order) * (va - vb) - self).is_zero():
+        # Re-verify the factorization on every call: q * (var_a - var_b) is
+        # two exponent shifts of q, so it multiplies no coefficient.
+        n = self.order
+        e_a = tuple(int(i == ia) for i in range(len(self.variables)))
+        e_b = tuple(int(i == ib) for i in range(len(self.variables)))
+        if not (q._shifted(e_a, n) - q._shifted(e_b, n) - self).is_zero():
             raise CheckFailed("divided_difference postcondition failed")
         return q
 

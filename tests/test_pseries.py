@@ -2,6 +2,7 @@ import subprocess
 import sys
 import textwrap
 from fractions import Fraction
+from itertools import product
 from math import factorial
 from pathlib import Path
 
@@ -15,7 +16,8 @@ from cobcalc.pseries import (NonUnitLeadingTerm, NonzeroConstantTerm,
                              NonzeroRemainder, OrderExceeded, TruncatedSeries,
                              VariableMismatch)
 
-from conftest import coeff_polys, revertible_series, series_uv
+from conftest import (coeff_polys, nonzero_coeff_polys, revertible_series,
+                      series_uv)
 from oracles import bucket_product, evaluate_per_term, lagrange_reversion
 
 UV = ("u", "v")
@@ -113,8 +115,98 @@ def test_unit_monomial_product_examples():
     assert TruncatedSeries.zero(UV, 3) * uv == s2({}, 3)
 
 
+# -- products and compositions unchanged by swapping u and v -------------------
+
+
+def swapped(s: TruncatedSeries) -> TruncatedSeries:
+    """s with the exponents of its first two variables exchanged."""
+    return TruncatedSeries(s.variables, s.order, {
+        (ev[1], ev[0]) + ev[2:]: c for ev, c in s.terms.items()})
+
+
+@st.composite
+def swap_series(draw, names, order):
+    """A series over ``names`` with a nonzero constant term that is unchanged
+    by swapping the first two variables, or, when ``perturbed``, the same
+    series with one coefficient changed and its mirror left as it was."""
+    width = len(names)
+    lower = [ev for ev in product(range(order + 1), repeat=width)
+             if 0 < sum(ev) <= order and ev[0] <= ev[1]]
+    terms = {(0,) * width: draw(nonzero_coeff_polys)}
+    if lower:
+        for ev, c in draw(st.dictionaries(st.sampled_from(lower), coeff_polys,
+                                          max_size=5)).items():
+            terms[ev] = terms[(ev[1], ev[0]) + ev[2:]] = c
+    perturbed = order >= 1 and draw(st.booleans())
+    if perturbed:
+        e0, e1, *rest = draw(st.sampled_from([ev for ev in lower if ev[0] < ev[1]]))
+        mirror = (e1, e0, *rest)
+        terms[mirror] = terms.get(mirror, CoeffPoly.zero()) + draw(nonzero_coeff_polys)
+    return TruncatedSeries.from_terms(terms, names, order), perturbed
+
+
+@st.composite
+def swap_pairs(draw):
+    """Two swap_series over (u, v) or (u, v, w) at one shared order."""
+    names = ("u", "v", "w")[:draw(st.integers(min_value=2, max_value=3))]
+    order = draw(st.integers(min_value=0, max_value=5))
+    return draw(swap_series(names, order)), draw(swap_series(names, order))
+
+
+@settings(max_examples=100)
+@given(swap_pairs())
+def test_swap_invariant_product_is_the_bucket_product(pair):
+    (a, a_perturbed), (b, b_perturbed) = pair
+    for s, perturbed in pair:
+        assert (swapped(s) == s) is not perturbed
+        assert s._swap_invariant() is not perturbed
+    ab = a * b
+    assert ab == bucket_product(a, b)
+    assert b * a == bucket_product(b, a)
+    # With nonzero constant terms and one order, a perturbation in one
+    # factor survives at its lowest degree times the other's constant term;
+    # two perturbations may cancel, so that case only meets the oracle.
+    if not (a_perturbed and b_perturbed):
+        assert (swapped(ab) == ab) is not (a_perturbed or b_perturbed)
+
+
+@settings(max_examples=50)
+@given(swap_pairs(), st.dictionaries(
+    st.tuples(st.integers(min_value=0, max_value=3),
+              st.integers(min_value=0, max_value=3)).filter(lambda ev: sum(ev) <= 3),
+    coeff_polys, max_size=5))
+def test_swap_invariant_composition_is_the_per_term_route(pair, outer_terms):
+    (a, a_perturbed), (b, b_perturbed) = pair
+    outer = TruncatedSeries.from_terms(outer_terms, ("x", "y"), 3)
+    # substituted values need a zero constant term
+    values = {"x": a - TruncatedSeries.constant(a.constant_term(), a.variables, a.order),
+              "y": b - TruncatedSeries.constant(b.constant_term(), b.variables, b.order)}
+    result = outer.evaluate(values)
+    assert result == evaluate_per_term(outer, values)
+    if not (a_perturbed or b_perturbed):
+        assert swapped(result) == result
+
+
 SUITE_LAWS = ([("miscenko", n) for n in range(1, 10)]
               + [(spec, n) for spec in ("mult:1", "mult:-2") for n in range(2, 13)])
+
+
+def _suite_calls(monkeypatch, method, spec, order):
+    """(self, argument, result) of every call of the ``TruncatedSeries``
+    method that the whole suite on spec makes, law construction included."""
+    calls = []
+    real = getattr(TruncatedSeries, method)
+
+    def recorded(self, arg):
+        result = real(self, arg)
+        calls.append((self, arg, result))
+        return result
+
+    monkeypatch.setattr(TruncatedSeries, method, recorded)
+    assert all(r.passed for r in pontclass.verify_identity_suite(spec, "all", order))
+    monkeypatch.undo()
+    assert calls
+    return calls
 
 
 @pytest.mark.parametrize("spec, order", SUITE_LAWS)
@@ -122,20 +214,21 @@ def test_evaluate_matches_the_per_term_route_on_suite_compositions(
         monkeypatch, spec, order):
     # every composition the suite (law construction included) makes,
     # against one product per term started from one, with no shift path
-    calls = []
-    real = TruncatedSeries.evaluate
-
-    def recorded(self, values):
-        result = real(self, values)
-        calls.append((self, dict(values), result))
-        return result
-
-    monkeypatch.setattr(TruncatedSeries, "evaluate", recorded)
-    assert all(r.passed for r in pontclass.verify_identity_suite(spec, "all", order))
-    monkeypatch.undo()
-    assert calls
-    for s, values, result in calls:
+    for s, values, result in _suite_calls(monkeypatch, "evaluate", spec, order):
         assert result == evaluate_per_term(s, values)
+
+
+@pytest.mark.parametrize("spec, order", SUITE_LAWS)
+def test_products_match_the_bucket_product_on_suite_products(
+        monkeypatch, spec, order):
+    # every series product the suite makes, the unit-monomial shifts and
+    # the mirrored halves included, against the general product
+    calls = [(a, b, result) for a, b, result in
+             _suite_calls(monkeypatch, "__mul__", spec, order)
+             if isinstance(b, TruncatedSeries)]
+    assert any(a._swap_invariant() and b._swap_invariant() for a, b, _ in calls)
+    for a, b, result in calls:
+        assert result == bucket_product(a, b)
 
 
 # -- substitution -----------------------------------------------------------
@@ -293,6 +386,34 @@ def test_divided_difference_examples():
 def test_divided_difference_remainder_error():
     with pytest.raises(NonzeroRemainder):
         s2({(2, 0): 1}, 5).divided_difference("u", "v")
+
+
+def test_divided_difference_postcondition_is_not_stripped_by_python_O():
+    # the division is rebuilt from its source with every quotient
+    # coefficient doubled; the carry and so the remainder check are
+    # untouched, and -O strips assert statements
+    script = textwrap.dedent("""
+        import inspect, sys, textwrap
+        from cobcalc import pseries
+        source = textwrap.dedent(inspect.getsource(
+            pseries.TruncatedSeries.divided_difference))
+        faulty = source.replace("(k - 1,) + ev[ia + 1:]: c\\n",
+                                "(k - 1,) + ev[ia + 1:]: c + c\\n")
+        scope = {}
+        exec(faulty, vars(pseries), scope)
+        pseries.TruncatedSeries.divided_difference = scope["divided_difference"]
+        s = pseries.TruncatedSeries.from_terms({(2, 0): 1, (0, 2): -1}, ("u", "v"), 5)
+        try:
+            s.divided_difference("u", "v")
+        except pseries.CheckFailed as exc:
+            print(sys.flags.optimize, faulty.count("c + c"), exc)
+        """)
+    src = str(Path(fgl.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-O", "-c", script],
+                          env={"PYTHONPATH": src}, capture_output=True,
+                          text=True, timeout=60)
+    assert done.stdout == "1 1 divided_difference postcondition failed\n"
+    assert done.stderr == ""
 
 
 @given(series_uv)
