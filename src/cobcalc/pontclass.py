@@ -25,12 +25,13 @@ from itertools import combinations_with_replacement
 from math import gcd
 
 from .coeffring import CoeffPoly
-from .fgl import (U, UV, UVW, V, W, FormalGroupLaw, LawError, a_series,
+from .fgl import (U, UV, UVW, V, FormalGroupLaw, LawError, a_series,
                   alpha_series, cp_series, n_series, parse_law, per_law,
                   verify_axioms)
 from .intlattice import IntegerLattice
 from .localize import whitney_sign_formula
-from .pseries import CheckFailed, OrderExceeded, TruncatedSeries
+from .pseries import (CheckFailed, NonzeroRemainder, OrderExceeded,
+                      TruncatedSeries)
 from .report import IdentityResult, check_zero
 
 
@@ -41,15 +42,35 @@ from .report import IdentityResult, check_zero
 def phi_series(law: FormalGroupLaw) -> TruncatedSeries:
     """Phi(u,v) = (f(u,v) - f(u,ubar)) / (v - ubar), trusted to order n - 1.
 
-    Built as the exact divided difference (f(u,v) - f(u,w)) / (v - w),
-    whose remainder check and postcondition verify the division, followed
-    by the substitution w := ubar(u).  Like every divided difference it is
-    trusted to one order below the law: its degree-n part would need the
-    alpha_ij with i + j = n + 1.
+    Built by synthetic division by v - ubar(u), that is, Horner's rule
+    (Knuth, TAOCP vol. 2, sec. 4.6.4), over series in u alone: with
+    f = sum_k F_k(u) v^k, Phi = sum_j Q_j(u) v^j, where Q_j = 0 from the
+    top power of v on and Q_j = F_(j+1) + ubar Q_(j+1) below it.  F_(j+1)
+    is trusted to degree n - 1 - j, and so is ubar Q_(j+1), as ubar has no
+    constant term; so each step is one product of two series in u, and Phi
+    is trusted to order n - 1: its degree-n part would need the alpha_ij
+    with i + j = n + 1.  The remainder F_0 + ubar Q_0 is f(u, ubar(u)) to
+    order n; a nonzero one raises NonzeroRemainder.
     """
-    f_uw = law.f.rename({V: W}).extend(UVW)
-    quotient = (law.f.extend(UVW) - f_uw).divided_difference(V, W)
-    return quotient.substitute(W, law.inverse.extend(UV))
+    n = law.order
+    columns: dict[int, dict] = {}
+    for (i, k), c in law.f.terms.items():
+        columns.setdefault(k, {})[(i,)] = c
+    top = max(columns, default=0)
+    q = TruncatedSeries.zero((U,), n - top)
+    terms = {}
+    for j in range(top - 1, -2, -1):
+        m = n - 1 - j
+        q = (TruncatedSeries((U,), m, columns.get(j + 1, {}))
+             + law.inverse.truncate(m) * q._assume_order(m))
+        if j >= 0:
+            terms.update({(i, j): c for (i,), c in q.terms.items()})
+    if not q.is_zero():
+        (i,), c = min(q.terms.items())
+        raise NonzeroRemainder(
+            f"division by (v - ubar(u)) leaves remainder term {c} at u^{i}: "
+            "f(u, ubar(u)) is not zero")
+    return TruncatedSeries(UV, n - 1, terms)
 
 
 @per_law
@@ -78,9 +99,22 @@ def b_series(law: FormalGroupLaw) -> TruncatedSeries:
 
 
 @per_law
+def _f_powers(law: FormalGroupLaw, order: int) -> list[TruncatedSeries]:
+    """The table [1, f, f^2, ...] at ``order``; compositions extend it."""
+    return [TruncatedSeries.one(UV, order)]
+
+
+def _of_f(law: FormalGroupLaw, s: TruncatedSeries) -> TruncatedSeries:
+    """s(f(u,v)) for a series s in u.  f has lowest degree 1, so the result
+    order is min(order of s, n), and every such composition of one law
+    shares the table of f's powers at that order."""
+    return s.evaluate({U: law.f}, {U: _f_powers(law, min(s.order, law.order))})
+
+
+@per_law
 def a_of_f(law: FormalGroupLaw) -> TruncatedSeries:
     """a(f(u,v)), trusted to order n - 1 like a itself."""
-    return a_series(law).evaluate({U: law.f})
+    return _of_f(law, a_series(law))
 
 
 def gamma_line(law: FormalGroupLaw) -> TruncatedSeries:
@@ -269,7 +303,7 @@ def _axioms(law: FormalGroupLaw, order: int) -> list[IdentityResult]:
 def _lemma61(law: FormalGroupLaw, order: int) -> list[IdentityResult]:
     cp = cp_series(law)
     dfdv = law.f.partial_derivative(V)
-    lhs = dfdv * cp.evaluate({U: law.f})
+    lhs = dfdv * _of_f(law, cp)
     rhs = cp.rename({U: V}).extend(UV)
     return [_row("lemma61", law, lhs - rhs, order)]
 

@@ -12,7 +12,9 @@ variable, a monomial such as u*v) is an exponent shift: every term of
 the other factor moves and keeps its coefficient, terms past the result
 order are dropped, and no coefficient is multiplied.  Composition starts
 each term's product from the first power it needs, so a term that uses
-one variable costs no product at all.
+one variable costs no product at all.  A product sorts the second
+factor's terms by degree once, so each term of the first factor visits
+only the terms that fit under the result order.
 
 A product of two series that are unchanged when the first two variables
 are swapped, and a composition whose substituted values all are, is
@@ -21,7 +23,17 @@ powers, a(f), f·a(f) and f(f(u,v), w) are such series).  Each operand is
 checked in one pass over its terms; when all pass, only the exponent
 vectors with e0 <= e1 are bucketed and summed, and each coefficient is
 copied to its mirror.  Nothing is assumed: an operand that fails the
-check takes the general path.
+check takes the general path.  A composition is also unchanged by the
+swap when its outer series is, its value for the second variable is the
+mirror of its value for the first (as [v]_2 is of [u]_2), and its other
+values are unchanged.  The mirror relation is checked in one pass over
+the two values; when it holds, the second value's powers are the mirrors
+of the first's, built with no product, whatever the outer series.
+
+A composition may be handed a table of a value's powers at its result
+order, which it extends in place, so compositions that substitute one
+value at one order build each power once; the identity suites keep one
+table of the powers of f per law and working order.
 
 Division by a variable difference (u - v) is exact polynomial division
 with a hard error on a nonzero remainder: the series this package divides
@@ -32,6 +44,7 @@ Series reversion runs Newton iteration with a doubling working order.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from fractions import Fraction
 from operator import add
 from typing import Iterable, Mapping, Union
@@ -93,6 +106,17 @@ def _dot_buckets(buckets: dict[ExpVec, list[tuple[CoeffPoly, CoeffPoly]]],
             if mirror and ev[0] < ev[1]:
                 terms[(ev[1], ev[0]) + ev[2:]] = c
     return terms
+
+
+def _power(tables: list[list["TruncatedSeries"]], vals: list["TruncatedSeries"],
+           mirror: bool, idx: int, e: int) -> "TruncatedSeries":
+    """vals[idx]^e from tables[idx], extending the table as needed; with
+    ``mirror``, the powers of vals[1] are those of vals[0] mirrored."""
+    pw = tables[idx]
+    while len(pw) <= e:
+        pw.append(_power(tables, vals, mirror, 0, len(pw))._mirrored()
+                  if mirror and idx == 1 else pw[-1] * vals[idx])
+    return pw[e]
 
 
 class TruncatedSeries:
@@ -177,12 +201,23 @@ class TruncatedSeries:
             return _BIG
         return min(sum(ev) for ev in self.terms)
 
-    def _swap_invariant(self) -> bool:
-        """Whether swapping the first two variables leaves self unchanged:
-        every term finds its mirror stored with an equal coefficient."""
+    def _is_mirror_of(self, other: "TruncatedSeries") -> bool:
+        """Whether self is other with its first two variables swapped: both
+        store as many terms, and each term of other finds its mirror stored
+        in self with an equal coefficient."""
         terms = self.terms
-        return len(self.variables) >= 2 and all(
-            terms.get((ev[1], ev[0]) + ev[2:]) == c for ev, c in terms.items())
+        return (len(self.variables) >= 2 and len(terms) == len(other.terms)
+                and all(terms.get((ev[1], ev[0]) + ev[2:]) == c
+                        for ev, c in other.terms.items()))
+
+    def _swap_invariant(self) -> bool:
+        """Whether swapping the first two variables leaves self unchanged."""
+        return self._is_mirror_of(self)
+
+    def _mirrored(self) -> "TruncatedSeries":
+        """Self with the exponents of its first two variables exchanged."""
+        return TruncatedSeries(self.variables, self.order, {
+            (ev[1], ev[0]) + ev[2:]: c for ev, c in self.terms.items()})
 
     def homogeneous_part(self, degree: int) -> "TruncatedSeries":
         part = {ev: c for ev, c in self.terms.items() if sum(ev) == degree}
@@ -247,14 +282,15 @@ class TruncatedSeries:
             # CoeffPoly.dot, which normalizes once per output coefficient.
             half = self._swap_invariant() and other._swap_invariant()
             buckets: dict[ExpVec, list[tuple[CoeffPoly, CoeffPoly]]] = {}
-            bitems = [(ev, sum(ev), c) for ev, c in other.terms.items()]
+            # other's terms sorted by degree once, so each term of self
+            # visits only the prefix that fits under the order.
+            bitems = sorted(other.terms.items(), key=lambda t: sum(t[0]))
+            degrees = [sum(eb) for eb, _ in bitems]
             for ea, ca in self.terms.items():
                 room = order - sum(ea)
                 if room < 0:
                     continue
-                for eb, db, cb in bitems:
-                    if db > room:
-                        continue
+                for eb, cb in bitems[:bisect_right(degrees, room)]:
                     ev = tuple(map(add, ea, eb))
                     if half and ev[0] > ev[1]:
                         continue
@@ -379,13 +415,19 @@ class TruncatedSeries:
 
     # -- composition ------------------------------------------------------------
 
-    def evaluate(self, values: Mapping[str, "TruncatedSeries"]) -> "TruncatedSeries":
+    def evaluate(self, values: Mapping[str, "TruncatedSeries"],
+                 powers: Mapping[str, list["TruncatedSeries"]] | None = None,
+                 ) -> "TruncatedSeries":
         """Substitute a series for every variable at once (capture-free).
 
         All values must share one variable universe and order, and must
         have zero constant term so the discarded tail of ``self`` cannot
         contaminate stored degrees.  The result order sharpens with the
         lowest degree among the substituted values.
+
+        ``powers`` may give a variable a table [1, x, x^2, ...] of its
+        value's powers at the result order; the table is checked against
+        the value and extended in place.
         """
         missing = [v for v in self.variables if v not in values]
         if missing:
@@ -403,10 +445,25 @@ class TruncatedSeries:
         result_order = min(target_order, (self.order + 1) * lmin - 1)
 
         work_order = result_order
-        half = all(v._swap_invariant() for v in vals)
-        lows = [min(v.lowest_degree(), work_order + 1) for v in vals]
         one = TruncatedSeries.one(target_vars, work_order)
-        powers: list[list[TruncatedSeries]] = [[one] for _ in vals]
+        tables = [[one] for _ in vals]
+        for var, table in (powers or {}).items():
+            idx = self.variables.index(var)
+            if table[0] != one or (
+                    len(table) > 1 and table[1] != vals[idx].truncate(work_order)):
+                raise ValueError(
+                    f"power table for {var!r} does not hold powers of its "
+                    f"value at order {work_order}")
+            tables[idx] = table
+        # The result is unchanged by swapping u and v when every value is,
+        # or when self is, the second value mirrors the first and every
+        # other value is unchanged.
+        mirror = len(vals) >= 2 and vals[1]._is_mirror_of(vals[0])
+        half = all(v._swap_invariant() for v in vals[2:]) and (
+            mirror and self._swap_invariant()
+            or all(v._swap_invariant() for v in vals[:2]))
+
+        lows = [min(v.lowest_degree(), work_order + 1) for v in vals]
         buckets: dict[ExpVec, list[tuple[CoeffPoly, CoeffPoly]]] = {}
         for ev, c in self.terms.items():
             if sum(e * low for e, low in zip(ev, lows)) > work_order:
@@ -415,12 +472,9 @@ class TruncatedSeries:
             # for the constant term.
             prod = one
             for idx, e in enumerate(ev):
-                if not e:
-                    continue
-                pw = powers[idx]
-                while len(pw) <= e:
-                    pw.append(pw[-1] * vals[idx])
-                prod = pw[e] if prod is one else prod * pw[e]
+                if e:
+                    pe = _power(tables, vals, mirror, idx, e)
+                    prod = pe if prod is one else prod * pe
             for pev, pc in prod.terms.items():
                 if half and pev[0] > pev[1]:
                     continue

@@ -82,6 +82,35 @@ def evaluate_per_term(s: TruncatedSeries, values) -> TruncatedSeries:
     return total
 
 
+def phi_by_divided_difference(law) -> TruncatedSeries:
+    """Phi as the exact divided difference (f(u,v) - f(u,w)) / (v - w) in
+    three variables, followed by the substitution w := ubar(u); the
+    package builds it by synthetic division in v over series in u."""
+    f_uw = law.f.rename({"v": "w"}).extend(fgl.UVW)
+    quotient = (law.f.extend(fgl.UVW) - f_uw).divided_difference("v", "w")
+    return quotient.substitute("w", law.inverse.extend(UV))
+
+
+def count_products(fn, *args) -> int:
+    """The monomial products that ``fn(*args)`` makes: every pair (a, b)
+    given to ``CoeffPoly.dot`` counts |a| * |b|, its number of term
+    pairs."""
+    real = CoeffPoly.__dict__["dot"]
+    total = 0
+
+    def counted(pairs):
+        nonlocal total
+        total += sum(len(a._num) * len(b._num) for a, b in pairs)
+        return real(pairs)
+
+    CoeffPoly.dot = staticmethod(counted)
+    try:
+        fn(*args)
+    finally:
+        CoeffPoly.dot = real
+    return total
+
+
 def direct_associativity(law) -> IdentityResult:
     """The associativity row with both sides composed, f(f(u,v), w) against
     f(u, f(v,w)), whether or not f is commutative."""
@@ -162,6 +191,12 @@ def mutate_alpha(law, i: int, j: int, delta) -> "fgl.FormalGroupLaw":
     f = law.f + bump
     return fgl.from_f(f, law.order, f"{law.tag}+e{i}{j}", law.log,
                       solve_inverse(f, law.order))
+
+
+#: (law selector, suite order) of the laws whose whole identity suite the
+#: tests replay against the oracles.
+SUITE_LAWS = ([("miscenko", n) for n in range(1, 10)]
+              + [(spec, n) for spec in ("mult:1", "mult:-2") for n in range(2, 13)])
 
 
 #: The (a, b) of the two-parameter laws the tests run: the top coefficient

@@ -2,7 +2,11 @@ import contextlib
 import functools
 import io
 import random
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -12,8 +16,9 @@ from cobcalc import fgl, pontclass as pc
 from cobcalc.cli import main
 from cobcalc.coeffring import CoeffPoly
 from cobcalc.intlattice import IntegerLattice
-from cobcalc.pseries import TruncatedSeries
-from oracles import TWO_PARAMETER_GRID, mutate_alpha, two_parameter_law
+from cobcalc.pseries import NonzeroRemainder, TruncatedSeries
+from oracles import (SUITE_LAWS, TWO_PARAMETER_GRID, count_products,
+                     mutate_alpha, phi_by_divided_difference, two_parameter_law)
 
 U1 = ("u",)
 UV = ("u", "v")
@@ -64,6 +69,66 @@ def test_phi_trusted_to_its_claimed_order(n):
     phi = pc.phi_series(fgl.miscenko_law(n))
     assert phi == pc.phi_series(fgl.miscenko_law(n + 1)).truncate(phi.order)
     assert phi.order == n - 1
+
+
+@pytest.mark.parametrize("spec, order", SUITE_LAWS)
+def test_phi_is_the_divided_difference_route_on_suite_laws(spec, order):
+    law = fgl.parse_law(spec, order + 1)
+    assert pc.phi_series(law) == phi_by_divided_difference(law)
+
+
+@pytest.mark.parametrize("a, b", TWO_PARAMETER_GRID)
+def test_phi_is_the_divided_difference_route_on_two_parameter_laws(a, b):
+    law = two_parameter_law(a, b, 10)
+    assert pc.phi_series(law) == phi_by_divided_difference(law)
+
+
+@pytest.mark.parametrize("n", [12, 16])
+def test_phi_is_the_divided_difference_route_on_deep_universal_laws(n):
+    law = fgl.miscenko_law(n)
+    assert pc.phi_series(law) == phi_by_divided_difference(law)
+
+
+def inverse_off_at_top(law):
+    """The law with 1 added to the top coefficient of its inverse.  The
+    package's constructors refuse such an inverse, so it is assembled
+    directly."""
+    n = law.order
+    bump = TruncatedSeries.from_terms({(n,): 1}, U1, n)
+    return fgl.FormalGroupLaw(law.tag, n, law.f, law.inverse + bump, law.log)
+
+
+@pytest.mark.parametrize("law", [
+    fgl.miscenko_law(6), fgl.additive_law(6), fgl.multiplicative_law(1, 6),
+    two_parameter_law(2, 3, 8)], ids=lambda law: law.tag)
+def test_phi_refuses_an_inverse_off_at_its_top_coefficient(law):
+    # f(u, ubar) is off by the bump times the v-coefficient 1 of f, at
+    # the top degree, where Phi itself is not trusted
+    with pytest.raises(NonzeroRemainder, match=rf"term 1 at u\^{law.order}:"):
+        pc.phi_series(inverse_off_at_top(law))
+
+
+def test_phi_remainder_check_is_not_stripped_by_python_O():
+    # -O strips assert statements
+    script = textwrap.dedent("""
+        import sys
+        from cobcalc import fgl, pontclass
+        from cobcalc.pseries import NonzeroRemainder, TruncatedSeries
+        law = fgl.multiplicative_law(1, 6)
+        bump = TruncatedSeries.from_terms({(6,): 1}, ("u",), 6)
+        bad = fgl.FormalGroupLaw(law.tag, 6, law.f, law.inverse + bump, law.log)
+        try:
+            pontclass.phi_series(bad)
+        except NonzeroRemainder as exc:
+            print(sys.flags.optimize, exc)
+        """)
+    src = str(Path(fgl.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-O", "-c", script],
+                          env={"PYTHONPATH": src}, capture_output=True,
+                          text=True, timeout=60)
+    assert done.stdout == ("1 division by (v - ubar(u)) leaves remainder term 1 "
+                           "at u^6: f(u, ubar(u)) is not zero\n")
+    assert done.stderr == ""
 
 
 def test_phi_factorization_and_diagonal(miscenko8):
@@ -175,6 +240,41 @@ def test_a_of_f_is_built_once_per_law(monkeypatch):
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(["verify", "all", "--law", "mult:1", "--order", "6"]) == 0
     assert built == ["mult:1"]
+
+
+def test_each_power_of_f_is_built_once_per_law(monkeypatch):
+    # cp(f) in lemma61 and a(f) compose at one working order and share
+    # one table f, f^2, ..., f^9, each built by one product
+    law = fgl.miscenko_law(10)
+    built = []
+    product = TruncatedSeries.__mul__
+
+    def recorded(a, b):
+        result = product(a, b)
+        if b is law.f:
+            built.append(result)
+        return result
+
+    monkeypatch.setattr(TruncatedSeries, "__mul__", recorded)
+    assert all(r.passed for r in pc.verify_identity_suite(law, "exact", 9))
+    monkeypatch.undo()
+    table = law.derived[("_f_powers", 9)]
+    assert len(built) == 9
+    assert all(p is q for p, q in zip(built, table[1:], strict=True))
+    assert table[1] == law.f.truncate(9)
+    assert not [key for key in law.truncate(9).derived if key[0] == "_f_powers"]
+
+
+@pytest.mark.parametrize("order, products", [(6, 7461), (9, 65425)])
+def test_exact_suite_monomial_products_stay_within_their_recorded_counts(
+        order, products):
+    # the deterministic cost unit: a later change may not give back the
+    # products that synthetic division, the shared power table of f and
+    # mirrored value pairs save
+    with contextlib.redirect_stdout(io.StringIO()):
+        count = count_products(
+            main, ["verify", "exact", "--law", "miscenko", "--order", str(order)])
+    assert count <= products
 
 
 def test_caller_built_law_reports_two_series_hom_at_its_order():

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cobcalc import fgl, pontclass
+from cobcalc import fgl, pontclass, pseries
 from cobcalc.coeffring import CoeffPoly
 from cobcalc.pseries import (NonUnitLeadingTerm, NonzeroConstantTerm,
                              NonzeroRemainder, OrderExceeded, TruncatedSeries,
@@ -18,7 +18,8 @@ from cobcalc.pseries import (NonUnitLeadingTerm, NonzeroConstantTerm,
 
 from conftest import (coeff_polys, nonzero_coeff_polys, revertible_series,
                       series_uv)
-from oracles import bucket_product, evaluate_per_term, lagrange_reversion
+from oracles import (SUITE_LAWS, bucket_product, evaluate_per_term,
+                     lagrange_reversion)
 
 UV = ("u", "v")
 
@@ -187,19 +188,104 @@ def test_swap_invariant_composition_is_the_per_term_route(pair, outer_terms):
         assert swapped(result) == result
 
 
-SUITE_LAWS = ([("miscenko", n) for n in range(1, 10)]
-              + [(spec, n) for spec in ("mult:1", "mult:-2") for n in range(2, 13)])
+@st.composite
+def mirror_pair_compositions(draw):
+    """An outer series over (x, y) or (x, y, z), unchanged by swapping x
+    and y or not, and values over (u, v) or (u, v, w) at one order: y's
+    value is the mirror of x's, or, when ``perturbed``, the mirror with one
+    non-constant coefficient changed; z's value is drawn by swap_series."""
+    width = draw(st.integers(min_value=2, max_value=3))
+    names = ("u", "v", "w")[:width]
+    order = draw(st.integers(min_value=1, max_value=5))
+    positive = [ev for ev in product(range(order + 1), repeat=width)
+                if 0 < sum(ev) <= order]
+    x = TruncatedSeries.from_terms(draw(st.dictionaries(
+        st.sampled_from(positive), nonzero_coeff_polys, min_size=1, max_size=4)),
+        names, order)
+    y = swapped(x)
+    perturbed = draw(st.booleans())
+    if perturbed:
+        y = y + TruncatedSeries.from_terms(
+            {draw(st.sampled_from(positive)): draw(nonzero_coeff_polys)}, names, order)
+    values = {"x": x, "y": y}
+    outer_vars = ("x", "y", "z")[:draw(st.integers(min_value=2, max_value=3))]
+    if len(outer_vars) == 3:
+        z, _ = draw(swap_series(names, order))
+        values["z"] = z - TruncatedSeries.constant(z.constant_term(), names, order)
+    outer_evs = [ev for ev in product(range(4), repeat=len(outer_vars))
+                 if sum(ev) <= 3]
+    terms = draw(st.dictionaries(st.sampled_from(outer_evs), coeff_polys, max_size=5))
+    if draw(st.booleans()):
+        terms = {**terms, **{(ev[1], ev[0]) + ev[2:]: c for ev, c in terms.items()
+                             if ev[0] <= ev[1]}}
+    return TruncatedSeries.from_terms(terms, outer_vars, 3), values, perturbed
+
+
+@settings(max_examples=100, deadline=None)
+@given(mirror_pair_compositions())
+def test_mirrored_value_pairs_are_the_per_term_route(case):
+    outer, values, perturbed = case
+    invariant = [swapped(values[v]) == values[v] for v in outer.variables]
+    outer_invariant = swapped(outer) == outer
+    mirrored, halves = [], []
+    real_mirrored = TruncatedSeries._mirrored
+    real_buckets = pseries._dot_buckets
+
+    def record_mirrored(s):
+        mirrored.append(s)
+        return real_mirrored(s)
+
+    def record_buckets(buckets, half):
+        halves.append(half)
+        return real_buckets(buckets, half)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(TruncatedSeries, "_mirrored", record_mirrored)
+        mp.setattr(pseries, "_dot_buckets", record_buckets)
+        result = outer.evaluate(values)
+    assert result == evaluate_per_term(outer, values)
+    # the last bucket sum is the composition's own; a near-mirror pair
+    # takes the general path unless every value is itself invariant
+    half = all(invariant[2:]) and (
+        not perturbed and outer_invariant or all(invariant[:2]))
+    assert halves[-1] is half
+    if half:
+        assert swapped(result) == result
+    if perturbed:
+        assert not mirrored
+    else:
+        # every power of y's value that the composition reads is a mirror
+        lows = [values[v].lowest_degree() for v in outer.variables]
+        assert bool(mirrored) is any(
+            ev[1] and sum(e * low for e, low in zip(ev, lows)) <= result.order
+            for ev in outer.terms)
+
+
+def test_a_shared_power_table_is_extended_and_checked():
+    x = s2({(1, 0): 1, (0, 1): CoeffPoly.gen(1), (1, 1): 2}, 4)
+    outer = s1({(1,): 1, (2,): 3, (3,): -1}, 4)
+    table = [TruncatedSeries.one(UV, 4)]
+    assert outer.evaluate({"u": x}, {"u": table}) == evaluate_per_term(outer, {"u": x})
+    assert table[1:] == [x, bucket_product(x, x), bucket_product(bucket_product(x, x), x)]
+    square = s1({(2,): 1}, 4)
+    assert square.evaluate({"u": x}, {"u": table}) == bucket_product(x, x)
+    assert len(table) == 4
+    # a table at another order, or of another value, is refused
+    for wrong in ([TruncatedSeries.one(UV, 3)], [table[0], x.scale(2)]):
+        with pytest.raises(ValueError, match="power table"):
+            outer.evaluate({"u": x}, {"u": wrong})
 
 
 def _suite_calls(monkeypatch, method, spec, order):
-    """(self, argument, result) of every call of the ``TruncatedSeries``
-    method that the whole suite on spec makes, law construction included."""
+    """(self, argument, further arguments, result) of every call of the
+    ``TruncatedSeries`` method that the whole suite on spec makes, law
+    construction included."""
     calls = []
     real = getattr(TruncatedSeries, method)
 
-    def recorded(self, arg):
-        result = real(self, arg)
-        calls.append((self, arg, result))
+    def recorded(self, arg, *rest):
+        result = real(self, arg, *rest)
+        calls.append((self, arg, rest, result))
         return result
 
     monkeypatch.setattr(TruncatedSeries, method, recorded)
@@ -213,8 +299,18 @@ def _suite_calls(monkeypatch, method, spec, order):
 def test_evaluate_matches_the_per_term_route_on_suite_compositions(
         monkeypatch, spec, order):
     # every composition the suite (law construction included) makes,
-    # against one product per term started from one, with no shift path
-    for s, values, result in _suite_calls(monkeypatch, "evaluate", spec, order):
+    # against one product per term started from one, with no shift path;
+    # the compositions through f's shared power table and those with a
+    # mirrored pair of non-monomial values, f([u]_2, [v]_2) and
+    # Phi([u]_2, [v]_2), are among them
+    calls = _suite_calls(monkeypatch, "evaluate", spec, order)
+    assert sum(1 for _, _, tables, _ in calls if tables) == 2
+    mirrored = [s for s, values, _, _ in calls if s.variables == UV
+                and values["u"].variables == UV
+                and values["v"] == swapped(values["u"])
+                and values["u"] != TruncatedSeries.variable("u", UV, values["u"].order)]
+    assert len(mirrored) >= 2
+    for s, values, _, result in calls:
         assert result == evaluate_per_term(s, values)
 
 
@@ -223,7 +319,7 @@ def test_products_match_the_bucket_product_on_suite_products(
         monkeypatch, spec, order):
     # every series product the suite makes, the unit-monomial shifts and
     # the mirrored halves included, against the general product
-    calls = [(a, b, result) for a, b, result in
+    calls = [(a, b, result) for a, b, _, result in
              _suite_calls(monkeypatch, "__mul__", spec, order)
              if isinstance(b, TruncatedSeries)]
     assert any(a._swap_invariant() and b._swap_invariant() for a, b, _ in calls)
