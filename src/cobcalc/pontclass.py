@@ -113,8 +113,15 @@ def _of_f(law: FormalGroupLaw, s: TruncatedSeries) -> TruncatedSeries:
 
 @per_law
 def a_of_f(law: FormalGroupLaw) -> TruncatedSeries:
-    """a(f(u,v)), trusted to order n - 1 like a itself."""
-    return _of_f(law, a_series(law))
+    """a(f(u,v)), trusted to order n - 1 like a itself.
+
+    It is the last composition with f that the suite makes (cp(f) in
+    lemma61 runs first), so the table of f's powers is released here
+    instead of living as long as the law."""
+    a = a_series(law)
+    af = _of_f(law, a)
+    law.derived.pop(("_f_powers", min(a.order, law.order)), None)
+    return af
 
 
 def gamma_line(law: FormalGroupLaw) -> TruncatedSeries:

@@ -284,8 +284,9 @@ class TruncatedSeries:
             buckets: dict[ExpVec, list[tuple[CoeffPoly, CoeffPoly]]] = {}
             # other's terms sorted by degree once, so each term of self
             # visits only the prefix that fits under the order.
-            bitems = sorted(other.terms.items(), key=lambda t: sum(t[0]))
-            degrees = [sum(eb) for eb, _ in bitems]
+            bkeys = sorted(other.terms, key=sum)
+            degrees = list(map(sum, bkeys))
+            bitems = list(zip(bkeys, map(other.terms.__getitem__, bkeys)))
             for ea, ca in self.terms.items():
                 room = order - sum(ea)
                 if room < 0:

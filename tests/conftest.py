@@ -32,8 +32,12 @@ def additive12():
 
 # -- hypothesis strategies -----------------------------------------------------
 
-small_fractions = st.fractions(min_value=Fraction(-4), max_value=Fraction(4),
-                               max_denominator=6)
+# Every fraction in [-4, 4] with denominator at most 6, simplest first, so
+# shrinking moves towards 0, 1, -1, 2, ...  Sampling one index is much
+# cheaper than st.fractions, which builds and validates a strategy per draw.
+_FRACTIONS = sorted({Fraction(n, d) for d in range(1, 7) for n in range(-4 * d, 4 * d + 1)},
+                    key=lambda q: (q.denominator, abs(q), q < 0))
+small_fractions = st.sampled_from(_FRACTIONS)
 
 monomials = st.lists(
     st.tuples(st.integers(min_value=1, max_value=3),
@@ -44,7 +48,10 @@ monomials = st.lists(
 coeff_polys = st.dictionaries(monomials, small_fractions, max_size=3).map(
     CoeffPoly.from_terms)
 
-nonzero_coeff_polys = coeff_polys.filter(lambda p: not p.is_zero())
+# Distinct monomials with nonzero coefficients: nonzero by construction,
+# where filtering coeff_polys retried draws and discarded examples.
+nonzero_coeff_polys = st.dictionaries(monomials, st.sampled_from(_FRACTIONS[1:]),
+                                      min_size=1, max_size=3).map(CoeffPoly.from_terms)
 
 _expvecs_uv = st.tuples(st.integers(min_value=0, max_value=3),
                         st.integers(min_value=0, max_value=3)).filter(

@@ -244,10 +244,12 @@ def test_a_of_f_is_built_once_per_law(monkeypatch):
 
 def test_each_power_of_f_is_built_once_per_law(monkeypatch):
     # cp(f) in lemma61 and a(f) compose at one working order and share
-    # one table f, f^2, ..., f^9, each built by one product
+    # one table f, f^2, ..., f^9, each built by one product; a(f) is the
+    # last reader, so the law no longer holds the table after the suite
     law = fgl.miscenko_law(10)
-    built = []
+    built, tables = [], []
     product = TruncatedSeries.__mul__
+    f_powers = pc._f_powers
 
     def recorded(a, b):
         result = product(a, b)
@@ -255,10 +257,17 @@ def test_each_power_of_f_is_built_once_per_law(monkeypatch):
             built.append(result)
         return result
 
+    def shared(law_, order):
+        tables.append(f_powers(law_, order))
+        return tables[-1]
+
     monkeypatch.setattr(TruncatedSeries, "__mul__", recorded)
+    monkeypatch.setattr(pc, "_f_powers", shared)
     assert all(r.passed for r in pc.verify_identity_suite(law, "exact", 9))
     monkeypatch.undo()
-    table = law.derived[("_f_powers", 9)]
+    table = tables[0]
+    assert len(tables) == 2 and tables[1] is table
+    assert not [key for key in law.derived if key[0] == "_f_powers"]
     assert len(built) == 9
     assert all(p is q for p, q in zip(built, table[1:], strict=True))
     assert table[1] == law.f.truncate(9)
