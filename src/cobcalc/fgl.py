@@ -93,13 +93,10 @@ def per_law(fn):
     return cached
 
 
-def from_log(log: TruncatedSeries, order: int | None = None,
-             tag: str = "custom") -> FormalGroupLaw:
+def from_log(log: TruncatedSeries, tag: str = "custom") -> FormalGroupLaw:
     """Construct f(u, v) = g^{-1}(g(u) + g(v)) and ubar(u) = g^{-1}(-g(u)),
-    both through the one reversion g^{-1} of the log."""
-    if order is None:
-        order = log.order
-    log = log.truncate(order)
+    both through the one reversion g^{-1} of the log, at the log's order."""
+    order = log.order
     x = log.variables[0]
     ginv = log.reversion()
     gu = log.rename({x: U})
@@ -138,7 +135,7 @@ def _check_log_route(law: FormalGroupLaw) -> FormalGroupLaw:
 
 
 def miscenko_law(order: int) -> FormalGroupLaw:
-    return from_log(miscenko_log(order), order, tag="miscenko")
+    return from_log(miscenko_log(order), tag="miscenko")
 
 
 def additive_law(order: int) -> FormalGroupLaw:

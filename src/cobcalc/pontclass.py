@@ -3,13 +3,13 @@
 Everything here is derived from a formal group law: the factorization
 series Phi with f(u,v) - f(u,ubar) = (v - ubar) Phi(u,v); the symmetric
 divided differences delta(u,v) = (a(u) - a(v))/(u - v) and
-d(u,v) = (v a(u) - u a(v))/(u - v); the addition series
-b(u,v) = u + v - uv [alpha0(uv) delta(u,v) + alpha1(uv) d(u,v)], whose
-mixed coefficients beta_kl (k, l >= 1) are the beta table; the
-line-bundle index series gamma(c) = 1 - a(c); and the one-sided addition
-series u + v - a(f(u,v)) v.  Phi, delta/d, a(f(u,v)) and b are memoized
-on the law (:func:`cobcalc.fgl.per_law`), so each is built at most once
-per law however many identities use it.
+d(u,v) = (v a(u) - u a(v))/(u - v), placed from a's coefficients; the
+addition series b(u,v) = u + v - uv [alpha0(uv) delta(u,v) +
+alpha1(uv) d(u,v)], whose mixed coefficients beta_kl (k, l >= 1) are the
+beta table; the line-bundle index series gamma(c) = 1 - a(c); and the
+one-sided addition series u + v - a(f(u,v)) v.  Phi, delta/d, a(f(u,v))
+and b are memoized on the law (:func:`cobcalc.fgl.per_law`), so each is
+built at most once per law however many identities use it.
 
 Identities that only hold modulo the ideal ([u]_2, [v]_2) are checked in
 :class:`QuotientRingA`, a truncated quotient over an integer
@@ -75,14 +75,17 @@ def phi_series(law: FormalGroupLaw) -> TruncatedSeries:
 
 @per_law
 def delta_d_series(law: FormalGroupLaw) -> tuple[TruncatedSeries, TruncatedSeries]:
-    """The symmetric series delta and d; exact division, remainder-checked."""
+    """delta = sum a_(i+j+1) u^i v^j over i + j <= m - 1, trusted to
+    max(m - 1, 0), and d = -a_0 + sum a_(i+j) u^i v^j over i, j >= 1 and
+    i + j <= m, trusted to m, for a = sum a_k u^k trusted to m: placed with
+    no division, as (u^k - v^k)/(u - v) = sum_(i+j=k-1) u^i v^j."""
     a = a_series(law)
-    au = a.extend(UV)
-    av = a.rename({U: V}).extend(UV)
-    delta = (au - av).divided_difference(U, V)
-    dnum = au.times_monomial((0, 1)) - av.times_monomial((1, 0))
-    d = dnum.divided_difference(U, V)
-    return delta, d
+    delta, d = {}, {}
+    for (k,), c in a.terms.items():
+        delta.update({(i, k - 1 - i): c for i in range(k)})
+        d.update({(i, k - i): c for i in range(1, k)} if k else {(0, 0): -c})
+    m = a.order
+    return TruncatedSeries(UV, max(m - 1, 0), delta), TruncatedSeries(UV, m, d)
 
 
 @per_law
@@ -116,8 +119,7 @@ def a_of_f(law: FormalGroupLaw) -> TruncatedSeries:
     """a(f(u,v)), trusted to order n - 1 like a itself.
 
     It is the last composition with f that the suite makes (cp(f) in
-    lemma61 runs first), so the table of f's powers is released here
-    instead of living as long as the law."""
+    lemma61 runs first), so the table of f's powers is released here."""
     a = a_series(law)
     af = _of_f(law, a)
     law.derived.pop(("_f_powers", min(a.order, law.order)), None)
@@ -316,16 +318,15 @@ def _lemma61(law: FormalGroupLaw, order: int) -> list[IdentityResult]:
 
 
 def _phi_factorization(law: FormalGroupLaw, order: int) -> list[IdentityResult]:
+    # phi_series has found f(u, ubar), its remainder, to be zero
     n = law.order
     phi = phi_series(law)
     u1 = TruncatedSeries.variable(U, (U,), n)
-    u2 = TruncatedSeries.variable(U, UV, n)
     v2 = TruncatedSeries.variable(V, UV, n)
     ub2 = law.inverse.extend(UV)
-    f_u_ubar = law.f.evaluate({U: u2, V: ub2})
     phi_diag = phi.evaluate({U: u1, V: u1})
     return [_row("phi_factorization", law,
-                 (law.f - f_u_ubar) - (v2 - ub2) * phi, order),
+                 law.f - (v2 - ub2) * phi, order),
             _row("phi_diagonal", law,
                  (u1 - law.inverse) * phi_diag - n_series(law, 2), order)]
 

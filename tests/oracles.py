@@ -91,6 +91,18 @@ def phi_by_divided_difference(law) -> TruncatedSeries:
     return quotient.substitute("w", law.inverse.extend(UV))
 
 
+def delta_d_by_divided_difference(law) -> tuple[TruncatedSeries, TruncatedSeries]:
+    """delta = (a(u) - a(v))/(u - v) and d = (v a(u) - u a(v))/(u - v) as
+    exact, remainder-checked divisions; the package places a's
+    coefficients directly."""
+    a = fgl.a_series(law)
+    au = a.extend(UV)
+    av = a.rename({"u": "v"}).extend(UV)
+    delta = (au - av).divided_difference("u", "v")
+    dnum = au.times_monomial((0, 1)) - av.times_monomial((1, 0))
+    return delta, dnum.divided_difference("u", "v")
+
+
 def count_products(fn, *args) -> int:
     """The monomial products that ``fn(*args)`` makes: every pair (a, b)
     given to ``CoeffPoly.dot`` counts |a| * |b|, its number of term

@@ -18,7 +18,8 @@ from cobcalc.coeffring import CoeffPoly
 from cobcalc.intlattice import IntegerLattice
 from cobcalc.pseries import NonzeroRemainder, TruncatedSeries
 from oracles import (SUITE_LAWS, TWO_PARAMETER_GRID, count_products,
-                     mutate_alpha, phi_by_divided_difference, two_parameter_law)
+                     delta_d_by_divided_difference, mutate_alpha,
+                     phi_by_divided_difference, two_parameter_law)
 
 U1 = ("u",)
 UV = ("u", "v")
@@ -131,6 +132,36 @@ def test_phi_remainder_check_is_not_stripped_by_python_O():
     assert done.stderr == ""
 
 
+def phi_factorization_difference(monkeypatch, law, order):
+    """The difference series that the phi_factorization row checks."""
+    seen = {}
+
+    def recorded(name, law_, difference, order_):
+        seen[name] = difference
+        return row(name, law_, difference, order_)
+
+    row = pc._row
+    monkeypatch.setattr(pc, "_row", recorded)
+    pc.verify_identity_suite(law, "phi_factorization", order)
+    monkeypatch.undo()
+    return seen["phi_factorization"]
+
+
+@pytest.mark.parametrize("law, order", [
+    *((fgl.parse_law(spec, order + 1), order) for spec, order in SUITE_LAWS),
+    *((two_parameter_law(a, b, 10), 9) for a, b in TWO_PARAMETER_GRID)],
+    ids=lambda x: getattr(x, "tag", x))
+def test_phi_factorization_difference_is_the_recomposed_expression(
+        monkeypatch, law, order):
+    # f(u, ubar) is zero once Phi is built, so checking f - (v - ubar) Phi
+    # is checking (f - f(u, ubar)) - (v - ubar) Phi
+    n = law.order
+    u2, v2 = (TruncatedSeries.variable(x, UV, n) for x in UV)
+    ub2 = law.inverse.extend(UV)
+    old = (law.f - law.f.evaluate({"u": u2, "v": ub2})) - (v2 - ub2) * pc.phi_series(law)
+    assert phi_factorization_difference(monkeypatch, law, order) == old
+
+
 def test_phi_factorization_and_diagonal(miscenko8):
     phi = pc.phi_series(miscenko8)
     n = miscenko8.order
@@ -163,6 +194,34 @@ def test_delta_d_symmetric_and_constant_term(miscenko8):
         assert s == s.rename({"u": "v", "v": "u"}).extend(UV)
     assert delta.constant_term() == fgl.alpha_table(miscenko8)[(1, 1)]
     assert d.constant_term() == CoeffPoly.const(-2)
+
+
+@pytest.mark.parametrize("spec, order", SUITE_LAWS)
+def test_delta_d_are_the_divided_difference_route_on_suite_laws(spec, order):
+    law = fgl.parse_law(spec, order + 1)
+    assert pc.delta_d_series(law) == delta_d_by_divided_difference(law)
+
+
+@pytest.mark.parametrize("a, b", TWO_PARAMETER_GRID)
+def test_delta_d_are_the_divided_difference_route_on_two_parameter_laws(a, b):
+    law = two_parameter_law(a, b, 10)
+    assert pc.delta_d_series(law) == delta_d_by_divided_difference(law)
+
+
+@pytest.mark.parametrize("n", [12, 16])
+def test_delta_d_are_the_divided_difference_route_on_deep_universal_laws(n):
+    law = fgl.miscenko_law(n)
+    assert pc.delta_d_series(law) == delta_d_by_divided_difference(law)
+
+
+@pytest.mark.parametrize("law", [
+    fgl.miscenko_law(1), fgl.additive_law(1), two_parameter_law(2, 3, 1)],
+    ids=lambda law: law.tag)
+def test_delta_d_of_an_order_one_law(law):
+    # a is trusted to order 0 only, so delta cannot drop below order 0
+    delta, d = pc.delta_d_series(law)
+    assert (delta.order, d.order) == (0, 0)
+    assert (delta, d) == delta_d_by_divided_difference(law)
 
 
 # -- b series ------------------------------------------------------------------------
@@ -274,16 +333,40 @@ def test_each_power_of_f_is_built_once_per_law(monkeypatch):
     assert not [key for key in law.truncate(9).derived if key[0] == "_f_powers"]
 
 
-@pytest.mark.parametrize("order, products", [(6, 7461), (9, 65425)])
+@pytest.mark.parametrize("order, products", [(6, 7031), (9, 62258)])
 def test_exact_suite_monomial_products_stay_within_their_recorded_counts(
         order, products):
     # the deterministic cost unit: a later change may not give back the
-    # products that synthetic division, the shared power table of f and
-    # mirrored value pairs save
+    # products that synthetic division, the shared power table of f,
+    # mirrored value pairs and the uncomposed f(u, ubar) save
     with contextlib.redirect_stdout(io.StringIO()):
         count = count_products(
             main, ["verify", "exact", "--law", "miscenko", "--order", str(order)])
     assert count <= products
+
+
+@pytest.mark.parametrize("argv", [
+    "verify exact --law miscenko --order 9", "beta --law miscenko --order 12",
+    "verify all --law mult:1 --order 20", "chi recursion --max 17"])
+def test_benchmark_invocations_make_no_division_or_substitution(
+        monkeypatch, argv):
+    # divided_difference and substitute are kept as the tests' reference
+    # routes; no program path may reach them
+    calls = []
+
+    def recorded(name):
+        real = getattr(TruncatedSeries, name)
+
+        def call(self, *args):
+            calls.append(name)
+            return real(self, *args)
+        return call
+
+    for name in ("divided_difference", "substitute"):
+        monkeypatch.setattr(TruncatedSeries, name, recorded(name))
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(argv.split()) == 0
+    assert calls == []
 
 
 def test_caller_built_law_reports_two_series_hom_at_its_order():
