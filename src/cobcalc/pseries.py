@@ -36,8 +36,8 @@ value at one order build each power once; the identity suites keep one
 table of the powers of f per law and working order.
 
 Division by a variable difference (u - v) is exact polynomial division
-with a hard error on a nonzero remainder: the series this package divides
-are divisible by construction, so a remainder signals a false identity.
+with a hard error on a nonzero remainder.  It is the tests' reference
+route for the series pontclass builds without dividing.
 
 Series reversion runs Newton iteration with a doubling working order.
 """

@@ -158,7 +158,8 @@ def test_phi_factorization_difference_is_the_recomposed_expression(
     n = law.order
     u2, v2 = (TruncatedSeries.variable(x, UV, n) for x in UV)
     ub2 = law.inverse.extend(UV)
-    old = (law.f - law.f.evaluate({"u": u2, "v": ub2})) - (v2 - ub2) * pc.phi_series(law)
+    f_u_ubar = law.f.evaluate({"u": u2, "v": ub2})
+    old = (law.f - f_u_ubar) - (v2 - ub2) * pc.phi_series(law)
     assert phi_factorization_difference(monkeypatch, law, order) == old
 
 
