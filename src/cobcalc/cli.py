@@ -4,6 +4,10 @@ Subcommands: expand, beta, verify IDENTITY, chi grass|recursion|simplicial,
 index klein|rp2.  JSON is the machine format; text output is rendered from
 the same JSON object, never computed separately.  Exit code 0 means every
 requested check passed, so the verification subcommands can gate CI runs.
+
+``main(argv)`` is ``execute(parse(argv))``.  This module imports no series
+code: ``execute`` imports ``commands``, which loads it, only after argparse
+has accepted the arguments, so ``--help`` and usage errors exit without it.
 """
 
 from __future__ import annotations
@@ -12,9 +16,6 @@ import argparse
 import json
 import sys
 from pathlib import Path
-
-from . import localize, pontclass
-from .fgl import alpha_table, parse_law
 
 
 #: Size caps, so that no invocation runs unbounded.  Each sits above every
@@ -46,87 +47,6 @@ def _check_limits(args) -> None:
         raise ValueError(f"{command}: {flag} must be >= {least}, got {value}")
     if value > most:
         raise ValueError(f"{command}: {flag} must be <= {most}, got {value}")
-
-
-def _law_payload_entries(table) -> list[dict]:
-    return [{"i": i, "j": j, "value": str(table[(i, j)])}
-            for i, j in sorted(table, key=lambda ij: (sum(ij), ij))]
-
-
-def _cmd_expand(args) -> tuple[dict, bool]:
-    law = parse_law(args.law, args.order)
-    return {
-        "law": law.tag,
-        "order": args.order,
-        "alpha": _law_payload_entries(alpha_table(law)),
-    }, True
-
-
-def _cmd_beta(args) -> tuple[dict, bool]:
-    law = parse_law(args.law, args.order)
-    b = pontclass.b_series(law)
-    return {
-        "law": law.tag,
-        "order": args.order,
-        "beta": _law_payload_entries(
-            {(k, l): c for (k, l), c in b.terms.items() if k >= 1 and l >= 1}),
-    }, True
-
-
-def _cmd_verify(args) -> tuple[dict, bool]:
-    which = pontclass.normalize_suite_name(args.identity)
-    rows = pontclass.verify_identity_suite(args.law, which, args.order)
-    ok = all(r.passed for r in rows)
-    return {
-        "suite": which,
-        "law": args.law,
-        "order": args.order,
-        "status": "pass" if ok else "fail",
-        "results": [r.to_json() for r in rows],
-    }, ok
-
-
-def _cmd_chi(args) -> tuple[dict, bool]:
-    if args.mode == "grass":
-        value = localize.chi_grassmann(args.n, args.k)
-        return {"mode": "grass", "n": args.n, "k": args.k, "chi": value}, True
-    if args.mode == "recursion":
-        rows = localize.localization_recursion_report(args.max)
-        failures = [r.to_json() for r in rows if not r.passed]
-        ok = not failures
-        return {
-            "mode": "recursion",
-            "max": args.max,
-            "cases": len(rows),
-            "status": "pass" if ok else "fail",
-            "failures": failures,
-        }, ok
-    complex_ = localize.load_complex(args.file)
-    chi = complex_.euler_characteristic()
-    sd_chi = complex_.barycentric_subdivision().euler_characteristic()
-    ok = chi == sd_chi
-    fv = complex_.f_vector()
-    return {
-        "mode": "simplicial",
-        "file": str(args.file),
-        "f_vector": {str(d): fv[d] for d in sorted(fv)},
-        "chi": chi,
-        "chi_subdivided": sd_chi,
-        "status": "pass" if ok else "fail",
-    }, ok
-
-
-def _cmd_index(args) -> tuple[dict, bool]:
-    check = (localize.klein_index_check if args.which == "klein"
-             else localize.rp2_decomposition_check)
-    summary, rows = check()
-    ok = all(r.passed for r in rows)
-    return {
-        "check": args.which,
-        "summary": summary,
-        "status": "pass" if ok else "fail",
-        "results": [r.to_json() for r in rows],
-    }, ok
 
 
 def render_text(obj: dict) -> str:
@@ -165,13 +85,11 @@ def build_parser() -> argparse.ArgumentParser:
                         help="miscenko | additive | mult:BETA")
     expand.add_argument("--order", type=int, default=10)
     _add_output_flags(expand)
-    expand.set_defaults(run=_cmd_expand)
 
     beta = subs.add_parser("beta", help="beta table of the addition series")
     beta.add_argument("--law", default="miscenko")
     beta.add_argument("--order", type=int, default=10)
     _add_output_flags(beta)
-    beta.set_defaults(run=_cmd_beta)
 
     verify = subs.add_parser("verify", help="run an identity suite")
     verify.add_argument("identity",
@@ -181,7 +99,6 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--law", default="miscenko")
     verify.add_argument("--order", type=int, default=10)
     _add_output_flags(verify)
-    verify.set_defaults(run=_cmd_verify)
 
     chi = subs.add_parser("chi", help="Euler-characteristic computations")
     chi_subs = chi.add_subparsers(dest="mode", required=True)
@@ -189,34 +106,37 @@ def build_parser() -> argparse.ArgumentParser:
     grass.add_argument("--n", type=int, required=True)
     grass.add_argument("--k", type=int, required=True)
     _add_output_flags(grass)
-    grass.set_defaults(run=_cmd_chi)
     recursion = chi_subs.add_parser("recursion",
                                     help="exhaustive localization recursion")
     recursion.add_argument("--max", type=int, default=10,
                            help="check all n1 + n2 up to this total")
     _add_output_flags(recursion)
-    recursion.set_defaults(run=_cmd_chi)
     simplicial = chi_subs.add_parser("simplicial",
                                      help="chi of a complex from a file")
     simplicial.add_argument("--file", type=Path, required=True,
                             help="one simplex per line, space-separated labels")
     _add_output_flags(simplicial)
-    simplicial.set_defaults(run=_cmd_chi)
 
     index = subs.add_parser("index", help="index-ledger example checks")
     index.add_argument("which", choices=("klein", "rp2"))
     _add_output_flags(index)
-    index.set_defaults(run=_cmd_index)
 
     return parser
 
 
-def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+def parse(argv=None) -> argparse.Namespace:
+    """Parse ``argv``; argparse exits on ``--help`` and on usage errors."""
+    return build_parser().parse_args(argv)
+
+
+def execute(args: argparse.Namespace) -> int:
+    """Run one parsed invocation, importing the series code, and return its
+    exit code."""
+    from . import commands
+
     try:
         _check_limits(args)
-        payload, ok = args.run(args)
+        payload, ok = getattr(commands, args.command)(args)
         text = (json.dumps(payload, indent=2) if args.format == "json"
                 else render_text(payload))
         if args.out is not None:
@@ -233,6 +153,10 @@ def main(argv=None) -> int:
             first = failures[0]
             print(f"first failure: {json.dumps(first)}", file=sys.stderr)
     return 0 if ok else 1
+
+
+def main(argv=None) -> int:
+    return execute(parse(argv))
 
 
 if __name__ == "__main__":

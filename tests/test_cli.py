@@ -227,12 +227,12 @@ def test_verify_failure_reports_on_stderr(capsys, monkeypatch):
 ])
 def test_sizes_below_the_minimum_are_usage_errors(capsys, monkeypatch, argv, message):
     # refused before any work: no vacuous pass, no cryptic size error
-    from cobcalc import cli, localize, pontclass
+    from cobcalc import commands, localize, pontclass
 
     def no_work(*_):
         raise AssertionError("work started before the size check")
 
-    monkeypatch.setattr(cli, "parse_law", no_work)
+    monkeypatch.setattr(commands, "parse_law", no_work)
     monkeypatch.setattr(pontclass, "verify_identity_suite", no_work)
     monkeypatch.setattr(localize, "localization_recursion_report", no_work)
     code, out, err = run(capsys, *argv)
@@ -254,12 +254,12 @@ def test_sizes_below_the_minimum_are_usage_errors(capsys, monkeypatch, argv, mes
 ])
 def test_sizes_above_the_cap_are_usage_errors(capsys, monkeypatch, argv, message):
     # refused before any work, so no invocation runs unbounded
-    from cobcalc import cli, localize, pontclass
+    from cobcalc import commands, localize, pontclass
 
     def no_work(*_):
         raise AssertionError("work started before the size check")
 
-    monkeypatch.setattr(cli, "parse_law", no_work)
+    monkeypatch.setattr(commands, "parse_law", no_work)
     monkeypatch.setattr(pontclass, "verify_identity_suite", no_work)
     monkeypatch.setattr(localize, "localization_recursion_report", no_work)
     monkeypatch.setattr(localize, "chi_grassmann", no_work)

@@ -73,16 +73,38 @@ def test_cli_main_in_process_freezes_nothing(capsys):
 
 
 def test_module_entry_freezes_before_main_and_keeps_atexit():
+    # the entry freezes before parsing, so --help exits cheaply, and again
+    # once the series code is imported, before the command runs
     script = textwrap.dedent("""\
-        import atexit, gc, runpy
+        import atexit, gc, runpy, sys
         from cobcalc import cli
-        cli.main = lambda: print("frozen before main:", gc.get_freeze_count() > 0) or 3
+
+        parse = cli.parse
+
+        def state():
+            return gc.get_freeze_count(), "cobcalc.pontclass" in sys.modules
+
+        def parsing():
+            global at_parse
+            at_parse = state()
+            return parse(["chi", "recursion", "--max", "3"])
+
+        def executing(args):
+            (parsed, loaded), (command, ready) = at_parse, state()
+            print("frozen before parsing:", parsed > 0, "series loaded:", loaded)
+            print("frozen more before the command:", command > parsed,
+                  "series loaded:", ready, "args:", args.command, args.max)
+            return 3
+
+        cli.parse, cli.execute = parsing, executing
         atexit.register(print, "atexit ran")
         runpy.run_module("cobcalc", run_name="__main__")
         """)
     done = child("-c", script)
-    assert (done.returncode, done.stdout, done.stderr) == (
-        3, "frozen before main: True\natexit ran\n", "")
+    assert (done.returncode, done.stdout, done.stderr) == (3, (
+        "frozen before parsing: True series loaded: False\n"
+        "frozen more before the command: True series loaded: True args: chi 3\n"
+        "atexit ran\n"), "")
 
 
 def test_console_script_is_the_module_entry():

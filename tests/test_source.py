@@ -5,6 +5,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import cobcalc
 
 PACKAGE = Path(cobcalc.__file__).resolve().parent
@@ -22,13 +24,35 @@ def test_no_assert_statement_in_the_package():
     assert not found, found
 
 
+#: What the command-line front end leaves to ``commands``: the series code
+#: and the number types it builds on.
+SERIES_MODULES = {"fractions", "decimal", *(f"cobcalc.{name}" for name in (
+    "coeffring", "pseries", "report", "localize", "fgl", "intlattice",
+    "pontclass", "commands"))}
+
+
 def test_cli_import_loads_no_dataclasses_or_inspect():
     # dataclasses pulls in inspect, ast, dis and tokenize, about half of the
-    # package's import time in an interpreter started without site
-    script = ("import sys, cobcalc.cli; "
-              "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
-    done = subprocess.run([sys.executable, "-S", "-c", script],
+    # package's import time in an interpreter started without site; the
+    # series code waits until argparse has accepted the arguments
+    script = "import sys, cobcalc.cli; print(sorted(set(sys.argv[1:]) & set(sys.modules)))"
+    done = subprocess.run([sys.executable, "-S", "-c", script, "dataclasses",
+                           "inspect", *SERIES_MODULES],
                           env={"PYTHONPATH": str(PACKAGE.parent)},
                           capture_output=True, text=True, timeout=60)
     assert done.stderr == ""
     assert done.stdout == "[]\n"
+
+
+@pytest.mark.parametrize("argv, code", [("--help", 0), ("verify --law miscenko", 2)])
+def test_help_and_usage_errors_load_no_series_code(argv, code):
+    # argparse exits on --help and on a missing identity before cli imports
+    # commands; -X importtime logs every module the child imports
+    done = subprocess.run([sys.executable, "-X", "importtime", "-m", "cobcalc",
+                           *argv.split()], env={"PYTHONPATH": str(PACKAGE.parent)},
+                          capture_output=True, text=True, timeout=60)
+    imported = {line.rsplit("|", 1)[-1].strip() for line in done.stderr.splitlines()
+                if line.startswith("import time:")}
+    assert done.returncode == code
+    assert "cobcalc.cli" in imported
+    assert sorted(imported & SERIES_MODULES) == []

@@ -2,12 +2,14 @@
 
 ``perfbench/tracer.py`` replaces each ``WRAPPED`` target, looked up with
 ``vars()`` on its owner, for a traced run; a refactor that renames or
-moves one would otherwise surface only under ``perfbench/run.py --trace 1``.
+moves one would otherwise surface only under ``perfbench/run.py --trace 1``,
+and so would a command that leaves a wrapped module unimported.
 The tracer module is imported read-only: no bytecode is written.
 """
 
 import importlib
 import importlib.util
+import subprocess
 import sys
 import types
 from pathlib import Path
@@ -15,6 +17,7 @@ from pathlib import Path
 import pytest
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+SRC = PERFBENCH.parent / "src"
 
 
 @pytest.fixture(scope="module")
@@ -97,3 +100,23 @@ def test_no_wrapped_target_is_held_in_a_container(wrapped):
                 if id(item) in targets:
                     held.append(f"cobcalc.{info.name}.{key} holds {targets[id(item)]}")
     assert not held, held
+
+
+@pytest.mark.parametrize("argv", [
+    "verify exact --law miscenko --order 9", "beta --law miscenko --order 12",
+    "verify all --law mult:1 --order 20", "chi recursion --max 17"])
+def test_each_benchmark_invocation_loads_every_wrapped_module(wrapped, argv):
+    # Tracer.installed() looks up each wrapped module in sys.modules after an
+    # untraced run of cli.main, so a command that imported less than the
+    # whole series code would fail the traced benchmark with a KeyError
+    script = ("import contextlib, io, sys\n"
+              "from cobcalc import cli\n"
+              "with contextlib.redirect_stdout(io.StringIO()):\n"
+              "    code = cli.main(sys.argv[1:])\n"
+              "print(code, *sys.modules)")
+    done = subprocess.run([sys.executable, "-c", script, *argv.split()],
+                          env={"PYTHONPATH": str(SRC)}, capture_output=True,
+                          text=True, timeout=120)
+    code, *loaded = done.stdout.split()
+    assert (code, done.stderr) == ("0", "")
+    assert sorted({f"cobcalc.{module}" for module, *_ in wrapped} - set(loaded)) == []
