@@ -21,6 +21,7 @@ by the exact pre-quotient identities plus the integral specializations.
 
 from __future__ import annotations
 
+from functools import cached_property
 from itertools import combinations_with_replacement
 from math import gcd
 
@@ -202,6 +203,10 @@ class QuotientRingA:
        depends only on the lattice and the column order, is too.
 
     When c' is even (mult:4, say) the argument fails and every row is kept.
+
+    Columns, rows and lattice are built once, by the first reduction of a
+    series with a non-constant term.  The b series of every law the CLI
+    names is exactly associative, so its (u, v, w) ring never builds them.
     """
 
     def __init__(self, law: FormalGroupLaw, variables: tuple[str, ...],
@@ -215,17 +220,18 @@ class QuotientRingA:
         self.law = law
         self.variables = tuple(variables)
         self.order = order
-        axes = range(len(self.variables))
+        # [u]_2 = f(u, u) is integral because f is.
+        self._two = n_series(law, 2).truncate(order)
 
+    @cached_property
+    def _basis(self) -> tuple[list[tuple[int, ...]], dict, IntegerLattice]:
+        """The columns, their index and the lattice, built on first use."""
+        order, axes = self.order, range(len(self.variables))
         # Columns: degrees order..1, each in descending exponent-vector
         # order, which is the elimination order.
         monos = [tuple(map(c.count, axes)) for d in range(order, 0, -1)
                  for c in combinations_with_replacement(axes, d)]
-        self._col_of = col_of = {ev: i for i, ev in enumerate(monos)}
-        self._monos = monos
-
-        # [u]_2 = f(u, u) is integral because f is.
-        self._two = n_series(law, 2).truncate(order)
+        col_of = {ev: i for i, ev in enumerate(monos)}
         rel_coeffs = [(k, c.as_int()) for (k,), c in self._two.terms.items()]
 
         # Koszul row selection (see the class docstring): cap the exponents
@@ -247,7 +253,10 @@ class QuotientRingA:
                                  for k, c in rel_coeffs if k - 1 <= room})
                 if ev[i] > cap:
                     break
-        self._lattice = IntegerLattice(rows, len(monos))
+        return monos, col_of, IntegerLattice(rows, len(monos))
+
+    _monos = property(lambda self: self._basis[0])
+    _lattice = property(lambda self: self._basis[2])
 
     def two_series(self, var: str) -> TruncatedSeries:
         """The relation [x]_2 embedded in the quotient-ring variables."""
@@ -263,8 +272,11 @@ class QuotientRingA:
             raise OrderExceeded(
                 f"series trusted to {s.order} < ring order {self.order}")
         s = s.truncate(self.order)
-        vec = self._lattice.reduce(_series_int_vector(s, self._col_of))
-        terms = {self._monos[i]: CoeffPoly.const(v) for i, v in vec.items()}
+        if not any(map(sum, s.terms)):
+            return s
+        monos, col_of, lattice = self._basis
+        vec = lattice.reduce(_series_int_vector(s, col_of))
+        terms = {monos[i]: CoeffPoly.const(v) for i, v in vec.items()}
         const = s.constant_term()
         if not const.is_zero():
             terms[(0,) * len(self.variables)] = const

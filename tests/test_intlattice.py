@@ -36,8 +36,9 @@ def _ring_lattice(law, variables, order):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(pontclass, "IntegerLattice", Recording)
-        ring = pontclass.QuotientRingA(law, variables, order)
-    return ring._lattice, captured
+        # the ring builds its lattice on first use, so read it here
+        lattice = pontclass.QuotientRingA(law, variables, order)._lattice
+    return lattice, captured
 
 
 def _add(vec, factor, row):
