@@ -206,7 +206,7 @@ class QuotientRingA:
 
     Columns, rows and lattice are built once, by the first reduction of a
     series with a non-constant term.  The b series of every law the CLI
-    names is exactly associative, so its (u, v, w) ring never builds them.
+    names is exactly associative, so their (u, v, w) rings never build them.
     """
 
     def __init__(self, law: FormalGroupLaw, variables: tuple[str, ...],

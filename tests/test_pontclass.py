@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cobcalc import fgl, pontclass as pc
+from cobcalc import coeffring, fgl, pontclass as pc
 from cobcalc.cli import main
 from cobcalc.coeffring import CoeffPoly
 from cobcalc.intlattice import IntegerLattice
@@ -352,19 +352,19 @@ def test_exact_suite_monomial_products_stay_within_their_recorded_counts(
 def test_benchmark_invocations_make_no_division_or_substitution(
         monkeypatch, argv):
     # divided_difference and substitute are kept as the tests' reference
-    # routes; no program path may reach them
+    # routes; no program path may reach them.  Nor may it reach the other
+    # five, which only the benchmark's tracer and the tests name, so they can
+    # be deleted or moved to the test oracles once the tracer stops wrapping
+    # them
     calls = []
-
-    def recorded(name):
-        real = getattr(TruncatedSeries, name)
-
-        def call(self, *args):
-            calls.append(name)
-            return real(self, *args)
-        return call
-
-    for name in ("divided_difference", "substitute"):
-        monkeypatch.setattr(TruncatedSeries, name, recorded(name))
+    targets = [(TruncatedSeries, name) for name in (
+        "divided_difference", "substitute", "reciprocal", "restrict", "__pow__")]
+    targets += [(coeffring, "mono_mul"), (pc.QuotientRingA, "two_series")]
+    for owner, name in targets:
+        def call(*args, _real=getattr(owner, name), _name=name):
+            calls.append(_name)
+            return _real(*args)
+        monkeypatch.setattr(owner, name, call)
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(argv.split()) == 0
     assert calls == []
@@ -640,6 +640,68 @@ def test_in_a_groups_share_one_ring_per_variable_set(monkeypatch):
     rows = pc.verify_identity_suite("mult:1", "all", 6)
     assert all(r.passed for r in rows)
     assert built == [(("u", "v"), 6), (("u", "v", "w"), 6)]
+
+
+@pytest.fixture
+def lattice_builds(monkeypatch):
+    """The column count of every IntegerLattice a quotient ring builds."""
+    ncols = []
+
+    class Counted(IntegerLattice):
+        def __init__(self, rows, n):
+            ncols.append(n)
+            super().__init__(rows, n)
+
+    monkeypatch.setattr(pc, "IntegerLattice", Counted)
+    return ncols
+
+
+@pytest.mark.parametrize("beta", [1, -1, 2, -2, 3])
+def test_cli_laws_build_only_the_uv_lattice(lattice_builds, beta):
+    # b of mult:beta is exactly associative: the (u, v, w) ring only ever
+    # reduces zero, so it builds no lattice of its 1,770 columns
+    rows = pc.verify_identity_suite(f"mult:{beta}", "all", 20)
+    assert len(rows) == 18 and all(r.passed for r in rows)
+    assert lattice_builds == [230]
+
+
+@pytest.mark.parametrize("a, b", TWO_PARAMETER_GRID)
+def test_two_parameter_assoc_reduces_against_the_uvw_lattice(
+        monkeypatch, lattice_builds, a, b):
+    # here b(b(u,v),w) - b(u,b(v,w)) is nonzero before reduction, so the
+    # (u, v, w) lattice is built and must reduce it to zero
+    sizes = []
+
+    class Recorded(pc.QuotientRingA):
+        def reduce(self, s):
+            sizes.append(sum(1 for ev in s.truncate(self.order).terms if sum(ev)))
+            return super().reduce(s)
+
+    monkeypatch.setattr(pc, "QuotientRingA", Recorded)
+    rows = pc.verify_identity_suite(two_parameter_law(a, b, 10), "assoc_in_A", 9)
+    assert [(r.identity, r.passed) for r in rows] == [("assoc_b_in_A", True)]
+    assert len(sizes) == 1 and 40 <= sizes[0] <= 68
+    assert lattice_builds == [219]
+
+
+def test_in_a_suite_detects_mutation_of_mult1():
+    law = mutate_alpha(fgl.multiplicative_law(1, 10), 2, 3, 1)
+    rows = pc.verify_identity_suite(law, "in_A", 9)
+    assert {r.identity for r in rows} == IN_A_ROWS
+    assert {r.identity for r in rows if not r.passed} == {
+        "phi_a_delta_in_A", "cor63_equals_b_in_A"}
+
+
+def test_ring_builds_its_lattice_once_on_the_first_non_constant_reduce(
+        lattice_builds, mult14):
+    ring = pc.QuotientRingA(mult14, UV, 12)
+    for s in (TruncatedSeries.zero(UV, 12), s2({(0, 0): 5}, 14)):
+        assert ring.reduce(s) == s.truncate(12)
+    assert lattice_builds == []
+    for _ in range(2):
+        assert ring.reduce(s2({(0, 0): 5, (2, 0): 1}, 12)) == s2(
+            {(0, 0): 5, (1, 0): -2}, 12)
+    assert lattice_builds == [90]
 
 
 def test_alias_groups_run_in_report_order():
