@@ -6,9 +6,10 @@ logarithm g(u) = sum cp_n u^(n+1)/(n+1) with cp0 = 1, so g'(u) is the
 series 1 + cp1 u + cp2 u^2 + ...; every coefficient sign downstream is
 whatever reversion of that logarithm yields.  The additive and
 multiplicative specializations are built from closed form, inverse
-included, and checked against their logarithms as
-g(f(u, v)) = g(u) + g(v), which over Q is the same identity as
-f = g^{-1}(g(u) + g(v)) but needs no reversion.
+included, and checked against their logarithms by the invariant
+differential, f(u, 0) = u and g'(u) df/dv = g'(v) df/du, which for a log
+with g(0) = 0 and g'(0) a nonzero scalar holds exactly when
+f = g^{-1}(g(u) + g(v)), and needs neither a reversion nor a composition.
 """
 
 from __future__ import annotations
@@ -120,15 +121,28 @@ def from_f(f: TruncatedSeries, order: int, tag: str, log: TruncatedSeries,
 
 
 def _check_log_route(law: FormalGroupLaw) -> FormalGroupLaw:
-    """Cross-validate a closed form f against its log g: g(f(u, v)) must
-    equal g(u) + g(v) at the law's order.  Composing with g is a bijection
-    modulo degree n + 1 on series without constant term (g has a unit
-    linear term), so this is f = g^{-1}(g(u) + g(v)) without the reversion
-    or the dense composition."""
-    g = law.log
-    x = g.variables[0]
-    g_of_f = g.evaluate({x: law.f})
-    if g_of_f != g.rename({x: U}).extend(UV) + g.rename({x: V}).extend(UV):
+    """Cross-validate a closed form f against its log g by the invariant
+    differential: g(0) = 0, g'(0) = c a nonzero scalar, f(u, 0) = u at the
+    law's order N, and g'(u) df/dv = g'(v) df/du at order N - 1.
+
+    The last relation is Lemma 6.1's g'(f) df/dv = g'(v) with g'(f)
+    eliminated against its u-twin g'(f) df/du = g'(u) (Silverman, *The
+    Arithmetic of Elliptic Curves*, IV.4), so f0 = g^{-1}(g(u) + g(v))
+    satisfies it, and f0(u, 0) = u.  It is linear in f.  On a difference f - f0 whose
+    lowest part h has degree d <= N, its lowest part is c (d/dv - d/du) h
+    in degree d - 1, which vanishes only for h = k (u + v)^d, and
+    f(u, 0) = u forces k = 0.  So the conditions hold exactly when
+    f = f0 modulo degree N + 1, which is what g(f(u, v)) = g(u) + g(v)
+    states, here with two products of g' by a derivative of f instead of
+    a composition with f and with no reversion."""
+    f, g = law.f, law.log
+    dg = cp_series(law)
+    c = dg.constant_term()
+    if (not g.constant_term().is_zero() or not c.is_constant() or c.is_zero()
+            or {ev: t for ev, t in f.terms.items() if not ev[1]}
+            != {(1, 0): CoeffPoly.one()}
+            or dg.rename({U: V}).extend(UV) * f.partial_derivative(U)
+            != dg.extend(UV) * f.partial_derivative(V)):
         raise CheckFailed(
             f"law {law.tag}: the logarithm and the closed form disagree")
     return law
