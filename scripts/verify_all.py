@@ -23,6 +23,7 @@ STEPS = [
     ["verify", "all", "--law", "mult:1", "--order", "12"],
     ["verify", "all", "--law", "additive", "--order", "12"],
     ["verify", "in_A", "--law", "mult:4", "--order", "9"],
+    ["verify", "all", "--law", "mult:3", "--order", "24"],
     ["chi", "recursion", "--max", "10"],
     ["chi", "grass", "--n", "4", "--k", "2"],
     ["index", "klein"],

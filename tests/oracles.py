@@ -10,7 +10,7 @@ from operator import add
 
 from cobcalc import fgl
 from cobcalc.coeffring import CoeffPoly, Monomial, _dense_mono
-from cobcalc.pseries import TruncatedSeries
+from cobcalc.pseries import CheckFailed, TruncatedSeries
 from cobcalc.report import IdentityResult, check_zero
 
 U1 = ("u",)
@@ -101,6 +101,22 @@ def delta_d_by_divided_difference(law) -> tuple[TruncatedSeries, TruncatedSeries
     delta = (au - av).divided_difference("u", "v")
     dnum = au.times_monomial((0, 1)) - av.times_monomial((1, 0))
     return delta, dnum.divided_difference("u", "v")
+
+
+def log_route_by_composition(law):
+    """Cross-validate a closed form f against its log g: g(f(u, v)) must
+    equal g(u) + g(v) at the law's order.  Composing with g is a bijection
+    modulo degree n + 1 on series without constant term (g has a unit
+    linear term), so this is f = g^{-1}(g(u) + g(v)) without the reversion
+    or the dense composition.  The package checks the same by the invariant
+    differential, with no composition."""
+    g = law.log
+    x = g.variables[0]
+    g_of_f = g.evaluate({x: law.f})
+    if g_of_f != g.rename({x: fgl.U}).extend(UV) + g.rename({x: fgl.V}).extend(UV):
+        raise CheckFailed(
+            f"law {law.tag}: the logarithm and the closed form disagree")
+    return law
 
 
 def count_products(fn, *args) -> int:

@@ -1,5 +1,7 @@
 import json
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -333,3 +335,18 @@ def test_smallest_accepted_sizes_run(capsys):
     code, out, _ = run(capsys, "chi", "recursion", "--max", "2", "--format", "json")
     assert code == 0
     assert json.loads(out)["cases"] > 0
+
+
+def test_verify_all_script_passes_every_step_with_identical_stdout():
+    # the script promises byte-stable stdout (step times go to stderr)
+    script = Path(__file__).resolve().parents[1] / "scripts" / "verify_all.py"
+    runs = [subprocess.run([sys.executable, str(script)], capture_output=True,
+                           text=True, timeout=300) for _ in range(2)]
+    for done in runs:
+        assert done.returncode == 0, done.stdout
+    lines = runs[0].stdout.splitlines()
+    steps = sum(line.startswith("$ cobcalc ") for line in lines)
+    assert steps >= 13
+    assert "$ cobcalc verify all --law mult:3 --order 24" in lines
+    assert lines[-1] == f"{steps}/{steps} steps passed"
+    assert runs[1].stdout == runs[0].stdout

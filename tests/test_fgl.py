@@ -5,14 +5,17 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cobcalc import fgl
 from cobcalc.coeffring import CoeffPoly
-from cobcalc.pseries import CheckFailed, OrderExceeded, TruncatedSeries
-from oracles import (direct_associativity, lagrange_reversion, mutate_alpha,
-                     n_series_via_log, solve_inverse, universal_cp_series)
+from cobcalc.pseries import (CheckFailed, NonzeroConstantTerm, OrderExceeded,
+                             TruncatedSeries)
+from oracles import (TWO_PARAMETER_GRID, direct_associativity,
+                     lagrange_reversion, log_route_by_composition, mutate_alpha,
+                     n_series_via_log, solve_inverse, two_parameter_law,
+                     universal_cp_series)
 
 cp1 = CoeffPoly.gen(1)
 cp2 = CoeffPoly.gen(2)
@@ -517,6 +520,83 @@ def test_log_route_builds_no_reversion(monkeypatch):
     monkeypatch.setattr(TruncatedSeries, "reversion", no_reversion)
     assert fgl.multiplicative_law(3, 12).order == 12
     assert fgl.additive_law(12).order == 12
+
+
+def test_closed_form_builds_compose_nothing_in_two_variables(monkeypatch):
+    # the residue check f(u, ubar) = 0 substitutes series in u alone; the
+    # cross-check against the log substitutes nothing
+    real = TruncatedSeries.evaluate
+
+    def one_variable_values(self, values, powers=None):
+        if any(len(value.variables) > 1 for value in values.values()):
+            raise AssertionError("a closed-form build composed a series in (u, v)")
+        return real(self, values, powers)
+
+    monkeypatch.setattr(TruncatedSeries, "evaluate", one_variable_values)
+    assert fgl.multiplicative_law(3, 24).order == 24
+    assert fgl.additive_law(24).order == 24
+    assert two_parameter_law(2, 3, 12).order == 12
+
+
+def _composition_accepts(law):
+    try:
+        log_route_by_composition(law)
+    except (CheckFailed, NonzeroConstantTerm):
+        return False
+    return True
+
+
+@st.composite
+def _perturbed_closed_forms(draw):
+    """A closed-form law at order 1-12 with one coefficient of f (the
+    constant and one-variable terms included) or of g (its constant and
+    linear terms included) moved by a nonzero rational, built directly so
+    no other check runs first.  g'(0) = 0 is pinned on its own."""
+    kind = draw(st.sampled_from(("additive", "mult", "two_parameter")))
+    n = draw(st.integers(min_value=2 if kind == "mult" else 1, max_value=12))
+    if kind == "additive":
+        law = fgl.additive_law(n)
+    elif kind == "mult":
+        law = fgl.multiplicative_law(draw(st.sampled_from(LOG_ROUTE_BETAS)), n)
+    else:
+        law = two_parameter_law(*draw(st.sampled_from(TWO_PARAMETER_GRID)), n)
+    delta = draw(st.fractions(min_value=-3, max_value=3, max_denominator=4)
+                 .filter(bool))
+    f, g = law.f, law.log
+    degree = draw(st.integers(min_value=0, max_value=n))
+    if draw(st.booleans()):
+        i = draw(st.integers(min_value=0, max_value=degree))
+        f = f + TruncatedSeries.from_terms({(i, degree - i): delta}, UV, n)
+    else:
+        g = g + s1({(degree,): delta}, n)
+        assume(g.coefficient((1,)))
+    return fgl.FormalGroupLaw(law.tag, n, f, law.inverse, g)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_perturbed_closed_forms())
+def test_differential_check_accepts_exactly_what_composition_accepts(law):
+    assert _log_route_accepts(law) == _composition_accepts(law), (law.f, law.log)
+
+
+def test_log_route_refuses_a_log_with_a_constant_term_or_no_linear_term():
+    law = fgl.multiplicative_law(2, 8)
+    f, g = law.f, law.log
+
+    def with_log(log):
+        return fgl.FormalGroupLaw(law.tag, 8, f, law.inverse, log)
+
+    assert not _log_route_accepts(with_log(g + s1({(0,): 1}, 8)))
+    assert not _log_route_accepts(with_log(g - s1({(1,): 1}, 8)))
+    # the composition accepts g = 0 for the additive law, since 0 = 0 + 0;
+    # the differential refuses it, and accepts a rescaled log as both do
+    additive = fgl.additive_law(8)
+    for log, accepted in ((TruncatedSeries.zero(U1, 8), False),
+                          (additive.log.scale(2), True)):
+        rescaled = fgl.FormalGroupLaw("additive", 8, additive.f,
+                                      additive.inverse, log)
+        assert _composition_accepts(rescaled)
+        assert _log_route_accepts(rescaled) == accepted
 
 
 # -- mutation ------------------------------------------------------------------------
