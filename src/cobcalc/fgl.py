@@ -10,6 +10,7 @@ included, and checked against their logarithms by the invariant
 differential, f(u, 0) = u and g'(u) df/dv = g'(v) df/du, which for a log
 with g(0) = 0 and g'(0) a nonzero scalar holds exactly when
 f = g^{-1}(g(u) + g(v)), and needs neither a reversion nor a composition.
+A law's inverse is checked once, by the division that builds its Phi.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import functools
 from fractions import Fraction
 
 from .coeffring import CoeffPoly
-from .pseries import CheckFailed, TruncatedSeries
+from .pseries import CheckFailed, NonzeroRemainder, TruncatedSeries
 from .report import IdentityResult, check_zero
 
 U, V, W = "u", "v", "w"
@@ -94,6 +95,41 @@ def per_law(fn):
     return cached
 
 
+@per_law
+def phi_series(law: FormalGroupLaw) -> TruncatedSeries:
+    """Phi(u,v) = (f(u,v) - f(u,ubar)) / (v - ubar), trusted to order n - 1.
+
+    Built by synthetic division by v - ubar(u), that is, Horner's rule
+    (Knuth, TAOCP vol. 2, sec. 4.6.4), over series in u alone: with
+    f = sum_k F_k(u) v^k, Phi = sum_j Q_j(u) v^j, where Q_j = 0 from the
+    top power of v on and Q_j = F_(j+1) + ubar Q_(j+1) below it.  F_(j+1)
+    is trusted to degree n - 1 - j, and so is ubar Q_(j+1), as ubar has no
+    constant term; so each step is one product of two series in u, and Phi
+    is trusted to order n - 1: its degree-n part would need the alpha_ij
+    with i + j = n + 1.  The remainder F_0 + ubar Q_0 is f(u, ubar(u)) to
+    order n; a nonzero one raises NonzeroRemainder.
+    """
+    n = law.order
+    columns: dict[int, dict] = {}
+    for (i, k), c in law.f.terms.items():
+        columns.setdefault(k, {})[(i,)] = c
+    top = max(columns, default=0)
+    q = TruncatedSeries.zero((U,), n - top)
+    terms = {}
+    for j in range(top - 1, -2, -1):
+        m = n - 1 - j
+        q = (TruncatedSeries((U,), m, columns.get(j + 1, {}))
+             + law.inverse.truncate(m) * q._assume_order(m))
+        if j >= 0:
+            terms.update({(i, j): c for (i,), c in q.terms.items()})
+    if not q.is_zero():
+        (i,), c = min(q.terms.items())
+        raise NonzeroRemainder(
+            f"division by (v - ubar(u)) leaves remainder term {c} at u^{i}: "
+            "f(u, ubar(u)) is not zero")
+    return TruncatedSeries(UV, n - 1, terms)
+
+
 def from_log(log: TruncatedSeries, tag: str = "custom") -> FormalGroupLaw:
     """Construct f(u, v) = g^{-1}(g(u) + g(v)) and ubar(u) = g^{-1}(-g(u)),
     both through the one reversion g^{-1} of the log, at the log's order."""
@@ -103,21 +139,21 @@ def from_log(log: TruncatedSeries, tag: str = "custom") -> FormalGroupLaw:
     gu = log.rename({x: U})
     gv = log.rename({x: V}).extend(UV)
     f = ginv.evaluate({x: gu.extend(UV) + gv})
-    if f.evaluate({U: TruncatedSeries.variable(U, (U,), order),
-                   V: TruncatedSeries.zero((U,), order)}).terms != {(1,): CoeffPoly.one()}:
+    if {ev: t for ev, t in f.terms.items() if not ev[1]} != {(1, 0): CoeffPoly.one()}:
         raise CheckFailed("constructed law is not unital")
     return from_f(f, order, tag, log, inverse=ginv.evaluate({x: -gu}))
 
 
 def from_f(f: TruncatedSeries, order: int, tag: str, log: TruncatedSeries,
            inverse: TruncatedSeries) -> FormalGroupLaw:
-    """Bundle f with its log and its formal inverse; the inverse must pass
-    the residue check f(u, ubar) = 0 at the working order."""
-    f = f.truncate(order)
-    if not f.evaluate({U: TruncatedSeries.variable(U, (U,), order),
-                       V: inverse.truncate(order)}).is_zero():
-        raise CheckFailed(f"law {tag}: f(u, ubar(u)) is not zero")
-    return FormalGroupLaw(tag, order, f, inverse, log)
+    """Bundle f with its log and its formal inverse, checked once: building
+    Phi (kept on the law) must leave the remainder f(u, ubar) = 0."""
+    law = FormalGroupLaw(tag, order, f.truncate(order), inverse, log)
+    try:
+        phi_series(law)
+    except NonzeroRemainder as exc:
+        raise CheckFailed(f"law {tag}: f(u, ubar(u)) is not zero") from exc
+    return law
 
 
 def _check_log_route(law: FormalGroupLaw) -> FormalGroupLaw:
@@ -248,12 +284,11 @@ def alpha_table(law: FormalGroupLaw) -> dict[tuple[int, int], CoeffPoly]:
 
 @per_law
 def alpha_series(law: FormalGroupLaw) -> tuple[TruncatedSeries, TruncatedSeries, TruncatedSeries]:
-    """alpha(u) = df/du at u = 0, plus its even/odd split
-    alpha(u) = alpha0(u^2) + u*alpha1(u^2)."""
-    dfdu = law.f.partial_derivative(U)
-    m = dfdu.order
+    """alpha(u) = df/du at u = 0, read off the u^1 column of f, plus its
+    even/odd split alpha(u) = alpha0(u^2) + u*alpha1(u^2)."""
+    m = max(law.f.order - 1, 0)
     alpha = TruncatedSeries(
-        (U,), m, {(j,): c for (i, j), c in dfdu.terms.items() if i == 0})
+        (U,), m, {(j,): c for (i, j), c in law.f.terms.items() if i == 1})
     even = {(e // 2,): c for (e,), c in alpha.terms.items() if e % 2 == 0}
     odd = {(e // 2,): c for (e,), c in alpha.terms.items() if e % 2 == 1}
     alpha0 = TruncatedSeries(alpha.variables, m // 2, even)

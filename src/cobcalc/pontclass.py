@@ -1,15 +1,15 @@
 """The addition-theorem series zoo and its identity verifiers.
 
-Everything here is derived from a formal group law: the factorization
-series Phi with f(u,v) - f(u,ubar) = (v - ubar) Phi(u,v); the symmetric
+Everything here is derived from a formal group law and its series Phi,
+f(u,v) - f(u,ubar) = (v - ubar) Phi(u,v), which the law builds as the
+check of its inverse (:func:`cobcalc.fgl.phi_series`): the symmetric
 divided differences delta(u,v) = (a(u) - a(v))/(u - v) and
 d(u,v) = (v a(u) - u a(v))/(u - v), placed from a's coefficients; the
 addition series b(u,v) = u + v - uv [alpha0(uv) delta(u,v) +
 alpha1(uv) d(u,v)], whose mixed coefficients beta_kl (k, l >= 1) are the
 beta table; the line-bundle index series gamma(c) = 1 - a(c); and the
-one-sided addition series u + v - a(f(u,v)) v.  Phi, delta/d, a(f(u,v))
-and b are memoized on the law (:func:`cobcalc.fgl.per_law`), so each is
-built at most once per law however many identities use it.
+one-sided addition series u + v - a(f(u,v)) v.  delta/d, a(f(u,v)) and b
+are memoized on the law like Phi (:func:`cobcalc.fgl.per_law`), once each.
 
 Identities that only hold modulo the ideal ([u]_2, [v]_2) are checked in
 :class:`QuotientRingA`, a truncated quotient over an integer
@@ -28,50 +28,14 @@ from math import gcd
 from .coeffring import CoeffPoly
 from .fgl import (U, UV, UVW, V, FormalGroupLaw, LawError, a_series,
                   alpha_series, cp_series, n_series, parse_law, per_law,
-                  verify_axioms)
+                  phi_series, verify_axioms)
 from .intlattice import IntegerLattice
 from .localize import whitney_sign_formula
-from .pseries import (CheckFailed, NonzeroRemainder, OrderExceeded,
-                      TruncatedSeries)
+from .pseries import CheckFailed, OrderExceeded, TruncatedSeries
 from .report import IdentityResult, check_zero
 
 
 # -- series constructions ----------------------------------------------------
-
-
-@per_law
-def phi_series(law: FormalGroupLaw) -> TruncatedSeries:
-    """Phi(u,v) = (f(u,v) - f(u,ubar)) / (v - ubar), trusted to order n - 1.
-
-    Built by synthetic division by v - ubar(u), that is, Horner's rule
-    (Knuth, TAOCP vol. 2, sec. 4.6.4), over series in u alone: with
-    f = sum_k F_k(u) v^k, Phi = sum_j Q_j(u) v^j, where Q_j = 0 from the
-    top power of v on and Q_j = F_(j+1) + ubar Q_(j+1) below it.  F_(j+1)
-    is trusted to degree n - 1 - j, and so is ubar Q_(j+1), as ubar has no
-    constant term; so each step is one product of two series in u, and Phi
-    is trusted to order n - 1: its degree-n part would need the alpha_ij
-    with i + j = n + 1.  The remainder F_0 + ubar Q_0 is f(u, ubar(u)) to
-    order n; a nonzero one raises NonzeroRemainder.
-    """
-    n = law.order
-    columns: dict[int, dict] = {}
-    for (i, k), c in law.f.terms.items():
-        columns.setdefault(k, {})[(i,)] = c
-    top = max(columns, default=0)
-    q = TruncatedSeries.zero((U,), n - top)
-    terms = {}
-    for j in range(top - 1, -2, -1):
-        m = n - 1 - j
-        q = (TruncatedSeries((U,), m, columns.get(j + 1, {}))
-             + law.inverse.truncate(m) * q._assume_order(m))
-        if j >= 0:
-            terms.update({(i, j): c for (i,), c in q.terms.items()})
-    if not q.is_zero():
-        (i,), c = min(q.terms.items())
-        raise NonzeroRemainder(
-            f"division by (v - ubar(u)) leaves remainder term {c} at u^{i}: "
-            "f(u, ubar(u)) is not zero")
-    return TruncatedSeries(UV, n - 1, terms)
 
 
 @per_law
@@ -330,7 +294,7 @@ def _lemma61(law: FormalGroupLaw, order: int) -> list[IdentityResult]:
 
 
 def _phi_factorization(law: FormalGroupLaw, order: int) -> list[IdentityResult]:
-    # phi_series has found f(u, ubar), its remainder, to be zero
+    # the law's construction built Phi and found its remainder f(u, ubar) zero
     n = law.order
     phi = phi_series(law)
     u1 = TruncatedSeries.variable(U, (U,), n)

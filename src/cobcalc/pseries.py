@@ -37,7 +37,7 @@ table of the powers of f per law and working order.
 
 Division by a variable difference (u - v) is exact polynomial division
 with a hard error on a nonzero remainder.  It is the tests' reference
-route for the series pontclass builds without dividing.
+route for the series fgl and pontclass build without it.
 
 Series reversion runs Newton iteration with a doubling working order.
 """

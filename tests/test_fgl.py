@@ -222,6 +222,21 @@ def test_residue_check_refuses_a_wrong_inverse(miscenko8):
                 fgl.from_f(law.f, n, law.tag, law.log, law.inverse + s1({(n,): 1}, n))
 
 
+def test_from_log_refuses_a_law_that_is_not_unital(monkeypatch):
+    # g^{-1} off at its top degree puts (u + v)^n, and with it u^n, into f
+    reversion = TruncatedSeries.reversion
+
+    def off_at_top(self):
+        ginv = reversion(self)
+        return ginv + TruncatedSeries.from_terms(
+            {(ginv.order,): 1}, ginv.variables, ginv.order)
+
+    monkeypatch.setattr(TruncatedSeries, "reversion", off_at_top)
+    with pytest.raises(CheckFailed) as refused:
+        fgl.from_log(fgl.miscenko_log(6))
+    assert str(refused.value) == "constructed law is not unital"
+
+
 def test_mutated_laws_still_solve_their_inverse():
     # f no longer matches its log, so the inverse comes from the solver
     base = fgl.miscenko_law(6)

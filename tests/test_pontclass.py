@@ -16,7 +16,7 @@ from cobcalc import coeffring, fgl, pontclass as pc
 from cobcalc.cli import main
 from cobcalc.coeffring import CoeffPoly
 from cobcalc.intlattice import IntegerLattice
-from cobcalc.pseries import NonzeroRemainder, TruncatedSeries
+from cobcalc.pseries import CheckFailed, NonzeroRemainder, TruncatedSeries
 from oracles import (SUITE_LAWS, TWO_PARAMETER_GRID, count_products,
                      delta_d_by_divided_difference, mutate_alpha,
                      phi_by_divided_difference, two_parameter_law)
@@ -114,7 +114,7 @@ def test_phi_remainder_check_is_not_stripped_by_python_O():
     script = textwrap.dedent("""
         import sys
         from cobcalc import fgl, pontclass
-        from cobcalc.pseries import NonzeroRemainder, TruncatedSeries
+        from cobcalc.pseries import CheckFailed, NonzeroRemainder, TruncatedSeries
         law = fgl.multiplicative_law(1, 6)
         bump = TruncatedSeries.from_terms({(6,): 1}, ("u",), 6)
         bad = fgl.FormalGroupLaw(law.tag, 6, law.f, law.inverse + bump, law.log)
@@ -130,6 +130,65 @@ def test_phi_remainder_check_is_not_stripped_by_python_O():
     assert done.stdout == ("1 division by (v - ubar(u)) leaves remainder term 1 "
                            "at u^6: f(u, ubar(u)) is not zero\n")
     assert done.stderr == ""
+
+
+@pytest.mark.parametrize("law", [
+    fgl.miscenko_law(6), fgl.additive_law(6), fgl.multiplicative_law(1, 6),
+    two_parameter_law(2, 3, 8)], ids=lambda law: law.tag)
+def test_from_f_refuses_an_inverse_off_at_its_top_coefficient(law):
+    # the division that builds Phi is the law's only check of its inverse
+    bad = inverse_off_at_top(law)
+    with pytest.raises(CheckFailed) as refused:
+        fgl.from_f(bad.f, bad.order, bad.tag, bad.log, bad.inverse)
+    assert str(refused.value) == f"law {law.tag}: f(u, ubar(u)) is not zero"
+    assert isinstance(refused.value.__cause__, NonzeroRemainder)
+
+
+def test_from_f_refusal_is_not_stripped_by_python_O():
+    script = textwrap.dedent("""
+        import sys
+        from cobcalc import fgl
+        from cobcalc.pseries import CheckFailed, TruncatedSeries
+        from oracles import two_parameter_law
+        for law in (fgl.miscenko_law(6), fgl.additive_law(6),
+                    fgl.multiplicative_law(1, 6), two_parameter_law(2, 3, 8)):
+            bump = TruncatedSeries.from_terms({(law.order,): 1}, ("u",), law.order)
+            try:
+                fgl.from_f(law.f, law.order, law.tag, law.log, law.inverse + bump)
+            except CheckFailed as exc:
+                print(sys.flags.optimize, type(exc.__cause__).__name__, exc)
+        """)
+    src = str(Path(fgl.__file__).resolve().parents[1])
+    tests = str(Path(__file__).resolve().parent)
+    done = subprocess.run([sys.executable, "-O", "-c", script],
+                          env={"PYTHONPATH": f"{src}:{tests}"}, capture_output=True,
+                          text=True, timeout=60)
+    assert done.stdout.splitlines() == [
+        f"1 NonzeroRemainder law {tag}: f(u, ubar(u)) is not zero"
+        for tag in ("miscenko", "additive", "mult:1", "todd:2,3")]
+    assert done.stderr == ""
+
+
+def test_a_constructed_law_holds_its_phi():
+    law = fgl.parse_law("miscenko", 10)
+    assert ("phi_series",) in law.derived
+
+
+@pytest.mark.parametrize("spec", ["miscenko", "additive", "mult:1", "mult:1/2"])
+def test_law_construction_composes_nothing_with_the_inverse(monkeypatch, spec):
+    # f(u, ubar) is the remainder of the division that builds Phi; no
+    # composition computes it a second time (a closed form composes nothing)
+    substituted = []
+    evaluate = TruncatedSeries.evaluate
+
+    def recorded(self, values, *args):
+        substituted.extend(values.values())
+        return evaluate(self, values, *args)
+
+    monkeypatch.setattr(TruncatedSeries, "evaluate", recorded)
+    law = fgl.parse_law(spec, 10)
+    monkeypatch.undo()
+    assert not [s for s in substituted if s == law.inverse]
 
 
 def phi_factorization_difference(monkeypatch, law, order):
@@ -302,6 +361,25 @@ def test_a_of_f_is_built_once_per_law(monkeypatch):
     assert built == ["mult:1"]
 
 
+def test_phi_is_built_once_per_law(monkeypatch):
+    # by the law's construction, which checks the inverse with it; every
+    # Phi row, thm66_in_A and chained_phi read that one quotient
+    built = []
+    build = fgl.phi_series.__wrapped__
+
+    @functools.wraps(build)
+    def counted(law):
+        built.append(law.tag)
+        return build(law)
+
+    monkeypatch.setattr(fgl, "phi_series", fgl.per_law(counted))
+    monkeypatch.setattr(pc, "phi_series", fgl.phi_series)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["verify", "exact", "--law", "miscenko", "--order", "6"]) == 0
+        assert main(["verify", "all", "--law", "mult:1", "--order", "6"]) == 0
+    assert built == ["miscenko", "mult:1"]
+
+
 def test_each_power_of_f_is_built_once_per_law(monkeypatch):
     # cp(f) in lemma61 and a(f) compose at one working order and share
     # one table f, f^2, ..., f^9, each built by one product; a(f) is the
@@ -334,7 +412,7 @@ def test_each_power_of_f_is_built_once_per_law(monkeypatch):
     assert not [key for key in law.truncate(9).derived if key[0] == "_f_powers"]
 
 
-@pytest.mark.parametrize("order, products", [(6, 7031), (9, 62258)])
+@pytest.mark.parametrize("order, products", [(6, 6600), (9, 59090)])
 def test_exact_suite_monomial_products_stay_within_their_recorded_counts(
         order, products):
     # the deterministic cost unit: a later change may not give back the
@@ -346,9 +424,17 @@ def test_exact_suite_monomial_products_stay_within_their_recorded_counts(
     assert count <= products
 
 
+def test_beta_table_products_stay_within_their_recorded_count():
+    # the law build checks its inverse by the division that builds Phi;
+    # composing f with ubar as well cost 40,559 here
+    with contextlib.redirect_stdout(io.StringIO()):
+        count = count_products(main, "beta --law miscenko --order 12".split())
+    assert 0 < count <= 38138
+
+
 @pytest.mark.parametrize("run, products", [
-    (functools.partial(main, "verify all --law mult:1 --order 20".split()), 2922),
-    (functools.partial(fgl.multiplicative_law, 3, 65), 388),
+    (functools.partial(main, "verify all --law mult:1 --order 20".split()), 2880),
+    (functools.partial(fgl.multiplicative_law, 3, 65), 387),
 ], ids=["verify-all-mult1-order20", "multiplicative-law-3-65"])
 def test_closed_form_products_stay_within_their_recorded_counts(run, products):
     # checking a closed form against its log by the invariant differential
