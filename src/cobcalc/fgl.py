@@ -26,6 +26,9 @@ U, V, W = "u", "v", "w"
 UV = (U, V)
 UVW = (U, V, W)
 
+#: (row name, difference) pairs: each difference must vanish.
+Differences = list[tuple[str, TruncatedSeries]]
+
 
 class LawError(ValueError):
     """A law selector or construction input is invalid."""
@@ -299,40 +302,33 @@ def alpha_series(law: FormalGroupLaw) -> tuple[TruncatedSeries, TruncatedSeries,
 # -- axiom verification --------------------------------------------------------
 
 
-def verify_axioms(law: FormalGroupLaw) -> list[IdentityResult]:
-    """Unitality, commutativity, associativity, inverse, all at the
-    working order; failures come back as report rows.  Once commutativity
-    has passed, the associativity right side is the left side with u and w
-    swapped; otherwise it is composed directly, so a non-commutative law
-    reports the associator of its own f."""
+def axiom_differences(law: FormalGroupLaw) -> Differences:
+    """Unitality (right, left), commutativity, associativity and inverse as
+    differences at the working order.  Once f is symmetric, associativity's
+    right side is its left side with u and w swapped; otherwise it is
+    composed, so a non-commutative law reports the associator of its f."""
     n = law.order
     f = law.f
-    results = []
-
     u1 = TruncatedSeries.variable(U, (U,), n)
     zero1 = TruncatedSeries.zero((U,), n)
     right_unit = f.evaluate({U: u1, V: zero1}) - u1
-    results.append(check_zero("unitality_right", law.tag, right_unit))
     left_unit = f.evaluate({U: zero1, V: u1}) - u1
-    results.append(check_zero("unitality_left", law.tag, left_unit))
+    commutativity = f - f.rename({U: V, V: U}).extend(UV)
 
-    swapped = f.rename({U: V, V: U}).extend(UV)
-    commutativity = check_zero("commutativity", law.tag, f - swapped)
-    results.append(commutativity)
-
-    u3 = TruncatedSeries.variable(U, UVW, n)
-    v3 = TruncatedSeries.variable(V, UVW, n)
-    w3 = TruncatedSeries.variable(W, UVW, n)
+    u3, v3, w3 = (TruncatedSeries.variable(x, UVW, n) for x in UVW)
     f_uv = f.evaluate({U: u3, V: v3})
     lhs = f.evaluate({U: f_uv, V: w3})
-    if commutativity.passed:
+    if commutativity.is_zero():
         # The truncated f is then a symmetric polynomial, so
         # f(u, f(v,w)) = f(f(w,v), u) = lhs(w, v, u) exactly.
         rhs = lhs.rename({U: W, W: U}).extend(UVW)
     else:
         rhs = f.evaluate({U: u3, V: f.evaluate({U: v3, V: w3})})
-    results.append(check_zero("associativity", law.tag, lhs - rhs))
+    return [("unitality_right", right_unit), ("unitality_left", left_unit),
+            ("commutativity", commutativity), ("associativity", lhs - rhs),
+            ("inverse", f.evaluate({U: u1, V: law.inverse}))]
 
-    inv = f.evaluate({U: u1, V: law.inverse})
-    results.append(check_zero("inverse", law.tag, inv))
-    return results
+
+def verify_axioms(law: FormalGroupLaw) -> list[IdentityResult]:
+    """:func:`axiom_differences` checked as report rows, failures included."""
+    return [check_zero(name, law.tag, d) for name, d in axiom_differences(law)]

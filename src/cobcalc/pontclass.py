@@ -11,7 +11,9 @@ beta table; the line-bundle index series gamma(c) = 1 - a(c); and the
 one-sided addition series u + v - a(f(u,v)) v.  delta/d, a(f(u,v)) and b
 are memoized on the law like Phi (:func:`cobcalc.fgl.per_law`), once each.
 
-Identities that only hold modulo the ideal ([u]_2, [v]_2) are checked in
+Each identity group returns (row name, difference) pairs, and
+:func:`verify_identity_suite` alone turns them into rows.  Identities that
+only hold modulo the ideal ([u]_2, [v]_2) are reduced first in
 :class:`QuotientRingA`, a truncated quotient over an integer
 specialization of the law.  Over the rationalized universal law that
 ideal collapses (a(u) is a unit), so the quotient is only decidable, and
@@ -26,9 +28,9 @@ from itertools import combinations_with_replacement
 from math import gcd
 
 from .coeffring import CoeffPoly
-from .fgl import (U, UV, UVW, V, FormalGroupLaw, LawError, a_series,
-                  alpha_series, cp_series, n_series, parse_law, per_law,
-                  phi_series, verify_axioms)
+from .fgl import (U, UV, UVW, V, Differences, FormalGroupLaw, LawError,
+                  a_series, alpha_series, axiom_differences, cp_series,
+                  n_series, parse_law, per_law, phi_series)
 from .intlattice import IntegerLattice
 from .localize import whitney_sign_formula
 from .pseries import CheckFailed, OrderExceeded, TruncatedSeries
@@ -271,29 +273,20 @@ def parity_sign(k: int) -> int:
 # -- identity suite --------------------------------------------------------------
 
 
-def _row(name: str, law: FormalGroupLaw, difference: TruncatedSeries,
-         order: int) -> IdentityResult:
-    """The one path for a result row: the difference is compared at the
-    requested order, or at the lower order it is trusted to."""
-    return check_zero(name, law.tag,
-                      difference.truncate(min(order, difference.order)))
+def _axioms(law: FormalGroupLaw, order: int) -> Differences:
+    # The truncated law builds each difference at exactly the requested order.
+    return axiom_differences(law.truncate(min(order, law.order)))
 
 
-def _axioms(law: FormalGroupLaw, order: int) -> list[IdentityResult]:
-    # Each axiom difference is trusted to the law's order, so the truncated
-    # law checks exactly the requested degrees.
-    return verify_axioms(law.truncate(min(order, law.order)))
-
-
-def _lemma61(law: FormalGroupLaw, order: int) -> list[IdentityResult]:
+def _lemma61(law: FormalGroupLaw, order: int) -> Differences:
     cp = cp_series(law)
     dfdv = law.f.partial_derivative(V)
     lhs = dfdv * _of_f(law, cp)
     rhs = cp.rename({U: V}).extend(UV)
-    return [_row("lemma61", law, lhs - rhs, order)]
+    return [("lemma61", lhs - rhs)]
 
 
-def _phi_factorization(law: FormalGroupLaw, order: int) -> list[IdentityResult]:
+def _phi_factorization(law: FormalGroupLaw, order: int) -> Differences:
     # the law's construction built Phi and found its remainder f(u, ubar) zero
     n = law.order
     phi = phi_series(law)
@@ -301,13 +294,11 @@ def _phi_factorization(law: FormalGroupLaw, order: int) -> list[IdentityResult]:
     v2 = TruncatedSeries.variable(V, UV, n)
     ub2 = law.inverse.extend(UV)
     phi_diag = phi.evaluate({U: u1, V: u1})
-    return [_row("phi_factorization", law,
-                 law.f - (v2 - ub2) * phi, order),
-            _row("phi_diagonal", law,
-                 (u1 - law.inverse) * phi_diag - n_series(law, 2), order)]
+    return [("phi_factorization", law.f - (v2 - ub2) * phi),
+            ("phi_diagonal", (u1 - law.inverse) * phi_diag - n_series(law, 2))]
 
 
-def _two_series_hom(law: FormalGroupLaw, order: int) -> list[IdentityResult]:
+def _two_series_hom(law: FormalGroupLaw, order: int) -> Differences:
     n = law.order
     two = n_series(law, 2)
     two_u = two.extend(UV)
@@ -320,7 +311,7 @@ def _two_series_hom(law: FormalGroupLaw, order: int) -> list[IdentityResult]:
     f = law.f.truncate(m)
     f_two = f.evaluate({U: two_u.truncate(m), V: two_v.truncate(m)})
     two_of_f = f * af._assume_order(m)
-    rows = [_row("two_series_hom", law, f_two - two_of_f, order)]
+    hom = f_two - two_of_f
 
     phi = phi_series(law)
     ub2 = law.inverse.extend(UV)
@@ -328,8 +319,7 @@ def _two_series_hom(law: FormalGroupLaw, order: int) -> list[IdentityResult]:
     v2 = TruncatedSeries.variable(V, UV, n)
     lhs = (two_v - two_ubar) * phi.evaluate({U: two_u, V: two_v})
     rhs = (v2 - ub2) * phi * af
-    rows.append(_row("chained_phi", law, lhs - rhs, order))
-    return rows
+    return [("two_series_hom", hom), ("chained_phi", lhs - rhs)]
 
 
 @per_law
@@ -339,50 +329,42 @@ def _quotient_ring(law: FormalGroupLaw, variables: tuple[str, ...],
     return QuotientRingA(law, variables, order)
 
 
-def _u_equals_ubar(law: FormalGroupLaw, order: int) -> list[IdentityResult]:
-    ring = _quotient_ring(law, UV, order)
+def _u_equals_ubar(law: FormalGroupLaw, order: int) -> Differences:
     u2, v2 = (TruncatedSeries.variable(x, UV, law.order) for x in UV)
     ub2 = law.inverse.extend(UV)
     vb2 = law.inverse.rename({U: V}).extend(UV)
-    return [_row("u_equals_ubar_in_A", law, ring.reduce(u2 - ub2), order),
-            _row("v_equals_vbar_in_A", law, ring.reduce(v2 - vb2), order)]
+    return [("u_equals_ubar_in_A", u2 - ub2), ("v_equals_vbar_in_A", v2 - vb2)]
 
 
-def _lemma62(law: FormalGroupLaw, order: int) -> list[IdentityResult]:
-    ring = _quotient_ring(law, UV, order)
+def _lemma62(law: FormalGroupLaw, order: int) -> Differences:
     delta, d = delta_d_series(law)
-    return [_row("lemma62_delta_to_d_in_A", law, ring.reduce(
-                delta.times_monomial((1, 2)) - d.times_monomial((1, 1))), order),
-            _row("lemma62_uv_shift_in_A", law, ring.reduce(
-                delta.times_monomial((1, 3)) - delta.times_monomial((2, 2))), order)]
+    return [("lemma62_delta_to_d_in_A",
+             delta.times_monomial((1, 2)) - d.times_monomial((1, 1))),
+            ("lemma62_uv_shift_in_A",
+             delta.times_monomial((1, 3)) - delta.times_monomial((2, 2)))]
 
 
-def _thm66(law: FormalGroupLaw, order: int) -> list[IdentityResult]:
-    ring = _quotient_ring(law, UV, order)
+def _thm66(law: FormalGroupLaw, order: int) -> Differences:
     delta, _ = delta_d_series(law)
     af = a_of_f(law)
     phi = phi_series(law)
-    return [_row("a_transfer_in_A", law, ring.reduce(
-                af.times_monomial((0, 1)) - af.times_monomial((1, 0))), order),
-            _row("phi_a_delta_in_A", law, ring.reduce(
-                (phi * af).times_monomial((0, 1)) - delta.times_monomial((1, 1))),
-                order),
-            _row("cor63_equals_b_in_A", law, ring.reduce(
-                cor63_series(law) - b_series(law)), order)]
+    return [("a_transfer_in_A", af.times_monomial((0, 1)) - af.times_monomial((1, 0))),
+            ("phi_a_delta_in_A",
+             (phi * af).times_monomial((0, 1)) - delta.times_monomial((1, 1))),
+            ("cor63_equals_b_in_A", cor63_series(law) - b_series(law))]
 
 
-def _assoc(law: FormalGroupLaw, order: int) -> list[IdentityResult]:
-    ring = _quotient_ring(law, UVW, order)
+def _assoc(law: FormalGroupLaw, order: int) -> Differences:
     b = b_series(law)
     u3, v3, w3 = (TruncatedSeries.variable(x, UVW, b.order) for x in UVW)
     lhs = b.evaluate({U: b.evaluate({U: u3, V: v3}), V: w3})
     rhs = b.evaluate({U: u3, V: b.evaluate({U: v3, V: w3})})
-    return [_row("assoc_b_in_A", law, ring.reduce(lhs - rhs), order)]
+    return [("assoc_b_in_A", lhs - rhs)]
 
 
-#: Each identity group and the builder of its rows, in the order the CLI
-#: help lists them.  A builder calls the series functions by their module
-#: names at run time, so rebinding one of them (as a tracer does) is seen.
+#: Each identity group and the builder of its (row name, difference) pairs, in
+#: CLI help order.  A builder calls the series functions by their module names
+#: at run time, so rebinding one of them (as a tracer does) is seen.
 _GROUPS = {
     "axioms": _axioms,
     "lemma61": _lemma61,
@@ -394,9 +376,10 @@ _GROUPS = {
     "assoc_in_A": _assoc,
 }
 _EXACT = ("axioms", "lemma61", "phi_factorization", "two_series_hom")
-_IN_A = ("u_equals_ubar_in_A", "lemma62", "thm66_in_A", "assoc_in_A")
+#: The groups whose differences vanish in A, and their quotient rings' variables.
+_IN_A = {"u_equals_ubar_in_A": UV, "lemma62": UV, "thm66_in_A": UV, "assoc_in_A": UVW}
 #: Aliases and the groups they run, in report order.
-_ALIASES = {"exact": _EXACT, "in_A": _IN_A, "all": _EXACT + _IN_A}
+_ALIASES = {"exact": _EXACT, "in_A": (*_IN_A,), "all": (*_EXACT, *_IN_A)}
 
 #: Suite names accepted by verify_identity_suite (aliases included).
 SUITES = (*_GROUPS, *_ALIASES)
@@ -412,16 +395,19 @@ def normalize_suite_name(name: str) -> str:
 
 def verify_identity_suite(law, which: str = "all",
                           order: int = 10) -> list[IdentityResult]:
-    """Run a named identity suite; every row is checked at exactly ``order``.
+    """Run a named identity suite; its loop builds every row, each checked
+    at exactly ``order``.
 
     ``law`` may be a selector string or a constructed law.  A selector is
     built one order deeper, because a derivative (lemma61) and a divided
     difference (every Phi row) each lose one order; a multiplicative law
     also needs order 2 for its own degree-2 term.  A constructed law is
     used as given, so a row whose difference is trusted to less than
-    ``order`` reports the lower order.  Explicitly requested in-A suites
-    refuse non-integral laws; ``all`` silently runs only the exact
-    identities on such laws (the in-A quotient is not decidable there).
+    ``order`` reports the lower order.  An in-A group's differences are
+    reduced in its quotient ring, built before its builder runs, so an
+    explicitly requested in-A suite refuses a non-integral law before any
+    work; ``all`` silently runs only the exact identities on such laws
+    (the in-A quotient is not decidable there).
     """
     which = normalize_suite_name(which)
     if not isinstance(law, FormalGroupLaw):
@@ -429,4 +415,12 @@ def verify_identity_suite(law, which: str = "all",
     groups = _ALIASES.get(which, (which,))
     if which == "all" and not is_integral_law(law):
         groups = _EXACT
-    return [row for group in groups for row in _GROUPS[group](law, order)]
+    rows = []
+    for group in groups:
+        ring = _quotient_ring(law, _IN_A[group], order) if group in _IN_A else None
+        for name, difference in _GROUPS[group](law, order):
+            if ring is not None:
+                difference = ring.reduce(difference)
+            rows.append(check_zero(name, law.tag, difference.truncate(
+                min(order, difference.order))))
+    return rows

@@ -1,11 +1,16 @@
+import contextlib
+import io
 import json
 import re
 import subprocess
 import sys
-from pathlib import Path
+from pathlib import Path, PurePath
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from cobcalc import cli
 from cobcalc.cli import main
 
 
@@ -241,6 +246,23 @@ def test_sizes_below_the_minimum_are_usage_errors(capsys, monkeypatch, argv, mes
     assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
+@pytest.mark.parametrize("suite", ["in_A", "thm6.6-in-A", "assoc-in-A", "lemma6.2"])
+def test_in_a_refusal_builds_no_series(capsys, monkeypatch, suite):
+    # the group's quotient ring refuses the law before its builder runs
+    from cobcalc import pontclass
+
+    def no_work(*_):
+        raise AssertionError("series built before the integrality check")
+
+    for name in ("a_of_f", "delta_d_series", "b_series", "cor63_series"):
+        monkeypatch.setattr(pontclass, name, no_work)
+    code, out, err = run(capsys, "verify", suite, "--law", "miscenko",
+                         "--order", "10")
+    assert (code, out, err) == (2, "", (
+        "error: law 'miscenko' has non-integer coefficients; in-A identities "
+        "run only over integral specializations\n"))
+
+
 @pytest.mark.parametrize("argv, message", [
     (("expand", "--law", "mult:1", "--order", "25"),
      "expand: --order must be <= 24, got 25"),
@@ -350,3 +372,136 @@ def test_verify_all_script_passes_every_step_with_identical_stdout():
     assert "$ cobcalc verify all --law mult:3 --order 24" in lines
     assert lines[-1] == f"{steps}/{steps} steps passed"
     assert runs[1].stdout == runs[0].stdout
+
+
+# -- grammar-driven fuzzing ----------------------------------------------------
+
+
+#: Low caps per limited command, so that every fuzzed invocation is bounded.
+FUZZ_CAPS = {"expand": 4, "beta": 4, "verify": 4, "chi grass": 8, "chi recursion": 5}
+#: Paths under the test's temporary directory: a file it writes, a missing
+#: file, the directory itself and a file in a missing directory.
+FILES = (PurePath("complex.txt"), PurePath("absent.txt"), PurePath("."))
+OUTS = (PurePath("report.txt"), PurePath("."), PurePath("missing", "report.txt"))
+SUITE_SPELLINGS = ("all", "exact", "in_A", "in-A", "axioms", "lemma6.1",
+                   "phi-factorization", "two-series-hom", "lemma6.2",
+                   "u-equals-ubar-in-A", "thm6.6-in-A", "assoc-in-A")
+
+
+@st.composite
+def respelled(draw, word):
+    """``word`` in mixed case with, at times, a punctuation mark inserted."""
+    mask = draw(st.integers(0, 2 ** len(word) - 1))
+    word = "".join(ch.upper() if mask >> i & 1 else ch for i, ch in enumerate(word))
+    at = draw(st.integers(0, len(word)))
+    return word[:at] + draw(st.sampled_from(("", "-", "_", ".", " "))) + word[at:]
+
+
+def token(word):
+    """A subcommand word, respelled one time in 8 (argparse is case-sensitive)."""
+    return st.integers(0, 7).flatmap(lambda i: st.just(word) if i else respelled(word))
+
+
+def optional(flag, values):
+    """``[flag, value]`` two times in 3, else nothing (the flag's default)."""
+    given = values.map(lambda value: [flag, value])
+    return st.sampled_from((given, given, st.just([]))).flatmap(lambda chosen: chosen)
+
+
+def sizes(command):
+    """A size from -3 to the cap + 3, drawn from 1 to the cap half the time."""
+    cap = FUZZ_CAPS[command]
+    return st.one_of(st.integers(1, cap), st.integers(-3, cap + 3)).map(str)
+
+
+NUMBER = st.integers(-30, 30).map(str)
+BETA = st.one_of(
+    NUMBER,
+    st.tuples(NUMBER, st.integers(0, 99)).map("{0[0]}.{0[1]}".format),
+    st.tuples(NUMBER, st.integers(-3, 9)).map("{0[0]}/{0[1]}".format),
+    st.tuples(NUMBER, st.sampled_from("eE"), st.integers(-120, 120)).map(
+        "{0[0]}{0[1]}{0[2]}".format),
+    st.tuples(NUMBER, st.integers(0, 99)).map("{0[0]}_{0[1]}".format),
+    st.text(max_size=6))
+LAW = st.one_of(
+    st.sampled_from(("miscenko", "additive", "mult:1", "mult:-1", "mult:7/3")),
+    st.sampled_from(("miscenko", "additive", "multiplicative:-2")).flatmap(respelled),
+    st.tuples(st.sampled_from(("mult:", "MULT:", "multiplicative:")), BETA)
+    .map("".join),
+    st.text(max_size=12))
+
+
+@st.composite
+def invocations(draw):
+    """argv of one invocation, with its paths relative to a temporary
+    directory, the output path it names, and the bytes of the complex file."""
+    command = draw(st.sampled_from(("expand", "beta", "verify", "verify", "verify",
+                                    "chi grass", "chi recursion", "chi simplicial",
+                                    "index")))
+    argv = [draw(token(word)) for word in command.split()]
+    if command == "verify":
+        argv.append(draw(st.one_of(st.sampled_from(SUITE_SPELLINGS).flatmap(respelled),
+                                   st.text(max_size=8))))
+    if command in ("expand", "beta", "verify"):
+        argv += draw(optional("--law", LAW)) + draw(optional("--order", sizes(command)))
+    elif command == "chi grass":
+        argv += draw(optional("--n", sizes(command)))
+        argv += draw(optional("--k", sizes(command)))
+    elif command == "chi recursion":
+        argv += draw(optional("--max", sizes(command)))
+    elif command == "chi simplicial":
+        argv += ["--file", draw(st.sampled_from(FILES))]
+    else:
+        argv.append(draw(st.sampled_from(("klein", "rp2")).flatmap(token)))
+    argv += draw(optional("--format", st.sampled_from(("json", "text", "JSON"))))
+    out = draw(st.sampled_from((None, None, None, *OUTS)))
+    if out is not None:
+        argv += ["--out", out]
+    lines = st.lists(st.sampled_from("abcde"), min_size=1, max_size=4).map(" ".join)
+    text = st.lists(lines, max_size=4).map(lambda rows: "".join(f"{r}\n" for r in rows))
+    complex_ = draw(st.one_of(text.map(str.encode), st.binary(max_size=12)))
+    return argv, out, complex_
+
+
+def run_in_process(argv):
+    """Exit code, stdout and stderr of ``main(argv)``, argparse's exits included."""
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, stdout.getvalue(), stderr.getvalue()
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(invocation=invocations())
+def test_fuzzed_invocations_exit_cleanly_and_reproducibly(tmp_path, monkeypatch,
+                                                          invocation):
+    monkeypatch.setattr(cli, "LIMITS", {
+        command: (flag, least, FUZZ_CAPS[command])
+        for command, (flag, least, _) in cli.LIMITS.items()})
+    argv, out, complex_ = invocation
+    argv = [str(tmp_path / arg) if isinstance(arg, PurePath) else arg for arg in argv]
+    report = tmp_path / OUTS[0]
+
+    def once():
+        (tmp_path / FILES[0]).write_bytes(complex_)
+        report.unlink(missing_ok=True)
+        code, stdout, stderr = run_in_process(argv)
+        return code, stdout, stderr, report.read_text() if report.exists() else None
+
+    first = once()
+    code, stdout, stderr, written = first
+    assert code in (0, 1, 2), first
+    if code == 2:
+        lines = stderr.splitlines()
+        assert stdout == "" and lines, first
+        if lines[0].startswith("usage: "):
+            assert re.match(r"cobcalc( \S+)*: error: ", lines[-1]), first
+        else:
+            assert len(lines) == 1 and lines[0].startswith("error: "), first
+    elif dict(zip(argv, argv[1:])).get("--format") == "json":
+        json.loads(stdout if out is None else written)
+    assert once() == first

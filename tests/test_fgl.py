@@ -12,6 +12,7 @@ from cobcalc import fgl
 from cobcalc.coeffring import CoeffPoly
 from cobcalc.pseries import (CheckFailed, NonzeroConstantTerm, OrderExceeded,
                              TruncatedSeries)
+from cobcalc.report import check_zero
 from oracles import (TWO_PARAMETER_GRID, direct_associativity,
                      lagrange_reversion, log_route_by_composition, mutate_alpha,
                      n_series_via_log, solve_inverse, two_parameter_law,
@@ -625,6 +626,17 @@ def test_mutated_alpha11_breaks_associativity():
     # the first associator obstruction of a commutative jet sits in degree 4
     assert rows["associativity"].first_failing_degree == 4
     assert rows["associativity"] == direct_associativity(law)
+
+
+@pytest.mark.parametrize("law, failing", [
+    (fgl.miscenko_law(6), []),
+    (mutate_alpha(fgl.miscenko_law(7), 3, 4, 1), ["commutativity", "associativity"]),
+], ids=lambda x: getattr(x, "tag", None))
+def test_verify_axioms_checks_the_axiom_differences(law, failing):
+    rows = fgl.verify_axioms(law)
+    assert rows == [check_zero(name, law.tag, difference)
+                    for name, difference in fgl.axiom_differences(law)]
+    assert [r.identity for r in rows if not r.passed] == failing
 
 
 def test_non_commutative_mutation_fails_both_rows_at_its_degree():

@@ -191,27 +191,16 @@ def test_law_construction_composes_nothing_with_the_inverse(monkeypatch, spec):
     assert not [s for s in substituted if s == law.inverse]
 
 
-def phi_factorization_difference(monkeypatch, law, order):
+def phi_factorization_difference(law, order):
     """The difference series that the phi_factorization row checks."""
-    seen = {}
-
-    def recorded(name, law_, difference, order_):
-        seen[name] = difference
-        return row(name, law_, difference, order_)
-
-    row = pc._row
-    monkeypatch.setattr(pc, "_row", recorded)
-    pc.verify_identity_suite(law, "phi_factorization", order)
-    monkeypatch.undo()
-    return seen["phi_factorization"]
+    return dict(pc._GROUPS["phi_factorization"](law, order))["phi_factorization"]
 
 
 @pytest.mark.parametrize("law, order", [
     *((fgl.parse_law(spec, order + 1), order) for spec, order in SUITE_LAWS),
     *((two_parameter_law(a, b, 10), 9) for a, b in TWO_PARAMETER_GRID)],
     ids=lambda x: getattr(x, "tag", x))
-def test_phi_factorization_difference_is_the_recomposed_expression(
-        monkeypatch, law, order):
+def test_phi_factorization_difference_is_the_recomposed_expression(law, order):
     # f(u, ubar) is zero once Phi is built, so checking f - (v - ubar) Phi
     # is checking (f - f(u, ubar)) - (v - ubar) Phi
     n = law.order
@@ -219,7 +208,7 @@ def test_phi_factorization_difference_is_the_recomposed_expression(
     ub2 = law.inverse.extend(UV)
     f_u_ubar = law.f.evaluate({"u": u2, "v": ub2})
     old = (law.f - f_u_ubar) - (v2 - ub2) * pc.phi_series(law)
-    assert phi_factorization_difference(monkeypatch, law, order) == old
+    assert phi_factorization_difference(law, order) == old
 
 
 def test_phi_factorization_and_diagonal(miscenko8):
@@ -725,6 +714,48 @@ def test_every_row_reports_exactly_the_requested_order(spec):
         assert len(rows) == (18 if pc.is_integral_law(fgl.parse_law(spec, 2)) else 10)
         assert [(r.identity, r.order, r.passed) for r in rows] == [
             (r.identity, n, True) for r in rows]
+
+
+@pytest.mark.parametrize("spec, order", [("miscenko", 6), ("mult:1", 8)])
+def test_group_builders_return_only_named_differences(spec, order):
+    law = fgl.parse_law(spec, order + 1)
+    for group, build in pc._GROUPS.items():
+        pairs = build(law, order)
+        assert pairs and all(
+            len(pair) == 2 and isinstance(pair[0], str)
+            and isinstance(pair[1], TruncatedSeries) for pair in pairs), group
+
+
+@pytest.mark.parametrize("law", [
+    fgl.parse_law("mult:1", 9), fgl.parse_law("mult:4", 9),
+    two_parameter_law(2, 3, 10)], ids=lambda law: law.tag)
+def test_in_a_differences_live_in_their_rings_variables(law):
+    # the ring is built from the registry before the builder runs, so each
+    # difference must already be a series in exactly those variables
+    for group, variables in pc._IN_A.items():
+        for name, difference in pc._GROUPS[group](law, law.order - 1):
+            assert difference.variables == variables, name
+
+
+def test_the_suite_loop_reduces_and_checks_every_row(monkeypatch):
+    checked, reduced = [], []
+    check_zero, reduce = pc.check_zero, pc.QuotientRingA.reduce
+
+    def counted_check(name, tag, difference):
+        checked.append(name)
+        return check_zero(name, tag, difference)
+
+    def counted_reduce(ring, s):
+        reduced.append(ring.variables)
+        return reduce(ring, s)
+
+    monkeypatch.setattr(pc, "check_zero", counted_check)
+    monkeypatch.setattr(pc.QuotientRingA, "reduce", counted_reduce)
+    rows = pc.verify_identity_suite("mult:1", "all", 6)
+    assert all(r.passed for r in rows)
+    assert checked == [r.identity for r in rows]
+    assert reduced == [UV] * 7 + [("u", "v", "w")]
+    assert len([r for r in rows if r.identity.endswith("_in_A")]) == len(reduced)
 
 
 def test_in_a_groups_share_one_ring_per_variable_set(monkeypatch):
