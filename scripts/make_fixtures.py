@@ -62,9 +62,12 @@ def projective_plane_triangles() -> list[tuple[int, ...]]:
 
 def write_fixture(name: str, triangles, chi: int, orientable: bool) -> None:
     k = SimplicialComplex.from_simplices(triangles)
-    assert is_closed_surface(k), f"{name}: not a closed surface"
-    assert k.euler_characteristic() == chi, f"{name}: chi != {chi}"
-    assert is_orientable(k) == orientable, f"{name}: wrong orientability"
+    if not is_closed_surface(k):
+        raise RuntimeError(f"{name}: not a closed surface")
+    if k.euler_characteristic() != chi:
+        raise RuntimeError(f"{name}: chi != {chi}")
+    if is_orientable(k) != orientable:
+        raise RuntimeError(f"{name}: wrong orientability")
     lines = [" ".join(str(v) for v in t) for t in triangles]
     path = DATA / name
     path.write_text("\n".join(lines) + "\n")

@@ -8,8 +8,9 @@ d(u,v) = (v a(u) - u a(v))/(u - v), placed from a's coefficients; the
 addition series b(u,v) = u + v - uv [alpha0(uv) delta(u,v) +
 alpha1(uv) d(u,v)], whose mixed coefficients beta_kl (k, l >= 1) are the
 beta table; the line-bundle index series gamma(c) = 1 - a(c); and the
-one-sided addition series u + v - a(f(u,v)) v.  delta/d, a(f(u,v)) and b
-are memoized on the law like Phi (:func:`cobcalc.fgl.per_law`), once each.
+one-sided addition series u + v - a(f(u,v)) v.  delta/d, a(f(u,v)), b and
+(v - ubar) Phi, which every Phi row reads, are memoized on the law like Phi
+(:func:`cobcalc.fgl.per_law`), once each.
 
 Each identity group returns (row name, difference) pairs, and
 :func:`verify_identity_suite` alone turns them into rows.  Identities that
@@ -66,6 +67,13 @@ def b_series(law: FormalGroupLaw) -> TruncatedSeries:
     return (TruncatedSeries.variable(U, UV, bracket.order + 2)
             + TruncatedSeries.variable(V, UV, bracket.order + 2)
             - bracket.times_monomial((1, 1)))
+
+
+@per_law
+def phi_numerator(law: FormalGroupLaw) -> TruncatedSeries:
+    """(v - ubar) Phi = f(u,v) - f(u,ubar) to n - 1, read by every Phi row."""
+    v2 = TruncatedSeries.variable(V, UV, law.order)
+    return (v2 - law.inverse.extend(UV)) * phi_series(law)
 
 
 @per_law
@@ -183,7 +191,6 @@ class QuotientRingA:
                 "identities run only over integral specializations")
         if order > law.order:
             raise OrderExceeded(f"law is only trusted to order {law.order}")
-        self.law = law
         self.variables = tuple(variables)
         self.order = order
         # [u]_2 = f(u, u) is integral because f is.
@@ -287,19 +294,14 @@ def _lemma61(law: FormalGroupLaw, order: int) -> Differences:
 
 
 def _phi_factorization(law: FormalGroupLaw, order: int) -> Differences:
-    # the law's construction built Phi and found its remainder f(u, ubar) zero
-    n = law.order
-    phi = phi_series(law)
-    u1 = TruncatedSeries.variable(U, (U,), n)
-    v2 = TruncatedSeries.variable(V, UV, n)
-    ub2 = law.inverse.extend(UV)
-    phi_diag = phi.evaluate({U: u1, V: u1})
-    return [("phi_factorization", law.f - (v2 - ub2) * phi),
-            ("phi_diagonal", (u1 - law.inverse) * phi_diag - n_series(law, 2))]
+    # Setting v = u keeps degrees: the diagonal is (u - ubar) Phi(u,u).
+    u1 = TruncatedSeries.variable(U, (U,), law.order)
+    numerator = phi_numerator(law)
+    return [("phi_factorization", law.f - numerator),
+            ("phi_diagonal", numerator.evaluate({U: u1, V: u1}) - n_series(law, 2))]
 
 
 def _two_series_hom(law: FormalGroupLaw, order: int) -> Differences:
-    n = law.order
     two = n_series(law, 2)
     two_u = two.extend(UV)
     two_v = two.rename({U: V}).extend(UV)
@@ -307,19 +309,15 @@ def _two_series_hom(law: FormalGroupLaw, order: int) -> Differences:
     # The first row needs no extra order: it is checked on the law and the
     # 2-series truncated to m.  [f]_2 = f a(f) is exact to m although a(f)
     # is trusted only to n - 1 >= m - 1, since f has no constant term.
-    m = min(order, n)
+    m = min(order, law.order)
     f = law.f.truncate(m)
     f_two = f.evaluate({U: two_u.truncate(m), V: two_v.truncate(m)})
     two_of_f = f * af._assume_order(m)
     hom = f_two - two_of_f
 
-    phi = phi_series(law)
-    ub2 = law.inverse.extend(UV)
     two_ubar = two.evaluate({U: law.inverse}).extend(UV)
-    v2 = TruncatedSeries.variable(V, UV, n)
-    lhs = (two_v - two_ubar) * phi.evaluate({U: two_u, V: two_v})
-    rhs = (v2 - ub2) * phi * af
-    return [("two_series_hom", hom), ("chained_phi", lhs - rhs)]
+    lhs = (two_v - two_ubar) * phi_series(law).evaluate({U: two_u, V: two_v})
+    return [("two_series_hom", hom), ("chained_phi", lhs - phi_numerator(law) * af)]
 
 
 @per_law

@@ -351,6 +351,8 @@ class TruncatedSeries:
                 f"cannot extend order {self.order} to {order}: tail is unknown")
         if order < 0:
             raise OrderExceeded("negative order")
+        if order == self.order:
+            return self             # a series is never changed once built
         terms = {ev: c for ev, c in self.terms.items() if sum(ev) <= order}
         return TruncatedSeries(self.variables, order, terms)
 

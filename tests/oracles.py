@@ -91,6 +91,28 @@ def phi_by_divided_difference(law) -> TruncatedSeries:
     return quotient.substitute("w", law.inverse.extend(UV))
 
 
+def phi_rows_by_separate_products(law) -> dict[str, TruncatedSeries]:
+    """The differences of the three Phi rows, each with its own product by
+    the law's Phi: (v - ubar) Phi for phi_factorization and again, times
+    a(f), for chained_phi, and (u - ubar) Phi(u,u) for phi_diagonal.  The
+    package builds (v - ubar) Phi once and reads all three rows from it."""
+    n = law.order
+    phi = fgl.phi_series(law)
+    u1 = TruncatedSeries.variable("u", U1, n)
+    v2 = TruncatedSeries.variable("v", UV, n)
+    ub2 = law.inverse.extend(UV)
+    two = fgl.n_series(law, 2)
+    two_u = two.extend(UV)
+    two_v = two.rename({"u": "v"}).extend(UV)
+    two_ubar = two.evaluate({"u": law.inverse}).extend(UV)
+    af = fgl.a_series(law).evaluate({"u": law.f})
+    lhs = (two_v - two_ubar) * phi.evaluate({"u": two_u, "v": two_v})
+    diag = phi.evaluate({"u": u1, "v": u1})
+    return {"phi_factorization": law.f - (v2 - ub2) * phi,
+            "phi_diagonal": (u1 - law.inverse) * diag - two,
+            "chained_phi": lhs - (v2 - ub2) * phi * af}
+
+
 def delta_d_by_divided_difference(law) -> tuple[TruncatedSeries, TruncatedSeries]:
     """delta = (a(u) - a(v))/(u - v) and d = (v a(u) - u a(v))/(u - v) as
     exact, remainder-checked divisions; the package places a's

@@ -545,6 +545,17 @@ def test_truncate_example():
         s.truncate(6)
 
 
+def test_truncate_at_its_own_order_is_the_series_itself():
+    # a series is never changed once built, so there is nothing to copy;
+    # a lower order still gives a new series without the dropped terms
+    s = s1({(0,): 1, (1,): 1, (2,): 1}, 5)
+    assert s.truncate(5) is s
+    lower = s.truncate(1)
+    assert lower is not s and lower.terms is not s.terms
+    assert lower == s1({(0,): 1, (1,): 1}, 1)
+    assert s == s1({(0,): 1, (1,): 1, (2,): 1}, 5)
+
+
 def test_from_terms_rejects_overflow():
     with pytest.raises(OrderExceeded):
         s1({(4,): 1}, 3)

@@ -10,17 +10,31 @@ import pytest
 import cobcalc
 
 PACKAGE = Path(cobcalc.__file__).resolve().parent
+SCRIPTS = PACKAGE.parent.parent / "scripts"
+
+
+def _assert_statements(directory: Path) -> list[str]:
+    found = []
+    for path in sorted(directory.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Assert):
+                found.append(f"{path.name}:{node.lineno}")
+    return found
 
 
 def test_no_assert_statement_in_the_package():
     # python -O strips assert statements, so a correctness check written as
     # one would silently stop running; checks raise explicit errors instead
-    found = []
-    for path in sorted(PACKAGE.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(), str(path))):
-            if isinstance(node, ast.Assert):
-                found.append(f"{path.name}:{node.lineno}")
+    found = _assert_statements(PACKAGE)
     assert len(list(PACKAGE.glob("*.py"))) > 5
+    assert not found, found
+
+
+def test_no_assert_statement_in_the_scripts():
+    # the fixture generator checks each surface before writing it, and
+    # verify_all.py is the end-to-end check: neither may lose a check to -O
+    found = _assert_statements(SCRIPTS)
+    assert {"make_fixtures.py", "verify_all.py"} <= {p.name for p in SCRIPTS.glob("*.py")}
     assert not found, found
 
 
