@@ -73,7 +73,8 @@ def _add_output_flags(sub: argparse.ArgumentParser) -> None:
                      help="write the report to this path instead of stdout")
 
 
-def build_parser() -> argparse.ArgumentParser:
+def parse(argv=None) -> argparse.Namespace:
+    """Parse ``argv``; argparse exits on ``--help`` and on usage errors."""
     parser = argparse.ArgumentParser(
         prog="cobcalc",
         description="Exact formal-group-law series tables, identity suites, "
@@ -121,12 +122,7 @@ def build_parser() -> argparse.ArgumentParser:
     index.add_argument("which", choices=("klein", "rp2"))
     _add_output_flags(index)
 
-    return parser
-
-
-def parse(argv=None) -> argparse.Namespace:
-    """Parse ``argv``; argparse exits on ``--help`` and on usage errors."""
-    return build_parser().parse_args(argv)
+    return parser.parse_args(argv)
 
 
 def execute(args: argparse.Namespace) -> int:
@@ -157,7 +153,3 @@ def execute(args: argparse.Namespace) -> int:
 
 def main(argv=None) -> int:
     return execute(parse(argv))
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

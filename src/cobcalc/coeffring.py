@@ -327,14 +327,6 @@ class CoeffPoly:
             return NotImplemented
         return CoeffPoly.dot(((self, other),))
 
-    def __pow__(self, n: int) -> "CoeffPoly":
-        if n < 0:
-            raise ValueError("negative power of a polynomial")
-        result = _ONE
-        for _ in range(n):
-            result = result * self
-        return result
-
     def scale(self, value: ScalarLike) -> "CoeffPoly":
         q = Fraction(value)
         if not q:

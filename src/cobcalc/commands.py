@@ -67,7 +67,7 @@ def chi(args) -> tuple[dict, bool]:
             "status": "pass" if ok else "fail",
             "failures": failures,
         }, ok
-    complex_ = localize.load_complex(args.file)
+    complex_ = localize.load_complex_text(args.file.read_text())
     chi = complex_.euler_characteristic()
     sd_chi = complex_.barycentric_subdivision().euler_characteristic()
     ok = chi == sd_chi

@@ -60,25 +60,29 @@ def multiplicative_log(beta: Fraction, order: int) -> TruncatedSeries:
 
 class FormalGroupLaw:
     """A law at a fixed order: f in (u, v), its inverse ubar(u) and its log
-    g(u), each one variable.  Laws compare by identity, and ``derived``
-    holds this law's memoized series (see :func:`per_law`)."""
-    __slots__ = ("tag", "order", "f", "inverse", "log", "derived")
+    g(u), each one variable.  The law's order is f's.  Laws compare by
+    identity, and ``derived`` holds this law's memoized series (see
+    :func:`per_law`)."""
+    __slots__ = ("tag", "f", "inverse", "log", "derived")
 
-    def __init__(self, tag: str, order: int, f: TruncatedSeries,
+    def __init__(self, tag: str, f: TruncatedSeries,
                  inverse: TruncatedSeries, log: TruncatedSeries):
         self.tag = tag
-        self.order = order
         self.f = f
         self.inverse = inverse
         self.log = log
         self.derived: dict = {}
+
+    @property
+    def order(self) -> int:
+        return self.f.order
 
     def __repr__(self) -> str:
         return f"FormalGroupLaw({self.tag}, order={self.order})"
 
     def truncate(self, order: int) -> "FormalGroupLaw":
         return FormalGroupLaw(
-            self.tag, order,
+            self.tag,
             self.f.truncate(order),
             self.inverse.truncate(order),
             self.log.truncate(order),
@@ -136,7 +140,6 @@ def phi_series(law: FormalGroupLaw) -> TruncatedSeries:
 def from_log(log: TruncatedSeries, tag: str = "custom") -> FormalGroupLaw:
     """Construct f(u, v) = g^{-1}(g(u) + g(v)) and ubar(u) = g^{-1}(-g(u)),
     both through the one reversion g^{-1} of the log, at the log's order."""
-    order = log.order
     x = log.variables[0]
     ginv = log.reversion()
     gu = log.rename({x: U})
@@ -144,14 +147,15 @@ def from_log(log: TruncatedSeries, tag: str = "custom") -> FormalGroupLaw:
     f = ginv.evaluate({x: gu.extend(UV) + gv})
     if {ev: t for ev, t in f.terms.items() if not ev[1]} != {(1, 0): CoeffPoly.one()}:
         raise CheckFailed("constructed law is not unital")
-    return from_f(f, order, tag, log, inverse=ginv.evaluate({x: -gu}))
+    return from_f(f, tag, log, inverse=ginv.evaluate({x: -gu}))
 
 
-def from_f(f: TruncatedSeries, order: int, tag: str, log: TruncatedSeries,
+def from_f(f: TruncatedSeries, tag: str, log: TruncatedSeries,
            inverse: TruncatedSeries) -> FormalGroupLaw:
-    """Bundle f with its log and its formal inverse, checked once: building
-    Phi (kept on the law) must leave the remainder f(u, ubar) = 0."""
-    law = FormalGroupLaw(tag, order, f.truncate(order), inverse, log)
+    """Bundle f with its log and its formal inverse, at f's order, checked
+    once: building Phi (kept on the law) must leave the remainder
+    f(u, ubar) = 0."""
+    law = FormalGroupLaw(tag, f, inverse, log)
     try:
         phi_series(law)
     except NonzeroRemainder as exc:
@@ -194,7 +198,7 @@ def miscenko_law(order: int) -> FormalGroupLaw:
 def additive_law(order: int) -> FormalGroupLaw:
     f = TruncatedSeries.from_terms({(1, 0): 1, (0, 1): 1}, UV, order)
     inverse = TruncatedSeries.from_terms({(1,): -1}, (U,), order)
-    return _check_log_route(from_f(f, order, "additive", additive_log(order), inverse))
+    return _check_log_route(from_f(f, "additive", additive_log(order), inverse))
 
 
 def multiplicative_law(beta, order: int) -> FormalGroupLaw:
@@ -210,7 +214,7 @@ def multiplicative_law(beta, order: int) -> FormalGroupLaw:
     inverse = TruncatedSeries.from_terms(
         {(k,): -(-beta) ** (k - 1) for k in range(1, order + 1)}, (U,), order)
     return _check_log_route(
-        from_f(f, order, f"mult:{beta}", multiplicative_log(beta, order), inverse))
+        from_f(f, f"mult:{beta}", multiplicative_log(beta, order), inverse))
 
 
 #: Most digits a mult:BETA may spell out, a decimal exponent counting as

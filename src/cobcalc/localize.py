@@ -27,7 +27,6 @@ from functools import lru_cache
 from importlib import resources
 from itertools import combinations, repeat
 from math import comb
-from pathlib import Path
 from typing import Iterable, Iterator
 
 from .report import IdentityResult, check_equal
@@ -141,7 +140,7 @@ class SimplicialComplex:
 
     def __init__(self, simplices: frozenset[frozenset]):
         # Assumes face closure; use from_simplices.
-        self._simplices = simplices
+        self.simplices = simplices
 
     @classmethod
     def from_simplices(cls, simplices: Iterable[Iterable]) -> "SimplicialComplex":
@@ -153,21 +152,17 @@ class SimplicialComplex:
             closed.update(_faces(vertices))
         return cls(frozenset(closed))
 
-    @property
-    def simplices(self) -> frozenset[frozenset]:
-        return self._simplices
-
     def vertices(self) -> set:
-        return {v for s in self._simplices for v in s}
+        return {v for s in self.simplices for v in s}
 
     def f_vector(self) -> dict[int, int]:
         counts: dict[int, int] = {}
-        for s in self._simplices:
+        for s in self.simplices:
             counts[len(s) - 1] = counts.get(len(s) - 1, 0) + 1
         return counts
 
     def euler_characteristic(self) -> int:
-        return sum((-1) ** (len(s) - 1) for s in self._simplices)
+        return sum((-1) ** (len(s) - 1) for s in self.simplices)
 
     def subdivision_size(self) -> int:
         """The number of simplices of the barycentric subdivision, counted
@@ -188,8 +183,8 @@ class SimplicialComplex:
         the chains under strict inclusion.  The cofaces of each face come
         from the subsets of each simplex, not from comparing every pair of
         faces, which is quadratic in their number."""
-        supersets: dict[frozenset, list[frozenset]] = {s: [] for s in self._simplices}
-        for t in self._simplices:
+        supersets: dict[frozenset, list[frozenset]] = {s: [] for s in self.simplices}
+        for t in self.simplices:
             for size in range(1, len(t)):
                 for face in combinations(t, size):
                     supersets[frozenset(face)].append(t)
@@ -200,7 +195,7 @@ class SimplicialComplex:
             for t in supersets[chain[-1]]:
                 grow(chain + (t,))
 
-        for s in self._simplices:
+        for s in self.simplices:
             grow((s,))
         return SimplicialComplex(frozenset(chains))
 
@@ -248,10 +243,6 @@ def load_complex_text(text: str) -> SimplicialComplex:
         raise ValueError(f"a barycentric subdivision must have <= {cap} "
                          f"simplices, got {size}")
     return complex_
-
-
-def load_complex(path) -> SimplicialComplex:
-    return load_complex_text(Path(path).read_text())
 
 
 def _bundled(name: str) -> SimplicialComplex:

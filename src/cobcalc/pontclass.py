@@ -151,11 +151,8 @@ class QuotientRingA:
     Reduction takes least-absolute residues against the pivot values of an
     echelon basis, column by column from the top degree downward, so e.g.
     u^2 reduces to -2u under the relation 2u + u^2 = 0.  The normal form is
-    unique per coset without back-reducing the basis: two results of one
-    coset differ by a lattice vector whose first nonzero entry would be a
-    multiple of its pivot value g yet smaller than g in absolute value (see
-    ``intlattice``).  So reduction is idempotent and zero exactly on members
-    of the truncated ideal.
+    unique per coset (``intlattice`` gives the argument), so reduction is
+    idempotent and zero exactly on members of the truncated ideal.
 
     The lattice L is spanned by the rows row(m; i) = m g(x_i) truncated at
     the ring order, where g = c_1 x + ... + c_K x^K is [x]_2 so truncated
@@ -228,9 +225,6 @@ class QuotientRingA:
                     break
         return monos, col_of, IntegerLattice(rows, len(monos))
 
-    _monos = property(lambda self: self._basis[0])
-    _lattice = property(lambda self: self._basis[2])
-
     def two_series(self, var: str) -> TruncatedSeries:
         """The relation [x]_2 embedded in the quotient-ring variables."""
         if var not in self.variables:
@@ -254,9 +248,6 @@ class QuotientRingA:
         if not const.is_zero():
             terms[(0,) * len(self.variables)] = const
         return TruncatedSeries(self.variables, self.order, terms)
-
-    def is_zero(self, s: TruncatedSeries) -> bool:
-        return self.reduce(s).is_zero()
 
 
 # -- Whitney sign bookkeeping --------------------------------------------------

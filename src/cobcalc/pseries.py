@@ -304,9 +304,6 @@ class TruncatedSeries:
                                    _dot_buckets(buckets, half))
         return self.scale(other)
 
-    def __rmul__(self, other) -> "TruncatedSeries":
-        return self.scale(other)
-
     def scale(self, value: Union[CoeffPoly, ScalarLike]) -> "TruncatedSeries":
         c = as_coeff(value)
         if c.is_zero():
@@ -359,9 +356,9 @@ class TruncatedSeries:
     def _assume_order(self, order: int) -> "TruncatedSeries":
         # Internal escape for spots where the conservative min-rule
         # under-reports a bound that is provably valid (see reversion).
-        if order < self.order:
+        if order <= self.order:
             return self.truncate(order)
-        return TruncatedSeries(self.variables, order, dict(self.terms))
+        return TruncatedSeries(self.variables, order, self.terms)
 
     # -- variable plumbing --------------------------------------------------
 
@@ -369,7 +366,7 @@ class TruncatedSeries:
         new_vars = tuple(mapping.get(v, v) for v in self.variables)
         if len(set(new_vars)) != len(new_vars):
             raise VariableMismatch(f"renaming collides: {new_vars}")
-        return TruncatedSeries(new_vars, self.order, dict(self.terms))
+        return TruncatedSeries(new_vars, self.order, self.terms)
 
     def extend(self, variables: Iterable[str]) -> "TruncatedSeries":
         """Re-embed into a larger variable universe."""
@@ -447,16 +444,15 @@ class TruncatedSeries:
         lmin = min((v.lowest_degree() for v in vals), default=_BIG)
         result_order = min(target_order, (self.order + 1) * lmin - 1)
 
-        work_order = result_order
-        one = TruncatedSeries.one(target_vars, work_order)
+        one = TruncatedSeries.one(target_vars, result_order)
         tables = [[one] for _ in vals]
         for var, table in (powers or {}).items():
             idx = self.variables.index(var)
             if table[0] != one or (
-                    len(table) > 1 and table[1] != vals[idx].truncate(work_order)):
+                    len(table) > 1 and table[1] != vals[idx].truncate(result_order)):
                 raise ValueError(
                     f"power table for {var!r} does not hold powers of its "
-                    f"value at order {work_order}")
+                    f"value at order {result_order}")
             tables[idx] = table
         # The result is unchanged by swapping u and v when every value is,
         # or when self is, the second value mirrors the first and every
@@ -466,10 +462,10 @@ class TruncatedSeries:
             mirror and self._swap_invariant()
             or all(v._swap_invariant() for v in vals[:2]))
 
-        lows = [min(v.lowest_degree(), work_order + 1) for v in vals]
+        lows = [min(v.lowest_degree(), result_order + 1) for v in vals]
         buckets: dict[ExpVec, list[tuple[CoeffPoly, CoeffPoly]]] = {}
         for ev, c in self.terms.items():
-            if sum(e * low for e, low in zip(ev, lows)) > work_order:
+            if sum(e * low for e, low in zip(ev, lows)) > result_order:
                 continue
             # The first power needed starts the product; one is only kept
             # for the constant term.
@@ -486,7 +482,7 @@ class TruncatedSeries:
                     buckets[pev] = [(pc, c)]
                 else:
                     pairs.append((pc, c))
-        # prod is truncated at work_order = result_order, so every bucket
+        # prod is truncated at result_order, so every bucket
         # is a stored degree of the result.
         return TruncatedSeries(target_vars, result_order, _dot_buckets(buckets, half))
 

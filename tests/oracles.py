@@ -239,7 +239,7 @@ def mutate_alpha(law, i: int, j: int, delta) -> "fgl.FormalGroupLaw":
     logarithm is kept so identity checks against g' see the corruption."""
     bump = TruncatedSeries.from_terms({(i, j): CoeffPoly.const(delta)}, UV, law.order)
     f = law.f + bump
-    return fgl.from_f(f, law.order, f"{law.tag}+e{i}{j}", law.log,
+    return fgl.from_f(f, f"{law.tag}+e{i}{j}", law.log,
                       solve_inverse(f, law.order))
 
 
@@ -273,7 +273,7 @@ def two_parameter_law(a: int, b: int, order: int) -> "fgl.FormalGroupLaw":
            for k in range(1, order + 1)}
     inverse = {(k,): -(a + b) ** (k - 1) for k in range(1, order + 1)}
     return fgl._check_log_route(fgl.from_f(
-        TruncatedSeries.from_terms(f, UV, order), order, f"todd:{a},{b}",
+        TruncatedSeries.from_terms(f, UV, order), f"todd:{a},{b}",
         TruncatedSeries.from_terms(log, U1, order),
         TruncatedSeries.from_terms(inverse, U1, order)))
 

@@ -210,17 +210,17 @@ def test_residue_check_refuses_a_wrong_inverse(miscenko8):
     law = miscenko8
     bump = s1({(5,): cp2 * cp2}, 8)
     with pytest.raises(CheckFailed, match="f\\(u, ubar\\(u\\)\\) is not zero"):
-        fgl.from_f(law.f, 8, law.tag, law.log, law.inverse + bump)
+        fgl.from_f(law.f, law.tag, law.log, law.inverse + bump)
     # an inverse known to a lower order cannot vouch for the working order
     with pytest.raises(OrderExceeded):
-        fgl.from_f(law.f, 8, law.tag, law.log, law.inverse.truncate(7))
-    assert fgl.from_f(law.f, 8, law.tag, law.log, law.inverse).inverse == law.inverse
+        fgl.from_f(law.f, law.tag, law.log, law.inverse.truncate(7))
+    assert fgl.from_f(law.f, law.tag, law.log, law.inverse).inverse == law.inverse
     # a closed-form inverse off by one in its top coefficient
     for beta in LOG_ROUTE_BETAS:
         for n in (2, 6, 11):
             law = fgl.multiplicative_law(beta, n)
             with pytest.raises(CheckFailed, match=f"law mult:{beta}: f\\(u, ubar"):
-                fgl.from_f(law.f, n, law.tag, law.log, law.inverse + s1({(n,): 1}, n))
+                fgl.from_f(law.f, law.tag, law.log, law.inverse + s1({(n,): 1}, n))
 
 
 def test_from_log_refuses_a_law_that_is_not_unital(monkeypatch):
@@ -246,6 +246,21 @@ def test_mutated_laws_still_solve_their_inverse():
         assert law.inverse != base.inverse
         rows = {r.identity: r for r in fgl.verify_axioms(law)}
         assert rows["inverse"].passed
+
+
+def test_a_law_has_the_order_of_its_f():
+    # the order is read from f, so no constructor can set a second one
+    laws = [fgl.miscenko_law(6), fgl.additive_law(6), fgl.multiplicative_law(2, 6),
+            fgl.from_log(fgl.multiplicative_log(Fraction(1, 2), 6)),
+            two_parameter_law(2, 3, 6), fgl.parse_law("mult:-1", 6)]
+    laws.append(fgl.from_f(laws[0].f, "copy", laws[0].log, laws[0].inverse))
+    laws.append(fgl.FormalGroupLaw("direct", laws[1].f, laws[1].inverse, laws[1].log))
+    laws += [mutate_alpha(law, 1, 2, 1) for law in laws[:3]]
+    laws += [law.truncate(m) for law in laws for m in (0, 3, 6)]
+    for law in laws:
+        assert law.order == law.f.order, law
+    assert [law.order for law in laws[:11]] == [6] * 11
+    assert repr(laws[8].truncate(3)) == "FormalGroupLaw(miscenko+e12, order=3)"
 
 
 # -- n-series -----------------------------------------------------------------
@@ -499,7 +514,7 @@ def test_closed_form_inverses_match_the_solver_and_the_log_route():
 
 
 def _custom_law(f, n, log):
-    return fgl.from_f(f, n, "custom", log, solve_inverse(f, n))
+    return fgl.from_f(f, "custom", log, solve_inverse(f, n))
 
 
 def _one_coefficient_off():
@@ -586,7 +601,7 @@ def _perturbed_closed_forms(draw):
     else:
         g = g + s1({(degree,): delta}, n)
         assume(g.coefficient((1,)))
-    return fgl.FormalGroupLaw(law.tag, n, f, law.inverse, g)
+    return fgl.FormalGroupLaw(law.tag, f, law.inverse, g)
 
 
 @settings(max_examples=300, deadline=None)
@@ -600,7 +615,7 @@ def test_log_route_refuses_a_log_with_a_constant_term_or_no_linear_term():
     f, g = law.f, law.log
 
     def with_log(log):
-        return fgl.FormalGroupLaw(law.tag, 8, f, law.inverse, log)
+        return fgl.FormalGroupLaw(law.tag, f, law.inverse, log)
 
     assert not _log_route_accepts(with_log(g + s1({(0,): 1}, 8)))
     assert not _log_route_accepts(with_log(g - s1({(1,): 1}, 8)))
@@ -609,7 +624,7 @@ def test_log_route_refuses_a_log_with_a_constant_term_or_no_linear_term():
     additive = fgl.additive_law(8)
     for log, accepted in ((TruncatedSeries.zero(U1, 8), False),
                           (additive.log.scale(2), True)):
-        rescaled = fgl.FormalGroupLaw("additive", 8, additive.f,
+        rescaled = fgl.FormalGroupLaw("additive", additive.f,
                                       additive.inverse, log)
         assert _composition_accepts(rescaled)
         assert _log_route_accepts(rescaled) == accepted

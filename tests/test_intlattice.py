@@ -37,7 +37,7 @@ def _ring_lattice(law, variables, order):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(pontclass, "IntegerLattice", Recording)
         # the ring builds its lattice on first use, so read it here
-        lattice = pontclass.QuotientRingA(law, variables, order)._lattice
+        lattice = pontclass.QuotientRingA(law, variables, order)._basis[2]
     return lattice, captured
 
 
@@ -154,7 +154,7 @@ def test_ring_columns_come_in_elimination_order(variables):
     law = fgl.multiplicative_law(1, 12)
     for order in range(13):
         ring = pontclass.QuotientRingA(law, variables, order)
-        assert ring._monos == ring_columns(len(variables), order)
+        assert ring._basis[0] == ring_columns(len(variables), order)
 
 
 @pytest.mark.parametrize("variables", [("u", "v"), ("u", "v", "w")])

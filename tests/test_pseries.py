@@ -568,6 +568,16 @@ def test_rename_and_extend_round_trip():
     assert wide.restrict(("w",)) == s.rename({"u": "w"})
 
 
+def test_order_and_name_changes_share_the_terms():
+    # a series is never changed once built, so none of these copies its terms
+    s = s1({(1,): 1, (3,): CoeffPoly.gen(1)}, 4)
+    assert s._assume_order(s.order) is s
+    assert s._assume_order(6).order == 6
+    assert s._assume_order(6).terms is s.terms
+    assert s.rename({"u": "w"}).terms is s.terms
+    assert s._assume_order(2) == s.truncate(2) == s1({(1,): 1}, 2)
+
+
 @settings(max_examples=40)
 @given(series_uv, series_uv, st.integers(min_value=0, max_value=5))
 def test_truncation_coherence(a, b, m):

@@ -13,13 +13,21 @@ PACKAGE = Path(cobcalc.__file__).resolve().parent
 SCRIPTS = PACKAGE.parent.parent / "scripts"
 
 
-def _assert_statements(directory: Path) -> list[str]:
+def _find(directory: Path, matches) -> list[str]:
+    """``file:line`` of every AST node in the directory's modules that matches."""
     found = []
     for path in sorted(directory.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
-            if isinstance(node, ast.Assert):
+            if matches(node):
                 found.append(f"{path.name}:{node.lineno}")
     return found
+
+
+def _assert_statements(directory: Path) -> list[str]:
+    return _find(directory, lambda node: isinstance(node, ast.Assert))
+
+
+MAIN_GUARD = ast.dump(ast.parse('__name__ == "__main__"', mode="eval").body)
 
 
 def test_no_assert_statement_in_the_package():
@@ -36,6 +44,15 @@ def test_no_assert_statement_in_the_scripts():
     found = _assert_statements(SCRIPTS)
     assert {"make_fixtures.py", "verify_all.py"} <= {p.name for p in SCRIPTS.glob("*.py")}
     assert not found, found
+
+
+def test_only_the_module_entry_has_a_main_guard():
+    # python -m cobcalc and the console script both run __main__.run, which
+    # freezes the start-up heap; a guard in another module would be a second
+    # process entry without the freezes
+    found = _find(PACKAGE, lambda node: isinstance(node, ast.If)
+                  and ast.dump(node.test) == MAIN_GUARD)
+    assert [place.split(":")[0] for place in found] == ["__main__.py"]
 
 
 #: What the command-line front end leaves to ``commands``: the series code
