@@ -1,16 +1,22 @@
 """Formal group laws built from their logarithms.
 
 A law is the bundle (log g, two-variable law f, formal inverse ubar) at a
-fixed truncation order.  The universal law here is normalized by the
+fixed truncation order N.  The universal law here is normalized by the
 logarithm g(u) = sum cp_n u^(n+1)/(n+1) with cp0 = 1, so g'(u) is the
 series 1 + cp1 u + cp2 u^2 + ...; every coefficient sign downstream is
-whatever reversion of that logarithm yields.  The additive and
-multiplicative specializations are built from closed form, inverse
-included, and checked against their logarithms by the invariant
-differential, f(u, 0) = u and g'(u) df/dv = g'(v) df/du, which for a log
-with g(0) = 0 and g'(0) a nonzero scalar holds exactly when
-f = g^{-1}(g(u) + g(v)), and needs neither a reversion nor a composition.
-A law's inverse is checked once, by the division that builds its Phi.
+whatever f = g^{-1}(g(u) + g(v)) yields.  A law is built from its log as
+the flow of the invariant vector field D = (1/g'(v)) d/dv for time g(u),
+the Lie series f = sum_j g(u)^j T_j(v) with T_0 = v and
+j g'(v) T_j = dT_(j-1)/dv, each T_j trusted to order N - j (see
+:func:`from_log`); its inverse ubar = sum_j (-1)^j T_j(0) g(u)^j comes
+from the same powers of g.  No series is reverted and none in (u, v) is
+composed.  The additive and multiplicative specializations are built from
+closed form, inverse included.  Every law, from a log or a closed form, is
+checked against its log by the invariant differential, f(u, 0) = u and
+g'(u) df/dv = g'(v) df/du, which for a log with g(0) = 0 and g'(0) a
+nonzero scalar holds exactly when f = g^{-1}(g(u) + g(v)); it is read as
+the swap invariance of f and of g'(v) df/du, one product.  A law's
+inverse is checked once, by the division that builds its Phi.
 """
 
 from __future__ import annotations
@@ -137,17 +143,70 @@ def phi_series(law: FormalGroupLaw) -> TruncatedSeries:
     return TruncatedSeries(UV, n - 1, terms)
 
 
+def _flow_coefficients(dg: TruncatedSeries, n: int) -> list[list[CoeffPoly]]:
+    """T_0, ..., T_n of the Lie series, T_j as its coefficients in degrees
+    0 to n - j: T_0 = v and j g'(v) T_j = dT_(j-1)/dv, solved degree by
+    degree from g'(v), whose constant term is a nonzero scalar c."""
+    lead = Fraction(1) / dg.constant_term().constant_value()
+    minus_dg = [dg.terms.get((i,), CoeffPoly.zero()).scale(-lead)
+                for i in range(n)]
+    flow = [[CoeffPoly.zero(), CoeffPoly.one()] + [CoeffPoly.zero()] * (n - 1)]
+    for j in range(1, n + 1):
+        prev, t = flow[-1], []
+        for k in range(n - j + 1):
+            pairs = [(prev[k + 1], CoeffPoly.const((k + 1) * lead / j))]
+            pairs += [(minus_dg[i], t[k - i]) for i in range(1, k + 1)]
+            t.append(CoeffPoly.dot(pairs))
+        flow.append(t)
+    return flow
+
+
 def from_log(log: TruncatedSeries, tag: str = "custom") -> FormalGroupLaw:
-    """Construct f(u, v) = g^{-1}(g(u) + g(v)) and ubar(u) = g^{-1}(-g(u)),
-    both through the one reversion g^{-1} of the log, at the log's order."""
-    x = log.variables[0]
-    ginv = log.reversion()
-    gu = log.rename({x: U})
-    gv = log.rename({x: V}).extend(UV)
-    f = ginv.evaluate({x: gu.extend(UV) + gv})
-    if {ev: t for ev, t in f.terms.items() if not ev[1]} != {(1, 0): CoeffPoly.one()}:
-        raise CheckFailed("constructed law is not unital")
-    return from_f(f, tag, log, inverse=ginv.evaluate({x: -gu}))
+    """The law f(u, v) = g^{-1}(g(u) + g(v)) of a log g at its order N, with
+    ubar(u) = g^{-1}(-g(u)), as the Lie series of g's invariant vector field.
+
+    D = (1/g'(v)) d/dv satisfies D g(v) = 1, so its flow for time t moves v
+    to the point whose log is g(v) + t; run for t = g(u) it gives f, and as
+    a Lie series (Groebner, *Die Lie-Reihen und ihre Anwendungen*, 1960)
+    f = exp(g(u) D) v = sum_j g(u)^j T_j(v) with T_j = D^j v / j!, that is
+    T_0 = v and j g'(v) T_j = dT_(j-1)/dv.  g'(0) = c is a unit scalar, so
+    each T_j is solved degree by degree dividing by c; T_(j-1) is trusted
+    to order N - j + 1, its derivative to N - j, and so is T_j.  With
+    G_j = g(u)^j, which starts at u^j, the coefficient of u^a v^b in f is
+    sum_(j <= a) G_j[a] T_j[b], and a + b <= N keeps b <= N - j.  f is
+    symmetric, so only a <= b is summed and mirrored.  At v = 0 the flow
+    is g^{-1}, so T_j(0) are its coefficients: f(u, 0) = sum_j T_j(0) G_j
+    must be u, and ubar = sum_j (-1)^j T_j(0) G_j, the even j minus the
+    odd.  No series is reverted and none in (u, v) is composed; the law
+    then gets the check of every closed form against its log."""
+    x, _ = log._reversion_checks()
+    g = log.rename({x: U})
+    n = g.order
+    flow = _flow_coefficients(g.partial_derivative(U), n)
+    powers = [g]
+    while len(powers) < n:
+        powers.append(powers[-1] * g)
+    # grid[j - 1][a] is G_j[a], the coefficient of u^a in g(u)^j
+    grid = [[p.terms.get((a,), CoeffPoly.zero()) for a in range(n + 1)]
+            for p in powers]
+    terms = {(0, 1): CoeffPoly.one(), (1, 0): CoeffPoly.one()}
+    for a in range(1, n // 2 + 1):
+        for b in range(a, n - a + 1):
+            c = CoeffPoly.dot([(grid[j - 1][a], flow[j][b])
+                               for j in range(1, a + 1)])
+            if c:
+                terms[(a, b)] = terms[(b, a)] = c
+    inverse = {}
+    for a in range(1, n + 1):
+        even, odd = (CoeffPoly.dot([(grid[j - 1][a], flow[j][0])
+                                    for j in range(first, a + 1, 2)])
+                     for first in (2, 1))
+        if even + odd != (CoeffPoly.one() if a == 1 else CoeffPoly.zero()):
+            raise CheckFailed("constructed law is not unital")
+        inverse[(a,)] = even - odd
+    f = TruncatedSeries(UV, n, terms)
+    ubar = TruncatedSeries.from_terms(inverse, (U,), n)
+    return _check_log_route(from_f(f, tag, g, ubar))
 
 
 def from_f(f: TruncatedSeries, tag: str, log: TruncatedSeries,
@@ -164,28 +223,34 @@ def from_f(f: TruncatedSeries, tag: str, log: TruncatedSeries,
 
 
 def _check_log_route(law: FormalGroupLaw) -> FormalGroupLaw:
-    """Cross-validate a closed form f against its log g by the invariant
-    differential: g(0) = 0, g'(0) = c a nonzero scalar, f(u, 0) = u at the
-    law's order N, and g'(u) df/dv = g'(v) df/du at order N - 1.
+    """Cross-validate f against its log g by the invariant differential:
+    g(0) = 0, g'(0) = c a nonzero scalar, f(u, 0) = u at the law's order N,
+    and g'(u) df/dv = g'(v) df/du at order N - 1, checked as the swap
+    invariance of f and of P = g'(v) df/du.
 
-    The last relation is Lemma 6.1's g'(f) df/dv = g'(v) with g'(f)
-    eliminated against its u-twin g'(f) df/du = g'(u) (Silverman, *The
-    Arithmetic of Elliptic Curves*, IV.4), so f0 = g^{-1}(g(u) + g(v))
-    satisfies it, and f0(u, 0) = u.  It is linear in f.  On a difference f - f0 whose
-    lowest part h has degree d <= N, its lowest part is c (d/dv - d/du) h
-    in degree d - 1, which vanishes only for h = k (u + v)^d, and
-    f(u, 0) = u forces k = 0.  So the conditions hold exactly when
-    f = f0 modulo degree N + 1, which is what g(f(u, v)) = g(u) + g(v)
-    states, here with two products of g' by a derivative of f instead of
-    a composition with f and with no reversion."""
+    The relation is Lemma 6.1's g'(f) df/dv = g'(v) with g'(f) eliminated
+    against its u-twin g'(f) df/du = g'(u) (Silverman, *The Arithmetic of
+    Elliptic Curves*, IV.4), so f0 = g^{-1}(g(u) + g(v)) satisfies it, and
+    f0(u, 0) = u.  It is linear in f.  On a difference f - f0 whose lowest
+    part h has degree d <= N, its lowest part is c (d/dv - d/du) h in
+    degree d - 1, which vanishes only for h = k (u + v)^d, and f(u, 0) = u
+    forces k = 0.  So the conditions hold exactly when f = f0 modulo
+    degree N + 1, which is what g(f(u, v)) = g(u) + g(v) states.
+
+    Swapping u and v turns P into g'(u) dF/dv, where F is f swapped.  For
+    a symmetric f that is g'(u) df/dv, so the relation says P is swap
+    invariant.  Conversely the relation makes f = f0, which is symmetric.
+    So the relation holds exactly when f and P are both swap invariant:
+    one product of g' by a derivative of f, no composition, no reversion."""
     f, g = law.f, law.log
     dg = cp_series(law)
     c = dg.constant_term()
     if (not g.constant_term().is_zero() or not c.is_constant() or c.is_zero()
             or {ev: t for ev, t in f.terms.items() if not ev[1]}
             != {(1, 0): CoeffPoly.one()}
-            or dg.rename({U: V}).extend(UV) * f.partial_derivative(U)
-            != dg.extend(UV) * f.partial_derivative(V)):
+            or not f._swap_invariant()
+            or not (dg.rename({U: V}).extend(UV)
+                    * f.partial_derivative(U))._swap_invariant()):
         raise CheckFailed(
             f"law {law.tag}: the logarithm and the closed form disagree")
     return law

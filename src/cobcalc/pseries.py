@@ -40,6 +40,8 @@ with a hard error on a nonzero remainder.  It is the tests' reference
 route for the series fgl and pontclass build without it.
 
 Series reversion runs Newton iteration with a doubling working order.
+Like division by (u - v), it is the tests' reference route: fgl builds
+g^{-1}(g(u) + g(v)) and g^{-1}(-g(u)) from a log without reverting it.
 """
 
 from __future__ import annotations

@@ -141,6 +141,37 @@ def log_route_by_composition(law):
     return law
 
 
+def law_by_composition(log) -> tuple[TruncatedSeries, TruncatedSeries]:
+    """f = g^{-1}(g(u) + g(v)) and ubar = g^{-1}(-g(u)) through the Newton
+    reversion g^{-1} of the log, composed with the two-variable series
+    g(u) + g(v) and with -g(u).  The package builds both from the Lie
+    series of g's invariant vector field, with no reversion and no
+    composition."""
+    x = log.variables[0]
+    ginv = log.reversion()
+    gu = log.rename({x: "u"})
+    gv = log.rename({x: "v"}).extend(UV)
+    return ginv.evaluate({x: gu.extend(UV) + gv}), ginv.evaluate({x: -gu})
+
+
+def log_route_by_two_products(law):
+    """The invariant-differential check with both of its products:
+    g(0) = 0, g'(0) a nonzero scalar, f(u, 0) = u and
+    g'(u) df/dv = g'(v) df/du compared term by term.  The package compares
+    g'(v) df/du with its own mirror and f with its mirror, one product."""
+    f, g = law.f, law.log
+    dg = g.partial_derivative("u")
+    c = dg.constant_term()
+    if (not g.constant_term().is_zero() or not c.is_constant() or c.is_zero()
+            or {ev: t for ev, t in f.terms.items() if not ev[1]}
+            != {(1, 0): CoeffPoly.one()}
+            or dg.rename({"u": "v"}).extend(UV) * f.partial_derivative("u")
+            != dg.extend(UV) * f.partial_derivative("v")):
+        raise CheckFailed(
+            f"law {law.tag}: the logarithm and the closed form disagree")
+    return law
+
+
 def count_products(fn, *args) -> int:
     """The monomial products that ``fn(*args)`` makes: every pair (a, b)
     given to ``CoeffPoly.dot`` counts |a| * |b|, its number of term

@@ -12,11 +12,13 @@ from cobcalc import fgl
 from cobcalc.coeffring import CoeffPoly
 from cobcalc.pseries import (CheckFailed, NonzeroConstantTerm, OrderExceeded,
                              TruncatedSeries)
+from conftest import coeff_polys, small_fractions
 from cobcalc.report import check_zero
 from oracles import (TWO_PARAMETER_GRID, direct_associativity,
-                     lagrange_reversion, log_route_by_composition, mutate_alpha,
-                     n_series_via_log, solve_inverse, two_parameter_law,
-                     universal_cp_series)
+                     lagrange_reversion, law_by_composition,
+                     log_route_by_composition, log_route_by_two_products,
+                     mutate_alpha, n_series_via_log, solve_inverse,
+                     two_parameter_law, universal_cp_series)
 
 cp1 = CoeffPoly.gen(1)
 cp2 = CoeffPoly.gen(2)
@@ -58,6 +60,54 @@ def test_miscenko_log_reversion_round_trip():
 def test_from_log_identity_gives_additive():
     law = fgl.from_log(TruncatedSeries.variable("u", U1, 6))
     assert law.f == TruncatedSeries.from_terms({(1, 0): 1, (0, 1): 1}, UV, 6)
+
+
+@pytest.mark.parametrize("log", [
+    pytest.param(log, id=f"{name}-{log.order}") for name, log in (
+        [("miscenko", fgl.miscenko_log(n)) for n in range(1, 15)]
+        + [("additive", fgl.additive_log(n)) for n in (1, 2, 7, 16)]
+        + [(f"mult:{beta}", fgl.multiplicative_log(Fraction(beta), n))
+           for beta in ("1/2", -2, 3) for n in (1, 2, 5, 12)])])
+def test_from_log_matches_the_composition_route(log):
+    # the Lie series against g^{-1}(g(u) + g(v)) and g^{-1}(-g(u)) through
+    # Newton reversion and a composition in (u, v)
+    law = fgl.from_log(log)
+    assert (law.f, law.inverse) == law_by_composition(log)
+    assert law.log == log and law.order == log.order
+
+
+@st.composite
+def _scaled_logs(draw):
+    """c u + g2 u^2 + ... at order 1-8 with a rational c other than 0 and
+    1, and higher coefficients rational or polynomial in cp1, cp2, cp3."""
+    n = draw(st.integers(min_value=1, max_value=8))
+    lead = draw(small_fractions.filter(lambda q: q not in (0, 1)))
+    tail = draw(st.lists(st.one_of(small_fractions, coeff_polys),
+                         min_size=n - 1, max_size=n - 1))
+    return s1({(1,): lead, **{(k,): c for k, c in enumerate(tail, 2)}}, n)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_scaled_logs())
+def test_from_log_matches_the_composition_route_on_scaled_logs(log):
+    law = fgl.from_log(log)
+    assert (law.f, law.inverse) == law_by_composition(log)
+
+
+@pytest.mark.parametrize("log", [
+    s1({(0,): 1, (1,): 1}, 4), s1({(2,): 1}, 4), TruncatedSeries.zero(U1, 4),
+    TruncatedSeries.from_terms({(1,): cp1}, U1, 4),
+    TruncatedSeries.from_terms({(1,): cp1 + CoeffPoly.one()}, U1, 4),
+    TruncatedSeries.zero(U1, 0), TruncatedSeries.variable("u", UV, 4)],
+    ids=["constant-term", "no-linear-term", "zero", "linear-cp1",
+         "linear-1+cp1", "order-0", "two-variables"])
+def test_from_log_refuses_what_reversion_refuses(log):
+    with pytest.raises(ValueError) as reverted:
+        log.reversion()
+    with pytest.raises(ValueError) as refused:
+        fgl.from_log(log)
+    assert type(refused.value) is type(reverted.value)
+    assert str(refused.value) == str(reverted.value)
 
 
 def test_multiplicative_law_closed_form_matches_log_route():
@@ -224,15 +274,16 @@ def test_residue_check_refuses_a_wrong_inverse(miscenko8):
 
 
 def test_from_log_refuses_a_law_that_is_not_unital(monkeypatch):
-    # g^{-1} off at its top degree puts (u + v)^n, and with it u^n, into f
-    reversion = TruncatedSeries.reversion
+    # T_n(0), the top coefficient of g^{-1}, off by one puts g'(0)^n u^n
+    # into f(u, 0) = sum_j T_j(0) g(u)^j
+    flow_coefficients = fgl._flow_coefficients
 
-    def off_at_top(self):
-        ginv = reversion(self)
-        return ginv + TruncatedSeries.from_terms(
-            {(ginv.order,): 1}, ginv.variables, ginv.order)
+    def off_at_top(dg, n):
+        flow = flow_coefficients(dg, n)
+        flow[n][0] += CoeffPoly.one()
+        return flow
 
-    monkeypatch.setattr(TruncatedSeries, "reversion", off_at_top)
+    monkeypatch.setattr(fgl, "_flow_coefficients", off_at_top)
     with pytest.raises(CheckFailed) as refused:
         fgl.from_log(fgl.miscenko_log(6))
     assert str(refused.value) == "constructed law is not unital"
@@ -476,7 +527,7 @@ LOG_ROUTE_BETAS = (1, -1, 2, -2, 3, Fraction(1, 2))
 def _old_log_route_agrees(law):
     """The comparison the cross-check replaced: rebuild f through the
     reversion g^{-1}(g(u) + g(v)) and compare it with the closed form."""
-    return fgl.from_log(law.log).f == law.f
+    return law_by_composition(law.log)[0] == law.f
 
 
 def _log_route_accepts(law):
@@ -545,17 +596,20 @@ def test_log_route_refuses_a_closed_form_off_by_one_coefficient():
 
 
 def test_log_route_builds_no_reversion(monkeypatch):
-    def no_reversion(self):
-        raise AssertionError("the closed-form cross-check reverted the log")
+    def refused(self):
+        raise AssertionError("a law build reverted or inverted a series")
 
-    monkeypatch.setattr(TruncatedSeries, "reversion", no_reversion)
+    for name in ("reversion", "reciprocal"):
+        monkeypatch.setattr(TruncatedSeries, name, refused)
     assert fgl.multiplicative_law(3, 12).order == 12
     assert fgl.additive_law(12).order == 12
+    assert fgl.miscenko_law(12).order == 12
 
 
 def test_closed_form_builds_compose_nothing_in_two_variables(monkeypatch):
     # the residue check f(u, ubar) = 0 substitutes series in u alone; the
-    # cross-check against the log substitutes nothing
+    # cross-check against the log substitutes nothing, and neither does
+    # the Lie series that builds a law from its log
     real = TruncatedSeries.evaluate
 
     def one_variable_values(self, values, powers=None):
@@ -567,6 +621,8 @@ def test_closed_form_builds_compose_nothing_in_two_variables(monkeypatch):
     assert fgl.multiplicative_law(3, 24).order == 24
     assert fgl.additive_law(24).order == 24
     assert two_parameter_law(2, 3, 12).order == 12
+    assert fgl.miscenko_law(12).order == 12
+    assert fgl.from_log(fgl.multiplicative_log(Fraction(-2), 12)).order == 12
 
 
 def _composition_accepts(law):
@@ -608,6 +664,32 @@ def _perturbed_closed_forms(draw):
 @given(_perturbed_closed_forms())
 def test_differential_check_accepts_exactly_what_composition_accepts(law):
     assert _log_route_accepts(law) == _composition_accepts(law), (law.f, law.log)
+    assert _log_route_accepts(law) == _two_products_accept(law), (law.f, law.log)
+
+
+def _two_products_accept(law):
+    try:
+        log_route_by_two_products(law)
+    except CheckFailed:
+        return False
+    return True
+
+
+def test_one_product_check_agrees_with_the_two_product_form():
+    # f and g'(v) df/du both swap invariant, against
+    # g'(u) df/dv = g'(v) df/du compared as two products
+    refused = _one_coefficient_off()
+    for base in (fgl.miscenko_law(7), fgl.multiplicative_law(3, 7),
+                 two_parameter_law(2, 3, 7)):
+        refused += [mutate_alpha(base, i, j, delta)
+                    for i, j in ((1, 2), (2, 1), (1, 3), (3, 4), (1, 6), (2, 4))
+                    for delta in (1, Fraction(-1, 3))]
+    for law in refused:
+        assert not _log_route_accepts(law), law
+        assert not _two_products_accept(law), law
+    for law in _closed_form_laws() + [fgl.miscenko_law(n) for n in range(1, 10)]:
+        assert _log_route_accepts(law), law
+        assert _two_products_accept(law), law
 
 
 def test_log_route_refuses_a_log_with_a_constant_term_or_no_linear_term():
