@@ -1,22 +1,17 @@
 """Formal group laws built from their logarithms.
 
 A law is the bundle (log g, two-variable law f, formal inverse ubar) at a
-fixed truncation order N.  The universal law here is normalized by the
+fixed truncation order.  The universal law here is normalized by the
 logarithm g(u) = sum cp_n u^(n+1)/(n+1) with cp0 = 1, so g'(u) is the
 series 1 + cp1 u + cp2 u^2 + ...; every coefficient sign downstream is
-whatever f = g^{-1}(g(u) + g(v)) yields.  A law is built from its log as
-the flow of the invariant vector field D = (1/g'(v)) d/dv for time g(u),
-the Lie series f = sum_j g(u)^j T_j(v) with T_0 = v and
-j g'(v) T_j = dT_(j-1)/dv, each T_j trusted to order N - j (see
-:func:`from_log`); its inverse ubar = sum_j (-1)^j T_j(0) g(u)^j comes
-from the same powers of g.  No series is reverted and none in (u, v) is
-composed.  The additive and multiplicative specializations are built from
-closed form, inverse included.  Every law, from a log or a closed form, is
-checked against its log by the invariant differential, f(u, 0) = u and
-g'(u) df/dv = g'(v) df/du, which for a log with g(0) = 0 and g'(0) a
-nonzero scalar holds exactly when f = g^{-1}(g(u) + g(v)); it is read as
-the swap invariance of f and of g'(v) df/du, one product.  A law's
-inverse is checked once, by the division that builds its Phi.
+whatever f = g^{-1}(g(u) + g(v)) yields.  At order N, :func:`from_log`
+builds f as the Lie series sum_j g(u)^j T_j(v) of g's invariant vector
+field (1/g'(v)) d/dv, where T_0 = v and j g'(v) T_j = dT_(j-1)/dv is
+trusted to order N - j, and ubar from the same powers of g: no reversion
+and no composition.  The additive and multiplicative specializations are
+built from closed form, inverse included.  Every law is checked against
+its log by the invariant differential (:func:`_check_log_route`), and its
+inverse once, by the division that builds its Phi.
 """
 
 from __future__ import annotations
@@ -146,7 +141,7 @@ def phi_series(law: FormalGroupLaw) -> TruncatedSeries:
 def _flow_coefficients(dg: TruncatedSeries, n: int) -> list[list[CoeffPoly]]:
     """T_0, ..., T_n of the Lie series, T_j as its coefficients in degrees
     0 to n - j: T_0 = v and j g'(v) T_j = dT_(j-1)/dv, solved degree by
-    degree from g'(v), whose constant term is a nonzero scalar c."""
+    degree from g'(v), whose constant term is a nonzero scalar."""
     lead = Fraction(1) / dg.constant_term().constant_value()
     minus_dg = [dg.terms.get((i,), CoeffPoly.zero()).scale(-lead)
                 for i in range(n)]

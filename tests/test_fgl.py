@@ -12,8 +12,8 @@ from cobcalc import fgl
 from cobcalc.coeffring import CoeffPoly
 from cobcalc.pseries import (CheckFailed, NonzeroConstantTerm, OrderExceeded,
                              TruncatedSeries)
-from conftest import coeff_polys, small_fractions
 from cobcalc.report import check_zero
+from conftest import coeff_polys, small_fractions
 from oracles import (TWO_PARAMETER_GRID, direct_associativity,
                      lagrange_reversion, law_by_composition,
                      log_route_by_composition, log_route_by_two_products,
@@ -660,19 +660,19 @@ def _perturbed_closed_forms(draw):
     return fgl.FormalGroupLaw(law.tag, f, law.inverse, g)
 
 
-@settings(max_examples=300, deadline=None)
-@given(_perturbed_closed_forms())
-def test_differential_check_accepts_exactly_what_composition_accepts(law):
-    assert _log_route_accepts(law) == _composition_accepts(law), (law.f, law.log)
-    assert _log_route_accepts(law) == _two_products_accept(law), (law.f, law.log)
-
-
 def _two_products_accept(law):
     try:
         log_route_by_two_products(law)
     except CheckFailed:
         return False
     return True
+
+
+@settings(max_examples=300, deadline=None)
+@given(_perturbed_closed_forms())
+def test_differential_check_accepts_exactly_what_composition_accepts(law):
+    assert _log_route_accepts(law) == _composition_accepts(law), (law.f, law.log)
+    assert _log_route_accepts(law) == _two_products_accept(law), (law.f, law.log)
 
 
 def test_one_product_check_agrees_with_the_two_product_form():
