@@ -24,8 +24,8 @@ STEPS = [
     ["verify", "all", "--law", "additive", "--order", "12"],
     ["verify", "in_A", "--law", "mult:4", "--order", "9"],
     ["verify", "all", "--law", "mult:3", "--order", "24"],
-    ["chi", "recursion", "--max", "10"],
-    ["chi", "grass", "--n", "4", "--k", "2"],
+    ["chi", "recursion", "--max", "20"],
+    ["chi", "grass", "--n", "24", "--k", "12"],
     ["index", "klein"],
     ["index", "rp2"],
 ]

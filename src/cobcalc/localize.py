@@ -7,13 +7,14 @@ in Z (+) Z2: an integer part seen by the augmentation epsilon plus a
 is an axiom of the model, not something verified here.
 
 chi of the real Grassmannian RG_k^n is the signed count of Schubert cells,
-computed by brute force: every cell is visited once.  A cell is a partition
+computed by brute force: every cell gets one bit.  A cell is a partition
 lambda in a k x (n-k) box, or equivalently a k-subset S = {s_1 < ... < s_k}
 of {0, ..., n-1} with lambda_i = s_(k+1-i) - (k-i), so that
 |lambda| = sum(S) - k(k-1)/2 (Fulton, Young Tableaux, 1997, chapter 9);
-the cells are enumerated as those subsets, each S by chi(RG_|S|^(max S + 1))
-alone, so no subset is visited twice across n.  The count is the Gaussian
-binomial at q = -1, and any closed form is a cross-check, not ground truth.
+the subsets are laid out in colex order, one bit each, set when sum(S) is
+odd, and the bits are built by whole-integer shifts and complements,
+not cell by cell (Knuth, TAOCP 4A, 7.1.3 and 7.2.1.3).  The count is the Gaussian binomial at q = -1, and any
+closed form is a cross-check, not ground truth.
 The localization recursion then states
 
     chi(RG_k^(n1+n2)) = sum over k1+k2=k of
@@ -25,7 +26,7 @@ from __future__ import annotations
 from collections import namedtuple
 from functools import lru_cache
 from importlib import resources
-from itertools import combinations, repeat
+from itertools import combinations
 from math import comb
 from typing import Iterable, Iterator
 
@@ -75,23 +76,30 @@ def ledger_sum(ledgers: Iterable[IndexLedger]) -> IndexLedger:
 
 
 @lru_cache(maxsize=None)
+def _odd_cells(n: int, k: int) -> int:
+    """One bit per k-subset S of range(n), in colex order, set when sum(S)
+    is odd.  The subsets that miss n-1 come first and are those of
+    (n-1, k); above them, from bit C(n-1, k), come S = T + {n-1}, whose bits
+    are those of (n-1, k-1), complemented when n-1 is odd."""
+    if k in (0, n):
+        return k * (k - 1) // 2 & 1
+    with_last = _odd_cells(n - 1, k - 1)
+    if (n - 1) % 2:
+        with_last ^= (1 << comb(n - 1, k - 1)) - 1
+    return _odd_cells(n - 1, k) | with_last << comb(n - 1, k)
+
+
+@lru_cache(maxsize=None)
 def chi_grassmann(n: int, k: int) -> int:
-    """chi(RG_k^n) as the signed Schubert-cell count sum (-1)^|lambda|, each
-    cell visited once as a k-subset S of range(n) of dimension
+    """chi(RG_k^n) as the signed Schubert-cell count sum (-1)^|lambda|, one
+    bit per cell, a k-subset S of range(n) of dimension
     |lambda| = sum(S) - k(k-1)/2.  Of the C(n, k) cells, those with sum(S)
-    odd count -(-1)^(k(k-1)/2) and the rest +(-1)^(k(k-1)/2).  For 0 < k < n,
-    the cells with n-1 not in S are those of RG_k^(n-1), whose odd count is
-    read back from its cached chi; only S = T + {n-1}, T a (k-1)-subset of
-    range(n-1), are enumerated here.  k = 0 and k = n are one cell each."""
+    odd, the set bits of _odd_cells(n, k), count -(-1)^(k(k-1)/2) and the
+    rest +(-1)^(k(k-1)/2)."""
     if not 0 <= k <= n:
         raise ValueError(f"plane dimension {k} out of range for R^{n}")
-    if k in (0, n):
-        return 1
-    sign = (-1) ** (k * (k - 1) // 2)
-    odd_cells = (comb(n - 1, k) - sign * chi_grassmann(n - 1, k)) // 2
-    new_sums = map(sum, combinations(range(n - 1), k - 1), repeat(n - 1))
-    odd_cells += sum(map((1).__and__, new_sums))
-    return sign * (comb(n, k) - 2 * odd_cells)
+    odd_cells = _odd_cells(n, k).bit_count()
+    return (-1) ** (k * (k - 1) // 2) * (comb(n, k) - 2 * odd_cells)
 
 
 def whitney_sign_formula(n1: int, n2: int, k: int) -> list[tuple[int, int, int]]:

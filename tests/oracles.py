@@ -380,6 +380,20 @@ def chi_grassmann_flat(n: int, k: int) -> int:
     return (-1) ** (k * (k - 1) // 2) * (comb(n, k) - 2 * odd_cells)
 
 
+def colex_unrank(rank: int, k: int) -> tuple[int, ...]:
+    """The k-subset {s_1 < ... < s_k} of rank ``rank`` in colex order, read
+    off the combinatorial number system rank = sum C(s_i, i) one element at
+    a time, largest first (Knuth, TAOCP 4A, 7.2.1.3)."""
+    subset = []
+    for i in range(k, 0, -1):
+        s = i - 1
+        while comb(s + 1, i) <= rank:
+            s += 1
+        rank -= comb(s, i)
+        subset.append(s)
+    return tuple(reversed(subset))
+
+
 def chains_under_inclusion(simplices) -> frozenset:
     """The simplices of a barycentric subdivision: every chain of faces under
     strict inclusion, grown by comparing every pair of faces."""

@@ -1,3 +1,4 @@
+from itertools import combinations
 from math import comb
 
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 from cobcalc import localize as lz
 from cobcalc.report import IdentityResult
 from oracles import (chains_under_inclusion, chi_grassmann_by_partitions,
-                     chi_grassmann_flat, is_orientable_by_rotations,
+                     chi_grassmann_flat, colex_unrank, is_orientable_by_rotations,
                      partitions_in_box)
 
 ledgers = st.builds(lz.IndexLedger, st.integers(-20, 20), st.integers(0, 1))
@@ -103,47 +104,125 @@ def flat_chi():
     return {(n, k): chi_grassmann_flat(n, k) for n in range(21) for k in range(n + 1)}
 
 
+#: The cached functions themselves, which a test may rebind in the module.
+CHI, ODD_CELLS = lz.chi_grassmann, lz._odd_cells
+
+
+def _cold() -> None:
+    CHI.cache_clear()
+    ODD_CELLS.cache_clear()
+
+
 @pytest.mark.parametrize("ns", [range(21), range(20, -1, -1)],
                          ids=["ascending", "descending"])
 def test_chi_matches_flat_enumeration(flat_chi, ns):
     # ascending n finds every smaller n cached; descending n starts each k
     # with a cold recursion down from n = 20
-    lz.chi_grassmann.cache_clear()
+    _cold()
     for n in ns:
         for k in range(n + 1):
             assert lz.chi_grassmann(n, k) == flat_chi[n, k]
 
 
-def _count_subsets(monkeypatch) -> list[int]:
-    visits = [0]
-    real = lz.combinations
+def _colex_cells(n: int, k: int) -> list[tuple[int, ...]]:
+    return sorted(combinations(range(n), k), key=lambda s: s[::-1])
 
-    def counted(iterable, r):
-        for subset in real(iterable, r):
-            visits[0] += 1
-            yield subset
 
-    monkeypatch.setattr(lz, "combinations", counted)
-    return visits
+def test_odd_cells_has_one_bit_per_cell_in_colex_order():
+    for n in range(13):
+        for k in range(n + 1):
+            cells = _colex_cells(n, k)
+            bits = lz._odd_cells(n, k)
+            assert bits.bit_length() <= len(cells)
+            assert [bits >> rank & 1 for rank in range(len(cells))] == [
+                sum(cell) % 2 for cell in cells]
+
+
+def test_colex_unrank_matches_sorted_combinations():
+    for n in range(10):
+        for k in range(n + 1):
+            cells = _colex_cells(n, k)
+            assert [colex_unrank(rank, k) for rank in range(len(cells))] == cells
+
+
+@st.composite
+def colex_ranks(draw):
+    n = draw(st.integers(0, 24))
+    k = draw(st.integers(0, n))
+    return n, k, draw(st.integers(0, comb(n, k) - 1))
+
+
+@given(colex_ranks())
+def test_odd_cells_bit_is_the_parity_of_the_unranked_cell(cell):
+    n, k, rank = cell
+    subset = colex_unrank(rank, k)
+    assert len(subset) == k and set(subset) <= set(range(n))
+    assert lz._odd_cells(n, k) >> rank & 1 == sum(subset) % 2
+
+
+def _record_bitstrings(monkeypatch) -> dict:
+    # _odd_cells recurses through its module name, so a rebinding sees
+    # every bitstring the recursion reaches
+    seen = {}
+
+    def recording(n, k):
+        seen[n, k] = ODD_CELLS(n, k)
+        return seen[n, k]
+
+    monkeypatch.setattr(lz, "_odd_cells", recording)
+    return seen
+
+
+def _bits_built(seen: dict) -> int:
+    """The bits that the misses on ``seen`` added.  A miss on (n, k),
+    0 < k < n, keeps the bits of (n-1, k) as its low C(n-1, k) bits and adds
+    one bit above them for each S = T + {n-1}, copied from the bit of T in
+    (n-1, k-1); k = 0 and k = n are one cell each and add none."""
+    added = 0
+    for (n, k), bits in seen.items():
+        if 0 < k < n:
+            low, high = comb(n - 1, k), comb(n - 1, k - 1)
+            flip = (1 << high) - 1 if (n - 1) % 2 else 0
+            assert bits & ((1 << low) - 1) == seen[n - 1, k]
+            assert bits >> low == seen[n - 1, k - 1] ^ flip
+            added += high
+    return added
 
 
 def test_each_cell_is_visited_once_across_n(monkeypatch):
-    # the report reaches n = 10: each nonempty subset S of range(10) is
-    # visited once, by chi(RG_|S|^(max S + 1)), except the 10 initial
+    # the report reaches n = 10: each nonempty subset S of range(10) gets
+    # its bit once, at the miss on (max S + 1, |S|), except the 10 initial
     # segments {0, ..., m - 1}, which are the one-cell cases k = n
-    visits = _count_subsets(monkeypatch)
-    lz.chi_grassmann.cache_clear()
+    seen = _record_bitstrings(monkeypatch)
+    _cold()
     lz.localization_recursion_report(10)
-    assert visits[0] == 2 ** 10 - 10 - 1 == 1_013
-    visits[0] = 0
-    lz.chi_grassmann.cache_clear()
+    assert ODD_CELLS.cache_info().misses == len(seen)
+    assert _bits_built(seen) == 2 ** 10 - 10 - 1 == 1_013
+    seen.clear()
+    _cold()
     lz.chi_grassmann(20, 10)
-    assert visits[0] == comb(20, 10) - 1 == 184_755
+    # the count recursion this replaced enumerated C(20, 10) - 1 = 184,755
+    # subsets here, since it read only the count of (n - 1, k) back; the
+    # bits of (n, k) need the bits of (n - 1, k - 1) as well, so a cold
+    # (20, 10) builds every (n, k) with k <= 10 and n - k <= 10
+    assert (len(seen), _bits_built(seen)) == (120, 352_705)
+
+
+def test_odd_cells_working_set_at_the_cap(monkeypatch):
+    # chi grass --n 24 --k 12 leaves 168 bitstrings cached, every one no
+    # longer than its C(n, k) cells, about 1.3 MB in all
+    seen = _record_bitstrings(monkeypatch)
+    _cold()
+    lz.chi_grassmann(24, 12)
+    assert len(seen) == ODD_CELLS.cache_info().currsize == 168
+    assert all(bits.bit_length() <= comb(n, k) for (n, k), bits in seen.items())
+    assert sum(comb(n, k) for n, k in seen) == 10_400_598
+    assert _bits_built(seen) == 5_200_287
 
 
 def test_cache_misses_equal_the_distinct_arguments_seen_by_a_rebinding(monkeypatch):
-    # the benchmark tracer rebinds the module name and checks this; the
-    # recursion must go through that name, or its cache misses go unseen
+    # the benchmark tracer rebinds the module name and checks this; every
+    # call must go through that name, or its cache misses go unseen
     cached = lz.chi_grassmann
     seen = set()
 
@@ -155,9 +234,8 @@ def test_cache_misses_equal_the_distinct_arguments_seen_by_a_rebinding(monkeypat
     cached.cache_clear()
     lz.localization_recursion_report(8)
     assert cached.cache_info().misses == len(seen) == 44
-    lz.chi_grassmann(12, 5)       # cold below (12, 5) down to (8, 5)
-    assert cached.cache_info().misses == len(seen) == 48
-    assert {(n, 5) for n in range(9, 13)} <= seen
+    lz.chi_grassmann(12, 5)
+    assert cached.cache_info().misses == len(seen) == 45
 
 
 def test_partitions_in_box_count():
