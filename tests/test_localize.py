@@ -201,16 +201,17 @@ def test_each_cell_is_visited_once_across_n(monkeypatch):
     seen.clear()
     _cold()
     lz.chi_grassmann(20, 10)
-    # the count recursion this replaced enumerated C(20, 10) - 1 = 184,755
-    # subsets here, since it read only the count of (n - 1, k) back; the
-    # bits of (n, k) need the bits of (n - 1, k - 1) as well, so a cold
-    # (20, 10) builds every (n, k) with k <= 10 and n - k <= 10
+    # the bits of (n, k) need those of (n - 1, k - 1) as well as (n - 1, k),
+    # so a cold (20, 10) builds every (n, k) with k <= 10 and n - k <= 10:
+    # more than the C(20, 10) - 1 = 184,755 cells a walk down (n - 1, 10)
+    # alone would reach
+    assert ODD_CELLS.cache_info().misses == len(seen)
     assert (len(seen), _bits_built(seen)) == (120, 352_705)
 
 
 def test_odd_cells_working_set_at_the_cap(monkeypatch):
     # chi grass --n 24 --k 12 leaves 168 bitstrings cached, every one no
-    # longer than its C(n, k) cells, about 1.3 MB in all
+    # longer than its C(n, k) cells, about 1.4 MB of ints in all
     seen = _record_bitstrings(monkeypatch)
     _cold()
     lz.chi_grassmann(24, 12)
