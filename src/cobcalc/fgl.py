@@ -366,11 +366,24 @@ def alpha_series(law: FormalGroupLaw) -> tuple[TruncatedSeries, TruncatedSeries,
 # -- axiom verification --------------------------------------------------------
 
 
+def associator(s: TruncatedSeries) -> TruncatedSeries:
+    """s(s(u,v), w) - s(u, s(v,w)) in (u, v, w) at the order of s.
+
+    The inner s(u,v) is s itself in three variables.  A swap-invariant s
+    (checked on every call) is a symmetric polynomial, so
+    s(u, s(v,w)) = s(s(w,v), u), the left side with u and w exchanged;
+    any other s composes its right side and reports its own associator."""
+    w = TruncatedSeries.variable(W, UVW, s.order)
+    lhs = s.evaluate({U: s.extend(UVW), V: w})
+    if s._swap_invariant():
+        return lhs - lhs.rename({U: W, W: U}).extend(UVW)
+    u = TruncatedSeries.variable(U, UVW, s.order)
+    return lhs - s.evaluate({U: u, V: s.rename({U: V, V: W}).extend(UVW)})
+
+
 def axiom_differences(law: FormalGroupLaw) -> Differences:
-    """Unitality (right, left), commutativity, associativity and inverse as
-    differences at the working order.  Once f is symmetric, associativity's
-    right side is its left side with u and w swapped; otherwise it is
-    composed, so a non-commutative law reports the associator of its f."""
+    """Unitality (right, left), commutativity, associativity (see
+    :func:`associator`) and inverse as differences at the working order."""
     n = law.order
     f = law.f
     u1 = TruncatedSeries.variable(U, (U,), n)
@@ -378,18 +391,8 @@ def axiom_differences(law: FormalGroupLaw) -> Differences:
     right_unit = f.evaluate({U: u1, V: zero1}) - u1
     left_unit = f.evaluate({U: zero1, V: u1}) - u1
     commutativity = f - f.rename({U: V, V: U}).extend(UV)
-
-    u3, v3, w3 = (TruncatedSeries.variable(x, UVW, n) for x in UVW)
-    f_uv = f.evaluate({U: u3, V: v3})
-    lhs = f.evaluate({U: f_uv, V: w3})
-    if commutativity.is_zero():
-        # The truncated f is then a symmetric polynomial, so
-        # f(u, f(v,w)) = f(f(w,v), u) = lhs(w, v, u) exactly.
-        rhs = lhs.rename({U: W, W: U}).extend(UVW)
-    else:
-        rhs = f.evaluate({U: u3, V: f.evaluate({U: v3, V: w3})})
     return [("unitality_right", right_unit), ("unitality_left", left_unit),
-            ("commutativity", commutativity), ("associativity", lhs - rhs),
+            ("commutativity", commutativity), ("associativity", associator(f)),
             ("inverse", f.evaluate({U: u1, V: law.inverse}))]
 
 

@@ -30,8 +30,8 @@ from math import gcd
 
 from .coeffring import CoeffPoly
 from .fgl import (U, UV, UVW, V, Differences, FormalGroupLaw, LawError,
-                  a_series, alpha_series, axiom_differences, cp_series,
-                  n_series, parse_law, per_law, phi_series)
+                  a_series, alpha_series, associator, axiom_differences,
+                  cp_series, n_series, parse_law, per_law, phi_series)
 from .intlattice import IntegerLattice
 from .localize import whitney_sign_formula
 from .pseries import CheckFailed, OrderExceeded, TruncatedSeries
@@ -344,11 +344,7 @@ def _thm66(law: FormalGroupLaw, order: int) -> Differences:
 
 
 def _assoc(law: FormalGroupLaw, order: int) -> Differences:
-    b = b_series(law)
-    u3, v3, w3 = (TruncatedSeries.variable(x, UVW, b.order) for x in UVW)
-    lhs = b.evaluate({U: b.evaluate({U: u3, V: v3}), V: w3})
-    rhs = b.evaluate({U: u3, V: b.evaluate({U: v3, V: w3})})
-    return [("assoc_b_in_A", lhs - rhs)]
+    return [("assoc_b_in_A", associator(b_series(law)))]
 
 
 #: Each identity group and the builder of its (row name, difference) pairs, in

@@ -8,13 +8,13 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from cobcalc import fgl
+from cobcalc import fgl, pontclass
 from cobcalc.coeffring import CoeffPoly
 from cobcalc.pseries import (CheckFailed, NonzeroConstantTerm, OrderExceeded,
                              TruncatedSeries)
 from cobcalc.report import check_zero
 from conftest import coeff_polys, small_fractions
-from oracles import (TWO_PARAMETER_GRID, direct_associativity,
+from oracles import (SUITE_LAWS, TWO_PARAMETER_GRID, direct_associativity,
                      lagrange_reversion, law_by_composition,
                      log_route_by_composition, log_route_by_two_products,
                      mutate_alpha, n_series_via_log, solve_inverse,
@@ -440,30 +440,77 @@ def test_associativity_by_symmetry_matches_the_direct_route(spec):
     for n in range(1, 10):
         rows = {r.identity: r for r in fgl.verify_axioms(law.truncate(n))}
         assert rows["commutativity"].passed
-        assert rows["associativity"] == direct_associativity(law.truncate(n))
+        assert rows["associativity"] == check_zero(
+            "associativity", law.tag, direct_associativity(law.truncate(n).f))
 
 
-def _three_variable_compositions(monkeypatch, law) -> int:
+def _three_variable_compositions(monkeypatch, run) -> int:
     counted = []
     real = TruncatedSeries.evaluate
 
-    def counting(self, values):
+    def counting(self, values, powers=None):
         counted.append(next(iter(values.values())).variables == fgl.UVW)
-        return real(self, values)
+        return real(self, values, powers)
 
     monkeypatch.setattr(TruncatedSeries, "evaluate", counting)
-    fgl.verify_axioms(law)
+    run()
     monkeypatch.undo()
     return sum(counted)
 
 
 def test_associativity_composes_the_right_side_only_without_commutativity(
         monkeypatch):
-    # f(u,v) and the left side; the right side is the renamed left side
-    assert _three_variable_compositions(monkeypatch, fgl.miscenko_law(6)) == 2
-    # a non-commutative f also composes f(v,w) and f(u, f(v,w))
+    # the left side only: f(u,v) is f extended to (u, v, w), and the right
+    # side is the renamed left side
+    law = fgl.miscenko_law(6)
+    assert _three_variable_compositions(
+        monkeypatch, lambda: fgl.verify_axioms(law)) == 1
+    # a non-commutative f also composes f(u, f(v,w)), with f(v,w) renamed
     law = mutate_alpha(fgl.miscenko_law(7), 3, 4, 1)
-    assert _three_variable_compositions(monkeypatch, law) == 4
+    assert _three_variable_compositions(
+        monkeypatch, lambda: fgl.verify_axioms(law)) == 2
+
+
+def test_assoc_in_a_composes_the_b_series_once(monkeypatch):
+    # b is symmetric by construction, so its associator renames its left
+    # side; composing both sides with the variables took 4
+    law = two_parameter_law(2, 3, 13)
+    rows = []
+    assert _three_variable_compositions(monkeypatch, lambda: rows.extend(
+        pontclass.verify_identity_suite(law, "assoc_in_A", 12))) == 1
+    assert [(r.identity, r.passed) for r in rows] == [("assoc_b_in_A", True)]
+
+
+@st.composite
+def _two_variable_series(draw):
+    """f of a suite law or b of a two-parameter law, either one possibly
+    made asymmetric: f by a bumped alpha_ij, b by one term off the
+    diagonal."""
+    if draw(st.booleans()):
+        spec, order = draw(st.sampled_from(SUITE_LAWS))
+        law = fgl.parse_law(spec, order)
+        if order >= 2 and draw(st.booleans()):
+            i = draw(st.integers(min_value=1, max_value=order - 1))
+            j = draw(st.integers(min_value=1, max_value=order - i))
+            law = mutate_alpha(law, i, j, draw(st.sampled_from((1, -2))))
+        return law.f
+    b = pontclass.b_series(two_parameter_law(
+        *draw(st.sampled_from(TWO_PARAMETER_GRID)),
+        draw(st.integers(min_value=2, max_value=10))))
+    if draw(st.booleans()):
+        i = draw(st.integers(min_value=0, max_value=b.order))
+        j = draw(st.integers(min_value=0, max_value=b.order - i).filter(
+            lambda j: j != i))
+        b = b + TruncatedSeries.from_terms({(i, j): 1}, UV, b.order)
+    return b
+
+
+@settings(max_examples=60, deadline=None)
+@given(_two_variable_series())
+def test_associator_equals_both_sides_composed(s):
+    # the renamed left side stands in for the composed right side only
+    # when s is symmetric; an asymmetric s must still get its own associator
+    assert fgl.associator(s) == direct_associativity(s)
 
 
 def test_miscenko_grading(miscenko8):
@@ -722,7 +769,8 @@ def test_mutated_alpha11_breaks_associativity():
     assert not rows["associativity"].passed
     # the first associator obstruction of a commutative jet sits in degree 4
     assert rows["associativity"].first_failing_degree == 4
-    assert rows["associativity"] == direct_associativity(law)
+    assert rows["associativity"] == check_zero(
+        "associativity", law.tag, direct_associativity(law.f))
 
 
 @pytest.mark.parametrize("law, failing", [
@@ -744,7 +792,8 @@ def test_non_commutative_mutation_fails_both_rows_at_its_degree():
     assert not rows["commutativity"].passed
     assert rows["commutativity"].first_failing_degree == 7
     assert rows["associativity"].first_failing_degree == 7
-    assert rows["associativity"] == direct_associativity(law)
+    assert rows["associativity"] == check_zero(
+        "associativity", law.tag, direct_associativity(law.f))
 
 
 @settings(max_examples=10, deadline=None)

@@ -87,3 +87,14 @@ def test_help_and_usage_errors_load_no_series_code(argv, code):
     assert done.returncode == code
     assert "cobcalc.cli" in imported
     assert sorted(imported & SERIES_MODULES) == []
+
+
+def test_every_source_file_parses_as_python_3_10():
+    # pyproject declares requires-python >= 3.10 and CI lists 3.10, so no
+    # file may use later grammar (except* groups, PEP 695 type parameters)
+    root = PACKAGE.parent.parent
+    paths = sorted(path for directory in ("src", "tests", "scripts", "perfbench")
+                   for path in (root / directory).rglob("*.py"))
+    assert len(paths) >= 34
+    for path in paths:
+        ast.parse(path.read_text(), str(path), feature_version=(3, 10))
