@@ -3,7 +3,8 @@
 
 Exit code 0 only if every step passes; mirrors what CI would run, plus the
 coefficient-table expansions for eyeballing.  Each step's wall time goes to
-stderr, so stdout stays byte-stable across runs.
+stderr, so stdout stays byte-stable across runs.  Run under ``python -O``,
+it runs every step under -O too.
 """
 
 import subprocess
@@ -34,7 +35,7 @@ STEPS = [
 def main() -> int:
     failures = 0
     for step in STEPS:
-        cmd = [sys.executable, "-m", "cobcalc", *step]
+        cmd = [sys.executable, *["-O"] * sys.flags.optimize, "-m", "cobcalc", *step]
         print(f"$ cobcalc {' '.join(step)}")
         start = time.perf_counter()
         result = subprocess.run(cmd, cwd=ROOT, env={"PYTHONPATH": ENV_PATH},

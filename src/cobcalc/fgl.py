@@ -11,7 +11,7 @@ trusted to order N - j, and ubar from the same powers of g: no reversion
 and no composition.  The additive and multiplicative specializations are
 built from closed form, inverse included.  Every law is checked against
 its log by the invariant differential (:func:`_check_log_route`), and its
-inverse once, by the division that builds its Phi.
+inverse once, by the Phi division, whose remainder is the ``inverse`` row.
 """
 
 from __future__ import annotations
@@ -104,8 +104,9 @@ def per_law(fn):
 
 
 @per_law
-def phi_series(law: FormalGroupLaw) -> TruncatedSeries:
-    """Phi(u,v) = (f(u,v) - f(u,ubar)) / (v - ubar), trusted to order n - 1.
+def phi_division(law: FormalGroupLaw) -> tuple[TruncatedSeries, TruncatedSeries]:
+    """Phi(u,v) = (f(u,v) - f(u,ubar)) / (v - ubar), trusted to order n - 1,
+    and the remainder f(u, ubar(u)), trusted to order n.
 
     Built by synthetic division by v - ubar(u), that is, Horner's rule
     (Knuth, TAOCP vol. 2, sec. 4.6.4), over series in u alone: with
@@ -114,9 +115,7 @@ def phi_series(law: FormalGroupLaw) -> TruncatedSeries:
     is trusted to degree n - 1 - j, and so is ubar Q_(j+1), as ubar has no
     constant term; so each step is one product of two series in u, and Phi
     is trusted to order n - 1: its degree-n part would need the alpha_ij
-    with i + j = n + 1.  The remainder F_0 + ubar Q_0 is f(u, ubar(u)) to
-    order n; a nonzero one raises NonzeroRemainder.
-    """
+    with i + j = n + 1.  The remainder is F_0 + ubar Q_0, the last step."""
     n = law.order
     columns: dict[int, dict] = {}
     for (i, k), c in law.f.terms.items():
@@ -130,12 +129,19 @@ def phi_series(law: FormalGroupLaw) -> TruncatedSeries:
              + law.inverse.truncate(m) * q._assume_order(m))
         if j >= 0:
             terms.update({(i, j): c for (i,), c in q.terms.items()})
-    if not q.is_zero():
-        (i,), c = min(q.terms.items())
+    return TruncatedSeries(UV, n - 1, terms), q
+
+
+@per_law
+def phi_series(law: FormalGroupLaw) -> TruncatedSeries:
+    """Phi of :func:`phi_division`, whose remainder f(u, ubar(u)) must be 0."""
+    phi, remainder = phi_division(law)
+    if not remainder.is_zero():
+        (i,), c = min(remainder.terms.items())
         raise NonzeroRemainder(
             f"division by (v - ubar(u)) leaves remainder term {c} at u^{i}: "
             "f(u, ubar(u)) is not zero")
-    return TruncatedSeries(UV, n - 1, terms)
+    return phi
 
 
 def _flow_coefficients(dg: TruncatedSeries, n: int) -> list[list[CoeffPoly]]:
@@ -381,11 +387,12 @@ def associator(s: TruncatedSeries) -> TruncatedSeries:
     return lhs - s.evaluate({U: u, V: s.rename({U: V, V: W}).extend(UVW)})
 
 
-def axiom_differences(law: FormalGroupLaw) -> Differences:
+def axiom_differences(law: FormalGroupLaw, order: int) -> Differences:
     """Unitality (right, left), commutativity, associativity (see
-    :func:`associator`) and inverse as differences at the working order."""
-    n = law.order
-    f = law.f
+    :func:`associator`) of f at n = min(order, law order), and inverse: the
+    remainder f(u, ubar(u)) of :func:`phi_division` truncated to n."""
+    n = min(order, law.order)
+    f = law.f.truncate(n)
     u1 = TruncatedSeries.variable(U, (U,), n)
     zero1 = TruncatedSeries.zero((U,), n)
     right_unit = f.evaluate({U: u1, V: zero1}) - u1
@@ -393,9 +400,9 @@ def axiom_differences(law: FormalGroupLaw) -> Differences:
     commutativity = f - f.rename({U: V, V: U}).extend(UV)
     return [("unitality_right", right_unit), ("unitality_left", left_unit),
             ("commutativity", commutativity), ("associativity", associator(f)),
-            ("inverse", f.evaluate({U: u1, V: law.inverse}))]
+            ("inverse", phi_division(law)[1].truncate(n))]
 
 
 def verify_axioms(law: FormalGroupLaw) -> list[IdentityResult]:
-    """:func:`axiom_differences` checked as report rows, failures included."""
-    return [check_zero(name, law.tag, d) for name, d in axiom_differences(law)]
+    """:func:`axiom_differences` at the law's order as rows, failures included."""
+    return [check_zero(name, law.tag, d) for name, d in axiom_differences(law, law.order)]

@@ -271,11 +271,6 @@ def parity_sign(k: int) -> int:
 # -- identity suite --------------------------------------------------------------
 
 
-def _axioms(law: FormalGroupLaw, order: int) -> Differences:
-    # The truncated law builds each difference at exactly the requested order.
-    return axiom_differences(law.truncate(min(order, law.order)))
-
-
 def _lemma61(law: FormalGroupLaw, order: int) -> Differences:
     cp = cp_series(law)
     dfdv = law.f.partial_derivative(V)
@@ -351,7 +346,7 @@ def _assoc(law: FormalGroupLaw, order: int) -> Differences:
 #: CLI help order.  A builder calls the series functions by their module names
 #: at run time, so rebinding one of them (as a tracer does) is seen.
 _GROUPS = {
-    "axioms": _axioms,
+    "axioms": axiom_differences,
     "lemma61": _lemma61,
     "phi_factorization": _phi_factorization,
     "two_series_hom": _two_series_hom,

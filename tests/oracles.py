@@ -201,6 +201,24 @@ def direct_associativity(s: TruncatedSeries) -> TruncatedSeries:
     return lhs - rhs
 
 
+def axiom_differences_by_composition(
+        law, order: int) -> list[tuple[str, TruncatedSeries]]:
+    """The five axiom differences of the law truncated to
+    n = min(order, law order), each composed with the variables: f(u, 0)
+    and f(0, u) less u, f less its mirror, both sides of the associator,
+    and f(u, ubar(u)).  The package reads the last as the remainder of the
+    division that builds Phi, and composes nothing with ubar."""
+    n = min(order, law.order)
+    f, ubar = law.f.truncate(n), law.inverse.truncate(n)
+    u1 = TruncatedSeries.variable("u", U1, n)
+    zero1 = TruncatedSeries.zero(U1, n)
+    return [("unitality_right", f.evaluate({"u": u1, "v": zero1}) - u1),
+            ("unitality_left", f.evaluate({"u": zero1, "v": u1}) - u1),
+            ("commutativity", f - f.rename({"u": "v", "v": "u"}).extend(UV)),
+            ("associativity", direct_associativity(f)),
+            ("inverse", f.evaluate({"u": u1, "v": ubar}))]
+
+
 def ring_columns(width: int, order: int) -> list[tuple[int, ...]]:
     """The columns of a quotient ring over ``width`` variables: every
     exponent vector of degree 1..order, sorted by degree and then by the

@@ -360,10 +360,12 @@ def test_smallest_accepted_sizes_run(capsys):
 
 
 def test_verify_all_script_passes_every_step_with_identical_stdout():
-    # the script promises byte-stable stdout (step times go to stderr)
+    # the script promises byte-stable stdout (step times go to stderr); the
+    # second run is under -O, which the script passes on to every step
     script = Path(__file__).resolve().parents[1] / "scripts" / "verify_all.py"
-    runs = [subprocess.run([sys.executable, str(script)], capture_output=True,
-                           text=True, timeout=300) for _ in range(2)]
+    runs = [subprocess.run([sys.executable, *flags, str(script)],
+                           capture_output=True, text=True, timeout=300)
+            for flags in ([], ["-O"])]
     for done in runs:
         assert done.returncode == 0, done.stdout
     lines = runs[0].stdout.splitlines()

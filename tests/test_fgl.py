@@ -14,7 +14,8 @@ from cobcalc.pseries import (CheckFailed, NonzeroConstantTerm, OrderExceeded,
                              TruncatedSeries)
 from cobcalc.report import check_zero
 from conftest import coeff_polys, small_fractions
-from oracles import (SUITE_LAWS, TWO_PARAMETER_GRID, direct_associativity,
+from oracles import (SUITE_LAWS, TWO_PARAMETER_GRID,
+                     axiom_differences_by_composition, direct_associativity,
                      lagrange_reversion, law_by_composition,
                      log_route_by_composition, log_route_by_two_products,
                      mutate_alpha, n_series_via_log, solve_inverse,
@@ -780,8 +781,63 @@ def test_mutated_alpha11_breaks_associativity():
 def test_verify_axioms_checks_the_axiom_differences(law, failing):
     rows = fgl.verify_axioms(law)
     assert rows == [check_zero(name, law.tag, difference)
-                    for name, difference in fgl.axiom_differences(law)]
+                    for name, difference in fgl.axiom_differences(law, law.order)]
     assert [r.identity for r in rows if not r.passed] == failing
+
+
+#: Laws assembled with ubar off by one at each degree d, their rows compared
+#: at the law's order and one order lower: miscenko, additive, mult:1, the
+#: two-parameter law and a non-commutative mutant.
+INVERSE_BUMPS = [
+    (law, degree, order)
+    for law in (fgl.miscenko_law(6), fgl.additive_law(6),
+                fgl.multiplicative_law(1, 6), two_parameter_law(2, 3, 8),
+                mutate_alpha(fgl.miscenko_law(7), 3, 4, 1))
+    for degree in range(1, law.order + 1)
+    for order in (law.order, law.order - 1)]
+
+
+@pytest.mark.parametrize("law, degree, order", INVERSE_BUMPS,
+                         ids=lambda x: str(getattr(x, "tag", x)))
+def test_axiom_rows_are_the_composition_route_on_a_bumped_inverse(
+        law, degree, order):
+    # the inverse row reads the remainder of the division that builds Phi;
+    # a row that returned a zero series would pass every bumped law
+    bump = s1({(degree,): 1}, law.order)
+    bad = fgl.FormalGroupLaw(law.tag, law.f, law.inverse + bump, law.log)
+    expected = [check_zero(name, law.tag, difference) for name, difference
+                in axiom_differences_by_composition(bad, order)]
+    assert fgl.verify_axioms(bad.truncate(order)) == expected
+    assert pontclass.verify_identity_suite(bad, "axioms", order) == expected
+    inverse = expected[-1]
+    assert inverse.identity == "inverse" and inverse.order == order
+    if degree <= order:
+        assert (inverse.passed, inverse.first_failing_degree) == (False, degree)
+    else:
+        assert inverse.passed
+
+
+def test_axioms_group_composes_nothing_with_the_inverse(monkeypatch):
+    # unitality twice and the associator's left side; composing f(u, ubar)
+    # made a fourth, on a copy of the law truncated to the suite order
+    law = fgl.miscenko_law(10)
+    calls, built = [], []
+    evaluate, init = TruncatedSeries.evaluate, fgl.FormalGroupLaw.__init__
+
+    def counted(self, values, powers=None):
+        calls.append(values)
+        return evaluate(self, values, powers)
+
+    def constructed(self, *args):
+        built.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(TruncatedSeries, "evaluate", counted)
+    monkeypatch.setattr(fgl.FormalGroupLaw, "__init__", constructed)
+    rows = pontclass.verify_identity_suite(law, "axioms", 9)
+    monkeypatch.undo()
+    assert [(r.order, r.passed) for r in rows] == [(9, True)] * 5
+    assert (len(calls), len(built)) == (3, 0)
 
 
 def test_non_commutative_mutation_fails_both_rows_at_its_degree():
