@@ -8,6 +8,7 @@ requested check passed, so the verification subcommands can gate CI runs.
 ``main(argv)`` is ``execute(parse(argv))``.  This module imports no series
 code: ``execute`` imports ``commands``, which loads it, only after argparse
 has accepted the arguments, so ``--help`` and usage errors exit without it.
+Paths are parsed as strings, and ``pathlib`` loads only to write ``--out``.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from pathlib import Path
 
 
 #: Size caps, so that no invocation runs unbounded.  Each sits above every
@@ -69,7 +69,7 @@ def render_text(obj: dict) -> str:
 
 def _add_output_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--format", choices=("json", "text"), default="text")
-    sub.add_argument("--out", type=Path, default=None,
+    sub.add_argument("--out", default=None,
                      help="write the report to this path instead of stdout")
 
 
@@ -114,7 +114,7 @@ def parse(argv=None) -> argparse.Namespace:
     _add_output_flags(recursion)
     simplicial = chi_subs.add_parser("simplicial",
                                      help="chi of a complex from a file")
-    simplicial.add_argument("--file", type=Path, required=True,
+    simplicial.add_argument("--file", required=True,
                             help="one simplex per line, space-separated labels")
     _add_output_flags(simplicial)
 
@@ -136,7 +136,8 @@ def execute(args: argparse.Namespace) -> int:
         text = (json.dumps(payload, indent=2) if args.format == "json"
                 else render_text(payload))
         if args.out is not None:
-            args.out.write_text(text + "\n")
+            from pathlib import Path
+            Path(args.out).write_text(text + "\n")
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

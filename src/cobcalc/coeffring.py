@@ -1,11 +1,11 @@
 """Exact scalar and graded-polynomial arithmetic for series coefficients.
 
-The scalar field is the rationals with unbounded integer parts, exposed as
-``Rational`` (an alias of :class:`fractions.Fraction`, which keeps every
-value in lowest terms with a positive denominator).  :class:`CoeffPoly` is
-a sparse polynomial in generators cp1, cp2, ... over that field; the
-generator cpn carries weight n, so weights add under multiplication.
-There is no cp0 generator: the empty monomial is the constant 1.
+The scalar field is the rationals with unbounded integer parts,
+:class:`fractions.Fraction`, which keeps every value in lowest terms with
+a positive denominator.  :class:`CoeffPoly` is a sparse polynomial in
+generators cp1, cp2, ... over that field; the generator cpn carries
+weight n, so weights add under multiplication.  There is no cp0
+generator: the empty monomial is the constant 1.
 
 Inside a :class:`CoeffPoly` each monomial is one packed non-negative
 integer (Monagan & Pearce, "Polynomial division using dynamic arrays,
@@ -36,19 +36,17 @@ No floating point is used anywhere.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from fractions import Fraction
 from functools import lru_cache, reduce
 from math import gcd
 from operator import or_
-from typing import Iterable, Iterator, Mapping, Sequence, Union
-
-Rational = Fraction
 
 #: A monomial is a tuple of (generator index, exponent) pairs, sorted by
 #: generator index, with indices >= 1 and exponents >= 1.  () is 1.
 Monomial = tuple[tuple[int, int], ...]
 
-ScalarLike = Union[int, Fraction]
+ScalarLike = int | Fraction
 
 #: Bits per generator in a packed monomial: one byte, so ``int.to_bytes``
 #: reads the exponents of cp1, cp2, ... in order.  Exponents stay below half.
@@ -391,7 +389,7 @@ _ZERO = CoeffPoly({}, 1)
 _ONE = CoeffPoly({0: 1}, 1)
 
 
-def as_coeff(value: Union["CoeffPoly", ScalarLike]) -> CoeffPoly:
+def as_coeff(value: CoeffPoly | ScalarLike) -> CoeffPoly:
     """Coerce an int/Fraction scalar (or pass a CoeffPoly through)."""
     if isinstance(value, CoeffPoly):
         return value

@@ -5,7 +5,8 @@ returns ``(payload, ok)``: the JSON object to render and whether every
 requested check passed.  ``cli`` imports this module only once argparse has
 accepted the arguments, so ``--help`` and usage errors load no series code.
 Every subcommand loads the whole series stack, because the benchmark's
-tracer (``perfbench/tracer.py``) looks up each module it wraps after a run.
+tracer (``perfbench/tracer.py``) looks up each module it wraps after a run;
+only ``chi simplicial`` loads ``pathlib``, to read its ``--file``.
 """
 
 from __future__ import annotations
@@ -67,14 +68,16 @@ def chi(args) -> tuple[dict, bool]:
             "status": "pass" if ok else "fail",
             "failures": failures,
         }, ok
-    complex_ = localize.load_complex_text(args.file.read_text())
+    from pathlib import Path
+    path = Path(args.file)
+    complex_ = localize.load_complex_text(path.read_text())
     chi = complex_.euler_characteristic()
     sd_chi = complex_.barycentric_subdivision().euler_characteristic()
     ok = chi == sd_chi
     fv = complex_.f_vector()
     return {
         "mode": "simplicial",
-        "file": str(args.file),
+        "file": str(path),
         "f_vector": {str(d): fv[d] for d in sorted(fv)},
         "chi": chi,
         "chi_subdivided": sd_chi,

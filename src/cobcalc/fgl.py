@@ -81,19 +81,10 @@ class FormalGroupLaw:
     def __repr__(self) -> str:
         return f"FormalGroupLaw({self.tag}, order={self.order})"
 
-    def truncate(self, order: int) -> "FormalGroupLaw":
-        return FormalGroupLaw(
-            self.tag,
-            self.f.truncate(order),
-            self.inverse.truncate(order),
-            self.log.truncate(order),
-        )
-
 
 def per_law(fn):
     """Memoize a derived series in ``law.derived``, keyed by the function's
-    name and its remaining arguments; the cache is freed with the law, and
-    a truncated copy of the law starts with an empty one."""
+    name and its remaining arguments; the cache is freed with the law."""
     @functools.wraps(fn)
     def cached(law: FormalGroupLaw, *args):
         key = (fn.__name__, *args)

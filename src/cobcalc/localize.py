@@ -1,5 +1,7 @@
 """Combinatorial localization checks: index ledgers, Grassmannian Euler
-characteristics, and simplicial alternating sums.
+characteristics, and simplicial alternating sums.  Like ``report``, this
+module loads no series code; it imports ``importlib.resources`` only to
+read a bundled surface.
 
 The stable-cohomotopy index of the examples this package reproduces lives
 in Z (+) Z2: an integer part seen by the augmentation epsilon plus a
@@ -13,8 +15,8 @@ of {0, ..., n-1} with lambda_i = s_(k+1-i) - (k-i), so that
 |lambda| = sum(S) - k(k-1)/2 (Fulton, Young Tableaux, 1997, chapter 9);
 the subsets are laid out in colex order, one bit each, set when sum(S) is
 odd, and the bits are built by whole-integer shifts and complements,
-not cell by cell (Knuth, TAOCP 4A, 7.1.3 and 7.2.1.3).  The count is the Gaussian binomial at q = -1, and any
-closed form is a cross-check, not ground truth.
+not cell by cell (Knuth, TAOCP 4A, 7.1.3 and 7.2.1.3).  The count is the
+Gaussian binomial at q = -1; a closed form is a cross-check, not truth.
 The localization recursion then states
 
     chi(RG_k^(n1+n2)) = sum over k1+k2=k of
@@ -24,11 +26,10 @@ The localization recursion then states
 from __future__ import annotations
 
 from collections import namedtuple
+from collections.abc import Iterable, Iterator
 from functools import lru_cache
-from importlib import resources
 from itertools import combinations
 from math import comb
-from typing import Iterable, Iterator
 
 from .report import IdentityResult, check_equal
 
@@ -254,6 +255,7 @@ def load_complex_text(text: str) -> SimplicialComplex:
 
 
 def _bundled(name: str) -> SimplicialComplex:
+    from importlib import resources
     text = resources.files("cobcalc").joinpath(f"data/{name}").read_text()
     return load_complex_text(text)
 

@@ -47,9 +47,9 @@ g^{-1}(g(u) + g(v)) and g^{-1}(-g(u)) from a log without reverting it.
 from __future__ import annotations
 
 from bisect import bisect_right
+from collections.abc import Iterable, Mapping
 from fractions import Fraction
 from operator import add
-from typing import Iterable, Mapping, Union
 
 from .coeffring import CoeffPoly, ScalarLike, as_coeff
 
@@ -138,7 +138,7 @@ class TruncatedSeries:
         return cls(tuple(variables), order, {})
 
     @classmethod
-    def constant(cls, value: Union[CoeffPoly, ScalarLike],
+    def constant(cls, value: CoeffPoly | ScalarLike,
                  variables: Iterable[str], order: int) -> "TruncatedSeries":
         variables = tuple(variables)
         c = as_coeff(value)
@@ -161,7 +161,7 @@ class TruncatedSeries:
         return cls(variables, order, {ev: CoeffPoly.one()})
 
     @classmethod
-    def from_terms(cls, terms: Mapping[ExpVec, Union[CoeffPoly, ScalarLike]],
+    def from_terms(cls, terms: Mapping[ExpVec, CoeffPoly | ScalarLike],
                    variables: Iterable[str], order: int) -> "TruncatedSeries":
         variables = tuple(variables)
         clean: dict[ExpVec, CoeffPoly] = {}
@@ -306,7 +306,7 @@ class TruncatedSeries:
                                    _dot_buckets(buckets, half))
         return self.scale(other)
 
-    def scale(self, value: Union[CoeffPoly, ScalarLike]) -> "TruncatedSeries":
+    def scale(self, value: CoeffPoly | ScalarLike) -> "TruncatedSeries":
         c = as_coeff(value)
         if c.is_zero():
             return TruncatedSeries(self.variables, self.order, {})

@@ -3,22 +3,21 @@
 Failures are data, not exceptions: each check yields an
 :class:`IdentityResult` carrying the first failing degree and a witness
 term so a broken identity can be located immediately.
+
+With ``localize`` this is the base layer, which loads no series code:
+``check_zero`` renders its witness with ``str``, which for a
+``TruncatedSeries`` is ``pseries.series_str``.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple
-
-from .pseries import TruncatedSeries, series_str
+from collections import namedtuple
 
 
-class IdentityResult(NamedTuple):
-    identity: str
-    law: str
-    order: int
-    passed: bool
-    first_failing_degree: int | None = None
-    witness_term: str | None = None
+class IdentityResult(namedtuple("IdentityResult", "identity law order passed "
+                                "first_failing_degree witness_term",
+                                defaults=(None, None))):
+    __slots__ = ()
 
     def to_json(self) -> dict:
         return {
@@ -31,12 +30,12 @@ class IdentityResult(NamedTuple):
         }
 
 
-def check_zero(identity: str, law: str, difference: TruncatedSeries) -> IdentityResult:
+def check_zero(identity: str, law: str, difference) -> IdentityResult:
     """Report whether a difference series vanishes at its trusted order."""
     if difference.is_zero():
         return IdentityResult(identity, law, difference.order, True)
     degree = difference.lowest_degree()
-    witness = series_str(difference.homogeneous_part(degree))
+    witness = str(difference.homogeneous_part(degree))
     return IdentityResult(identity, law, difference.order, False, degree, witness)
 
 

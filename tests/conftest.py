@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from cobcalc import fgl
 from cobcalc.coeffring import CoeffPoly
 from cobcalc.pseries import TruncatedSeries
+from oracles import truncated_law
 
 # -- shared laws (session-scoped: construction is the expensive part) --------
 
@@ -17,7 +18,7 @@ def miscenko11():
 
 @pytest.fixture(scope="session")
 def miscenko8(miscenko11):
-    return miscenko11.truncate(8)
+    return truncated_law(miscenko11, 8)
 
 
 @pytest.fixture(scope="session")

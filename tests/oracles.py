@@ -282,6 +282,13 @@ def n_series_via_log(law, n: int) -> TruncatedSeries:
     return law.log.reversion().evaluate({x: law.log.scale(n)})
 
 
+def truncated_law(law, order: int) -> "fgl.FormalGroupLaw":
+    """A copy of the law with f, ubar and g truncated to the order; it
+    starts with no derived series."""
+    return fgl.FormalGroupLaw(law.tag, law.f.truncate(order),
+                              law.inverse.truncate(order), law.log.truncate(order))
+
+
 def mutate_alpha(law, i: int, j: int, delta) -> "fgl.FormalGroupLaw":
     """Bump alpha_ij by delta and solve the inverse of the corrupted f; the
     logarithm is kept so identity checks against g' see the corruption."""

@@ -12,7 +12,7 @@ import time
 from cobcalc import fgl, localize as lz, pontclass as pc
 from cobcalc.coeffring import CoeffPoly
 from cobcalc.pseries import TruncatedSeries
-from oracles import mutate_alpha
+from oracles import mutate_alpha, truncated_law
 
 UV = ("u", "v")
 
@@ -89,7 +89,7 @@ def test_criterion_05_closed_form_b():
 
 
 def test_criterion_06_beta_table_properties(miscenko11):
-    law = miscenko11.truncate(9)
+    law = truncated_law(miscenko11, 9)
     b = pc.b_series(law)
     alpha = fgl.alpha_table(law)
     table = {(k, l): c for (k, l), c in b.terms.items()

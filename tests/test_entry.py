@@ -63,6 +63,28 @@ def test_module_entry_writes_the_out_file_of_cli_main(tmp_path, capsys, monkeypa
     assert (tmp_path / "child.json").read_bytes() == (tmp_path / "main.json").read_bytes()
 
 
+@pytest.mark.parametrize("argv", [
+    "verify all --law mult:1 --order 8 --format json",
+    "chi simplicial --file src/cobcalc/data/klein_bottle.txt --out",
+    "index rp2"])
+def test_module_entry_needs_no_site(tmp_path, argv):
+    # the package has no runtime dependency: without site (and so without
+    # any installed package or .pth hook) a run gives the same bytes
+    runs = []
+    for flags in ((), ("-S",)):
+        out = tmp_path / f"out{len(runs)}.txt"
+        words = [*argv.split(), str(out)] if argv.endswith("--out") else argv.split()
+        done = subprocess.run([sys.executable, *flags, "-m", "cobcalc", *words],
+                              env={"PYTHONPATH": str(ROOT / "src")}, cwd=ROOT,
+                              capture_output=True, text=True, timeout=120)
+        runs.append((done.returncode, done.stdout, done.stderr,
+                     out.read_bytes() if out.exists() else None))
+    assert runs[0] == runs[1]
+    code, stdout, stderr, written = runs[0]
+    assert (code, stderr) == (0, "")
+    assert (written is not None) == argv.endswith("--out") == (stdout == "")
+
+
 def test_cli_main_in_process_freezes_nothing(capsys):
     # tests and tracers call cli.main in their own process; a freeze there
     # would keep their heap out of garbage collection for good

@@ -75,18 +75,57 @@ def test_cli_import_loads_no_dataclasses_or_inspect():
     assert done.stdout == "[]\n"
 
 
+#: Standard-library modules that no benchmarked command runs: annotations
+#: come from ``collections.abc``, the bundled data is read only by ``index``
+#: and a path is built only for ``--out`` and ``chi simplicial``.
+UNUSED_AT_START = {"typing", "importlib.resources", "pathlib"}
+
+
+def _imported(*argv: str) -> tuple[int, set[str]]:
+    """Exit code and imported modules of ``python -S -m cobcalc argv``.
+
+    ``-S`` skips ``site``, whose ``.pth`` hooks may import any of these
+    modules first and so hide them; ``-X importtime`` logs every import."""
+    done = subprocess.run([sys.executable, "-S", "-X", "importtime", "-m", "cobcalc",
+                           *argv], env={"PYTHONPATH": str(PACKAGE.parent)},
+                          capture_output=True, text=True, timeout=120)
+    return done.returncode, {line.rsplit("|", 1)[-1].strip()
+                             for line in done.stderr.splitlines()
+                             if line.startswith("import time:")}
+
+
 @pytest.mark.parametrize("argv, code", [("--help", 0), ("verify --law miscenko", 2)])
 def test_help_and_usage_errors_load_no_series_code(argv, code):
     # argparse exits on --help and on a missing identity before cli imports
-    # commands; -X importtime logs every module the child imports
-    done = subprocess.run([sys.executable, "-X", "importtime", "-m", "cobcalc",
-                           *argv.split()], env={"PYTHONPATH": str(PACKAGE.parent)},
-                          capture_output=True, text=True, timeout=60)
-    imported = {line.rsplit("|", 1)[-1].strip() for line in done.stderr.splitlines()
-                if line.startswith("import time:")}
-    assert done.returncode == code
+    # commands, and cli builds no path while parsing
+    returncode, imported = _imported(*argv.split())
+    assert returncode == code
     assert "cobcalc.cli" in imported
-    assert sorted(imported & SERIES_MODULES) == []
+    assert sorted(imported & (SERIES_MODULES | {"pathlib"})) == []
+
+
+def test_localize_loads_no_series_code():
+    # report and localize are the base layer: the index and chi checks
+    # need no series, no number types and none of the unused modules
+    script = "import sys, cobcalc.localize; print(*sorted(sys.modules))"
+    done = subprocess.run([sys.executable, "-S", "-c", script],
+                          env={"PYTHONPATH": str(PACKAGE.parent)},
+                          capture_output=True, text=True, timeout=60)
+    loaded = set(done.stdout.split())
+    assert done.stderr == ""
+    assert sorted(name for name in loaded if name.startswith("cobcalc")) == [
+        "cobcalc", "cobcalc.localize", "cobcalc.report"]
+    assert sorted(loaded & ({"fractions", "decimal"} | UNUSED_AT_START)) == []
+
+
+@pytest.mark.parametrize("argv", [
+    "verify exact --law miscenko --order 9", "beta --law miscenko --order 12",
+    "verify all --law mult:1 --order 20", "chi recursion --max 17"])
+def test_benchmark_invocations_load_no_unused_module(argv):
+    returncode, imported = _imported(*argv.split(), "--format", "json")
+    assert returncode == 0
+    assert "cobcalc.pontclass" in imported
+    assert sorted(imported & UNUSED_AT_START) == []
 
 
 def test_every_source_file_parses_as_python_3_10():
