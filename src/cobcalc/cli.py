@@ -14,7 +14,9 @@ Paths are parsed as strings, and ``pathlib`` loads only to write ``--out``.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
+import os
 import sys
 
 
@@ -132,6 +134,10 @@ def execute(args: argparse.Namespace) -> int:
 
     try:
         _check_limits(args)
+        out = args.out is not None and os.path.abspath(args.out)
+        if out and (os.path.isdir(out) or not os.path.isdir(os.path.dirname(out))):
+            code = errno.EISDIR if os.path.isdir(out) else errno.ENOENT
+            raise OSError(code, os.strerror(code), args.out)
         payload, ok = getattr(commands, args.command)(args)
         text = (json.dumps(payload, indent=2) if args.format == "json"
                 else render_text(payload))

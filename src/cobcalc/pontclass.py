@@ -9,8 +9,8 @@ addition series b(u,v) = u + v - uv [alpha0(uv) delta(u,v) +
 alpha1(uv) d(u,v)], whose mixed coefficients beta_kl (k, l >= 1) are the
 beta table; the line-bundle index series gamma(c) = 1 - a(c); and the
 one-sided addition series u + v - a(f(u,v)) v.  delta/d, a(f(u,v)), b and
-(v - ubar) Phi, which every Phi row reads, are memoized on the law like Phi
-(:func:`cobcalc.fgl.per_law`), once each.
+(v - ubar) Phi are memoized on the law (:func:`cobcalc.fgl.per_law`).
+Lemma 6.1's left side g'(f) df/dv is d/dv of g(f(u,v)), by the chain rule.
 
 Each identity group returns (row name, difference) pairs, and
 :func:`verify_identity_suite` alone turns them into rows.  Identities that
@@ -77,28 +77,9 @@ def phi_numerator(law: FormalGroupLaw) -> TruncatedSeries:
 
 
 @per_law
-def _f_powers(law: FormalGroupLaw, order: int) -> list[TruncatedSeries]:
-    """The table [1, f, f^2, ...] at ``order``; compositions extend it."""
-    return [TruncatedSeries.one(UV, order)]
-
-
-def _of_f(law: FormalGroupLaw, s: TruncatedSeries) -> TruncatedSeries:
-    """s(f(u,v)) for a series s in u.  f has lowest degree 1, so the result
-    order is min(order of s, n), and every such composition of one law
-    shares the table of f's powers at that order."""
-    return s.evaluate({U: law.f}, {U: _f_powers(law, min(s.order, law.order))})
-
-
-@per_law
 def a_of_f(law: FormalGroupLaw) -> TruncatedSeries:
-    """a(f(u,v)), trusted to order n - 1 like a itself.
-
-    It is the last composition with f that the suite makes (cp(f) in
-    lemma61 runs first), so the table of f's powers is released here."""
-    a = a_series(law)
-    af = _of_f(law, a)
-    law.derived.pop(("_f_powers", min(a.order, law.order)), None)
-    return af
+    """a(f(u,v)), trusted to order n - 1 like a itself."""
+    return a_series(law).evaluate({U: law.f})
 
 
 def gamma_line(law: FormalGroupLaw) -> TruncatedSeries:
@@ -272,10 +253,8 @@ def parity_sign(k: int) -> int:
 
 
 def _lemma61(law: FormalGroupLaw, order: int) -> Differences:
-    cp = cp_series(law)
-    dfdv = law.f.partial_derivative(V)
-    lhs = dfdv * _of_f(law, cp)
-    rhs = cp.rename({U: V}).extend(UV)
+    lhs = law.log.evaluate({U: law.f}).partial_derivative(V)
+    rhs = cp_series(law).rename({U: V}).extend(UV)
     return [("lemma61", lhs - rhs)]
 
 

@@ -30,11 +30,6 @@ values are unchanged.  The mirror relation is checked in one pass over
 the two values; when it holds, the second value's powers are the mirrors
 of the first's, built with no product, whatever the outer series.
 
-A composition may be handed a table of a value's powers at its result
-order, which it extends in place, so compositions that substitute one
-value at one order build each power once; the identity suites keep one
-table of the powers of f per law and working order.
-
 Division by a variable difference (u - v) is exact polynomial division
 with a hard error on a nonzero remainder.  It is the tests' reference
 route for the series fgl and pontclass build without it.
@@ -417,19 +412,13 @@ class TruncatedSeries:
 
     # -- composition ------------------------------------------------------------
 
-    def evaluate(self, values: Mapping[str, "TruncatedSeries"],
-                 powers: Mapping[str, list["TruncatedSeries"]] | None = None,
-                 ) -> "TruncatedSeries":
+    def evaluate(self, values: Mapping[str, "TruncatedSeries"]) -> "TruncatedSeries":
         """Substitute a series for every variable at once (capture-free).
 
         All values must share one variable universe and order, and must
         have zero constant term so the discarded tail of ``self`` cannot
         contaminate stored degrees.  The result order sharpens with the
         lowest degree among the substituted values.
-
-        ``powers`` may give a variable a table [1, x, x^2, ...] of its
-        value's powers at the result order; the table is checked against
-        the value and extended in place.
         """
         missing = [v for v in self.variables if v not in values]
         if missing:
@@ -448,14 +437,6 @@ class TruncatedSeries:
 
         one = TruncatedSeries.one(target_vars, result_order)
         tables = [[one] for _ in vals]
-        for var, table in (powers or {}).items():
-            idx = self.variables.index(var)
-            if table[0] != one or (
-                    len(table) > 1 and table[1] != vals[idx].truncate(result_order)):
-                raise ValueError(
-                    f"power table for {var!r} does not hold powers of its "
-                    f"value at order {result_order}")
-            tables[idx] = table
         # The result is unchanged by swapping u and v when every value is,
         # or when self is, the second value mirrors the first and every
         # other value is unchanged.

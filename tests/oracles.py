@@ -124,6 +124,16 @@ def delta_d_by_divided_difference(law) -> tuple[TruncatedSeries, TruncatedSeries
     return delta, dnum.divided_difference("u", "v")
 
 
+def lemma61_by_product(law) -> TruncatedSeries:
+    """The lemma 6.1 difference g'(f(u,v)) df/dv - g'(v) with its product:
+    g' composed with f, times the v-derivative of f.  The package reads
+    the left side as d/dv of g(f(u,v)), by the chain rule, with no
+    product."""
+    cp = fgl.cp_series(law)
+    lhs = law.f.partial_derivative("v") * cp.evaluate({"u": law.f})
+    return lhs - cp.rename({"u": "v"}).extend(UV)
+
+
 def log_route_by_composition(law):
     """Cross-validate a closed form f against its log g: g(f(u, v)) must
     equal g(u) + g(v) at the law's order.  Composing with g is a bijection

@@ -196,10 +196,22 @@ def test_out_flag_writes_file(tmp_path, capsys):
     ("expand", "--law", "mult:1", "--order", "4", "--out", "{tmp}"),
     ("expand", "--law", "mult:1", "--order", "4", "--out", "{tmp}/missing/x.txt"),
 ])
-def test_unreadable_file_or_unwritable_out_is_a_usage_error(tmp_path, capsys, argv):
+def test_unreadable_file_or_unwritable_out_is_a_usage_error(
+        tmp_path, capsys, monkeypatch, argv):
+    from cobcalc import commands
+
+    ran = []
+
+    def expand(args):
+        ran.append(args)
+        return {}, True
+
+    monkeypatch.setattr(commands, "expand", expand)
     code, out, err = run(capsys, *(a.format(tmp=tmp_path) for a in argv))
     assert (code, out) == (2, "")
     assert err.startswith("error: ") and err.count("\n") == 1
+    # an unwritable --out is refused before the command does any work
+    assert ran == []
 
 
 def test_verify_failure_reports_on_stderr(capsys, monkeypatch):

@@ -16,7 +16,7 @@ from cobcalc.report import check_zero
 from conftest import coeff_polys, small_fractions
 from oracles import (SUITE_LAWS, TWO_PARAMETER_GRID,
                      axiom_differences_by_composition, direct_associativity,
-                     lagrange_reversion, law_by_composition,
+                     lagrange_reversion, law_by_composition, lemma61_by_product,
                      log_route_by_composition, log_route_by_two_products,
                      mutate_alpha, n_series_via_log, solve_inverse,
                      truncated_law, two_parameter_law, universal_cp_series)
@@ -449,9 +449,9 @@ def _three_variable_compositions(monkeypatch, run) -> int:
     counted = []
     real = TruncatedSeries.evaluate
 
-    def counting(self, values, powers=None):
+    def counting(self, values):
         counted.append(next(iter(values.values())).variables == fgl.UVW)
-        return real(self, values, powers)
+        return real(self, values)
 
     monkeypatch.setattr(TruncatedSeries, "evaluate", counting)
     run()
@@ -523,11 +523,21 @@ def test_miscenko_grading(miscenko8):
         assert c.is_homogeneous(i + j - 1)
 
 
-def test_lemma61_cleared_identity(miscenko8):
-    cp = fgl.cp_series(miscenko8)
-    lhs = miscenko8.f.partial_derivative("v") * cp.evaluate({"u": miscenko8.f})
-    rhs = cp.rename({"u": "v"}).extend(UV)
-    assert (lhs - rhs).is_zero()
+def test_lemma61_cleared_identity():
+    # the chain-rule row against the product route, on every suite law as
+    # the suite builds it, and on laws whose f no longer matches its log,
+    # where the row must not vanish
+    bumped = [mutate_alpha(base, i, j, delta)
+              for base in (fgl.miscenko_law(8), fgl.multiplicative_law(1, 10),
+                           two_parameter_law(2, 3, 10))
+              for i, j in ((1, 1), (1, 2), (2, 2), (1, 3)) for delta in (1, -1, -2)]
+    for law in [fgl.parse_law(spec, order + 1) for spec, order in SUITE_LAWS] + bumped:
+        [(name, difference)] = pontclass._lemma61(law, law.order)
+        expected = lemma61_by_product(law)
+        assert name == "lemma61"
+        assert difference == expected, law
+        assert difference.order == expected.order == law.order - 1, law
+        assert difference.is_zero() is (law not in bumped), law
 
 
 def test_derived_series_built_once_per_law():
@@ -660,10 +670,10 @@ def test_closed_form_builds_compose_nothing_in_two_variables(monkeypatch):
     # the Lie series that builds a law from its log
     real = TruncatedSeries.evaluate
 
-    def one_variable_values(self, values, powers=None):
+    def one_variable_values(self, values):
         if any(len(value.variables) > 1 for value in values.values()):
             raise AssertionError("a closed-form build composed a series in (u, v)")
-        return real(self, values, powers)
+        return real(self, values)
 
     monkeypatch.setattr(TruncatedSeries, "evaluate", one_variable_values)
     assert fgl.multiplicative_law(3, 24).order == 24
@@ -824,9 +834,9 @@ def test_axioms_group_composes_nothing_with_the_inverse(monkeypatch):
     calls, built = [], []
     evaluate, init = TruncatedSeries.evaluate, fgl.FormalGroupLaw.__init__
 
-    def counted(self, values, powers=None):
+    def counted(self, values):
         calls.append(values)
-        return evaluate(self, values, powers)
+        return evaluate(self, values)
 
     def constructed(self, *args):
         built.append(args)

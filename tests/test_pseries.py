@@ -264,21 +264,6 @@ def test_mirrored_value_pairs_are_the_per_term_route(case):
             for ev in outer.terms)
 
 
-def test_a_shared_power_table_is_extended_and_checked():
-    x = s2({(1, 0): 1, (0, 1): CoeffPoly.gen(1), (1, 1): 2}, 4)
-    outer = s1({(1,): 1, (2,): 3, (3,): -1}, 4)
-    table = [TruncatedSeries.one(UV, 4)]
-    assert outer.evaluate({"u": x}, {"u": table}) == evaluate_per_term(outer, {"u": x})
-    assert table[1:] == [x, bucket_product(x, x), bucket_product(bucket_product(x, x), x)]
-    square = s1({(2,): 1}, 4)
-    assert square.evaluate({"u": x}, {"u": table}) == bucket_product(x, x)
-    assert len(table) == 4
-    # a table at another order, or of another value, is refused
-    for wrong in ([TruncatedSeries.one(UV, 3)], [table[0], x.scale(2)]):
-        with pytest.raises(ValueError, match="power table"):
-            outer.evaluate({"u": x}, {"u": wrong})
-
-
 def _suite_calls(monkeypatch, method, spec, order):
     """(self, argument, further arguments, result) of every call of the
     ``TruncatedSeries`` method that the whole suite on spec makes, law
@@ -303,11 +288,9 @@ def test_evaluate_matches_the_per_term_route_on_suite_compositions(
         monkeypatch, spec, order):
     # every composition the suite (law construction included) makes,
     # against one product per term started from one, with no shift path;
-    # the compositions through f's shared power table and those with a
-    # mirrored pair of non-monomial values, f([u]_2, [v]_2) and
-    # Phi([u]_2, [v]_2), are among them
+    # those with a mirrored pair of non-monomial values, f([u]_2, [v]_2)
+    # and Phi([u]_2, [v]_2), are among them
     calls = _suite_calls(monkeypatch, "evaluate", spec, order)
-    assert sum(1 for _, _, tables, _ in calls if tables) == 2
     mirrored = [s for s, values, _, _ in calls if s.variables == UV
                 and values["u"].variables == UV
                 and values["v"] == swapped(values["u"])
