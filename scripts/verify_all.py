@@ -27,6 +27,8 @@ STEPS = [
     ["verify", "all", "--law", "mult:3", "--order", "24"],
     ["chi", "recursion", "--max", "20"],
     ["chi", "grass", "--n", "24", "--k", "12"],
+    ["chi", "simplicial", "--file", "src/cobcalc/data/klein_bottle.txt"],
+    ["chi", "simplicial", "--file", "src/cobcalc/data/projective_plane.txt"],
     ["index", "klein"],
     ["index", "rp2"],
 ]

@@ -29,12 +29,12 @@ MAX_GRASS_N = 24        # chi grass: --n (at most C(24, 12) = 2,704,156 k-subset
 
 #: (flag, least, most) per subcommand, checked before any work is done.  A
 #: size below the least would check nothing (verify at order 0, chi recursion
-#: with no case) or could not build its table; None means no minimum.
+#: with no case), could not build its table or names no space (R^-1).
 LIMITS = {
     "expand": ("--order", 1, MAX_ORDER),
     "beta": ("--order", 2, MAX_ORDER),
     "verify": ("--order", 1, MAX_ORDER),
-    "chi grass": ("--n", None, MAX_GRASS_N),
+    "chi grass": ("--n", 0, MAX_GRASS_N),
     "chi recursion": ("--max", 2, MAX_RECURSION),
 }
 
@@ -45,7 +45,7 @@ def _check_limits(args) -> None:
         return
     flag, least, most = LIMITS[command]
     value = getattr(args, flag.lstrip("-"))
-    if least is not None and value < least:
+    if value < least:
         raise ValueError(f"{command}: {flag} must be >= {least}, got {value}")
     if value > most:
         raise ValueError(f"{command}: {flag} must be <= {most}, got {value}")

@@ -174,15 +174,11 @@ class CoeffPoly:
 
     @staticmethod
     def _make(num: dict[int, int], den: int) -> "CoeffPoly":
-        if den == 0:
-            raise ZeroDivisionError("zero denominator")
+        # den is positive: every caller builds it from positive denominators.
         if not all(num.values()):
             num = {m: c for m, c in num.items() if c}
         if not num:
             return _ZERO
-        if den < 0:
-            den = -den
-            num = {m: -c for m, c in num.items()}
         if den != 1:
             g = gcd(den, *num.values())
             if g > 1:
@@ -259,15 +255,10 @@ class CoeffPoly:
     def weights(self) -> set[int]:
         return {mono_weight(_unpack(m)) for m in self._num}
 
-    def is_homogeneous(self, weight: int | None = None) -> bool:
-        """True if every monomial has the same weight (the zero polynomial
+    def is_homogeneous(self, weight: int) -> bool:
+        """True if every monomial has the given weight (the zero polynomial
         is homogeneous of any weight)."""
-        ws = self.weights()
-        if not ws:
-            return True
-        if weight is None:
-            return len(ws) == 1
-        return ws == {weight}
+        return self.weights() <= {weight}
 
     # -- ring operations ---------------------------------------------------
 
@@ -275,11 +266,6 @@ class CoeffPoly:
         if not isinstance(other, CoeffPoly):
             return NotImplemented
         da, db = self._den, other._den
-        if da == db:
-            num = dict(self._num)
-            for m, c in other._num.items():
-                num[m] = num.get(m, 0) + c
-            return self._make(num, da)
         g = gcd(da, db)
         la, lb = db // g, da // g
         num = {m: c * la for m, c in self._num.items()}
@@ -327,8 +313,6 @@ class CoeffPoly:
 
     def scale(self, value: ScalarLike) -> "CoeffPoly":
         q = Fraction(value)
-        if not q:
-            return _ZERO
         num = {m: c * q.numerator for m, c in self._num.items()}
         return self._make(num, self._den * q.denominator)
 

@@ -350,7 +350,7 @@ def alpha_table(law: FormalGroupLaw) -> dict[tuple[int, int], CoeffPoly]:
 def alpha_series(law: FormalGroupLaw) -> tuple[TruncatedSeries, TruncatedSeries, TruncatedSeries]:
     """alpha(u) = df/du at u = 0, read off the u^1 column of f, plus its
     even/odd split alpha(u) = alpha0(u^2) + u*alpha1(u^2)."""
-    m = max(law.f.order - 1, 0)
+    m = law.f.order - 1
     alpha = TruncatedSeries(
         (U,), m, {(j,): c for (i, j), c in law.f.terms.items() if i == 1})
     even = {(e // 2,): c for (e,), c in alpha.terms.items() if e % 2 == 0}

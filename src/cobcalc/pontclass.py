@@ -44,7 +44,7 @@ from .report import IdentityResult, check_zero
 @per_law
 def delta_d_series(law: FormalGroupLaw) -> tuple[TruncatedSeries, TruncatedSeries]:
     """delta = sum a_(i+j+1) u^i v^j over i + j <= m - 1, trusted to
-    max(m - 1, 0), and d = -a_0 + sum a_(i+j) u^i v^j over i, j >= 1 and
+    m - 1, and d = -a_0 + sum a_(i+j) u^i v^j over i, j >= 1 and
     i + j <= m, trusted to m, for a = sum a_k u^k trusted to m: placed with
     no division, as (u^k - v^k)/(u - v) = sum_(i+j=k-1) u^i v^j."""
     a = a_series(law)
@@ -53,7 +53,7 @@ def delta_d_series(law: FormalGroupLaw) -> tuple[TruncatedSeries, TruncatedSerie
         delta.update({(i, k - 1 - i): c for i in range(k)})
         d.update({(i, k - i): c for i in range(1, k)} if k else {(0, 0): -c})
     m = a.order
-    return TruncatedSeries(UV, max(m - 1, 0), delta), TruncatedSeries(UV, m, d)
+    return TruncatedSeries(UV, m - 1, delta), TruncatedSeries(UV, m, d)
 
 
 @per_law

@@ -5,14 +5,17 @@ of a power series in named weight-1 variables; terms above the order are
 unknown, not zero, and every operation tracks how far its result can be
 trusted.  Ring operations return ``min`` of the operand orders; exact
 monomial shifts raise the order by the shift degree; composition sharpens
-the bound using the lowest degree of the substituted values.
+the bound using the lowest degree of the substituted values.  Order -1
+trusts no term: it is what a derivative or a division by a variable of
+an order-0 series can claim.
 
 A product with a factor that is one term with coefficient 1 (``one``, a
 variable, a monomial such as u*v) is an exponent shift: every term of
 the other factor moves and keeps its coefficient, terms past the result
-order are dropped, and no coefficient is multiplied.  Composition starts
-each term's product from the first power it needs, so a term that uses
-one variable costs no product at all.  A product sorts the second
+order are dropped, and no coefficient is multiplied.  Composition builds
+each value's powers once, up to the highest exponent a kept term uses,
+and starts each term's product from the first power it needs, so a term
+that uses one variable costs no product at all.  A product sorts the second
 factor's terms by degree once, so each term of the first factor visits
 only the terms that fit under the result order.
 
@@ -103,17 +106,6 @@ def _dot_buckets(buckets: dict[ExpVec, list[tuple[CoeffPoly, CoeffPoly]]],
             if mirror and ev[0] < ev[1]:
                 terms[(ev[1], ev[0]) + ev[2:]] = c
     return terms
-
-
-def _power(tables: list[list["TruncatedSeries"]], vals: list["TruncatedSeries"],
-           mirror: bool, idx: int, e: int) -> "TruncatedSeries":
-    """vals[idx]^e from tables[idx], extending the table as needed; with
-    ``mirror``, the powers of vals[1] are those of vals[0] mirrored."""
-    pw = tables[idx]
-    while len(pw) <= e:
-        pw.append(_power(tables, vals, mirror, 0, len(pw))._mirrored()
-                  if mirror and idx == 1 else pw[-1] * vals[idx])
-    return pw[e]
 
 
 class TruncatedSeries:
@@ -266,45 +258,42 @@ class TruncatedSeries:
         return TruncatedSeries(self.variables, self.order,
                                {ev: -c for ev, c in self.terms.items()})
 
-    def __mul__(self, other) -> "TruncatedSeries":
-        if isinstance(other, TruncatedSeries):
-            self._check_compatible(other)
-            order = min(self.order, other.order)
-            for unit, rest in ((other, self), (self, other)):
-                if len(unit.terms) == 1:
-                    (shift, c), = unit.terms.items()
-                    if c == _ONE:
-                        return rest._shifted(shift, order)
-            # The coefficient pairs of each output exponent vector go to one
-            # CoeffPoly.dot, which normalizes once per output coefficient.
-            half = self._swap_invariant() and other._swap_invariant()
-            buckets: dict[ExpVec, list[tuple[CoeffPoly, CoeffPoly]]] = {}
-            # other's terms sorted by degree once, so each term of self
-            # visits only the prefix that fits under the order.
-            bkeys = sorted(other.terms, key=sum)
-            degrees = list(map(sum, bkeys))
-            bitems = list(zip(bkeys, map(other.terms.__getitem__, bkeys)))
-            for ea, ca in self.terms.items():
-                room = order - sum(ea)
-                if room < 0:
+    def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
+        if not isinstance(other, TruncatedSeries):
+            return NotImplemented
+        self._check_compatible(other)
+        order = min(self.order, other.order)
+        for unit, rest in ((other, self), (self, other)):
+            if len(unit.terms) == 1:
+                (shift, c), = unit.terms.items()
+                if c == _ONE:
+                    return rest._shifted(shift, order)
+        # The coefficient pairs of each output exponent vector go to one
+        # CoeffPoly.dot, which normalizes once per output coefficient.
+        half = self._swap_invariant() and other._swap_invariant()
+        buckets: dict[ExpVec, list[tuple[CoeffPoly, CoeffPoly]]] = {}
+        # other's terms sorted by degree once, so each term of self
+        # visits only the prefix that fits under the order.
+        bkeys = sorted(other.terms, key=sum)
+        degrees = list(map(sum, bkeys))
+        bitems = list(zip(bkeys, map(other.terms.__getitem__, bkeys)))
+        for ea, ca in self.terms.items():
+            room = order - sum(ea)
+            if room < 0:
+                continue
+            for eb, cb in bitems[:bisect_right(degrees, room)]:
+                ev = tuple(map(add, ea, eb))
+                if half and ev[0] > ev[1]:
                     continue
-                for eb, cb in bitems[:bisect_right(degrees, room)]:
-                    ev = tuple(map(add, ea, eb))
-                    if half and ev[0] > ev[1]:
-                        continue
-                    pairs = buckets.get(ev)
-                    if pairs is None:
-                        buckets[ev] = [(ca, cb)]
-                    else:
-                        pairs.append((ca, cb))
-            return TruncatedSeries(self.variables, order,
-                                   _dot_buckets(buckets, half))
-        return self.scale(other)
+                pairs = buckets.get(ev)
+                if pairs is None:
+                    buckets[ev] = [(ca, cb)]
+                else:
+                    pairs.append((ca, cb))
+        return TruncatedSeries(self.variables, order, _dot_buckets(buckets, half))
 
     def scale(self, value: CoeffPoly | ScalarLike) -> "TruncatedSeries":
         c = as_coeff(value)
-        if c.is_zero():
-            return TruncatedSeries(self.variables, self.order, {})
         terms = {}
         for ev, t in self.terms.items():
             prod = t * c
@@ -343,8 +332,8 @@ class TruncatedSeries:
         if order > self.order:
             raise OrderExceeded(
                 f"cannot extend order {self.order} to {order}: tail is unknown")
-        if order < 0:
-            raise OrderExceeded("negative order")
+        if order < -1:
+            raise OrderExceeded(f"order {order} is below -1, which trusts no term")
         if order == self.order:
             return self             # a series is never changed once built
         terms = {ev: c for ev, c in self.terms.items() if sum(ev) <= order}
@@ -408,7 +397,7 @@ class TruncatedSeries:
                 continue
             # Distinct source terms land on distinct exponent vectors.
             terms[ev[:i] + (e - 1,) + ev[i + 1:]] = c.scale(e)
-        return TruncatedSeries(self.variables, max(self.order - 1, 0), terms)
+        return TruncatedSeries(self.variables, self.order - 1, terms)
 
     # -- composition ------------------------------------------------------------
 
@@ -435,8 +424,6 @@ class TruncatedSeries:
         lmin = min((v.lowest_degree() for v in vals), default=_BIG)
         result_order = min(target_order, (self.order + 1) * lmin - 1)
 
-        one = TruncatedSeries.one(target_vars, result_order)
-        tables = [[one] for _ in vals]
         # The result is unchanged by swapping u and v when every value is,
         # or when self is, the second value mirrors the first and every
         # other value is unchanged.
@@ -446,17 +433,31 @@ class TruncatedSeries:
             or all(v._swap_invariant() for v in vals[:2]))
 
         lows = [min(v.lowest_degree(), result_order + 1) for v in vals]
+        kept = [(ev, c) for ev, c in self.terms.items()
+                if sum(e * low for e, low in zip(ev, lows)) <= result_order]
+        tops = [max((ev[idx] for ev, _ in kept), default=0)
+                for idx in range(len(vals))]
+        if mirror:
+            tops[0] = max(tops[:2])
+        # Each value's powers up to the highest exponent a kept term uses;
+        # with mirror, the second value's are the first's, mirrored.
+        one = TruncatedSeries.one(target_vars, result_order)
+        tables: list[list[TruncatedSeries]] = []
+        for idx, (val, top) in enumerate(zip(vals, tops)):
+            pw = [one]
+            while len(pw) <= top:
+                pw.append(tables[0][len(pw)]._mirrored() if mirror and idx == 1
+                          else pw[-1] * val)
+            tables.append(pw)
+
         buckets: dict[ExpVec, list[tuple[CoeffPoly, CoeffPoly]]] = {}
-        for ev, c in self.terms.items():
-            if sum(e * low for e, low in zip(ev, lows)) > result_order:
-                continue
+        for ev, c in kept:
             # The first power needed starts the product; one is only kept
             # for the constant term.
             prod = one
             for idx, e in enumerate(ev):
                 if e:
-                    pe = _power(tables, vals, mirror, idx, e)
-                    prod = pe if prod is one else prod * pe
+                    prod = tables[idx][e] if prod is one else prod * tables[idx][e]
             for pev, pc in prod.terms.items():
                 if half and pev[0] > pev[1]:
                     continue
@@ -492,7 +493,7 @@ class TruncatedSeries:
                 raise NonzeroRemainder(
                     f"term {ev} has no factor {var}; not divisible")
             terms[ev[:i] + (ev[i] - 1,) + ev[i + 1:]] = c
-        return TruncatedSeries(self.variables, max(self.order - 1, 0), terms)
+        return TruncatedSeries(self.variables, self.order - 1, terms)
 
     def divided_difference(self, var_a: str, var_b: str) -> "TruncatedSeries":
         """Exact quotient by (var_a - var_b), with a remainder check.
@@ -532,7 +533,7 @@ class TruncatedSeries:
             raise NonzeroRemainder(
                 f"division by ({var_a} - {var_b}) leaves remainder term "
                 f"{remainder[ev]} at {ev}: the claimed identity is false")
-        q = TruncatedSeries(self.variables, max(self.order - 1, 0), quotient)
+        q = TruncatedSeries(self.variables, self.order - 1, quotient)
         # Re-verify the factorization on every call: q * (var_a - var_b) is
         # two exponent shifts of q, so it multiplies no coefficient.
         n = self.order

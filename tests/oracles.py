@@ -343,6 +343,19 @@ def two_parameter_law(a: int, b: int, order: int) -> "fgl.FormalGroupLaw":
         TruncatedSeries.from_terms(inverse, U1, order)))
 
 
+def specialize_to_two_parameter(s: TruncatedSeries, a: int, b: int) -> TruncatedSeries:
+    """s with cp_n mapped to h_n(a, b) = sum_i a^i b^(n-i), coefficient by
+    coefficient through ``CoeffPoly.specialize``.  The map sends the
+    universal g'(u) = 1 + sum cp_n u^n to 1/((1 - au)(1 - bu)), the g' of
+    :func:`two_parameter_law`, so it takes the universal law to that law."""
+    terms = {}
+    for ev, c in s.terms.items():
+        gens = {g for m, _ in c.terms() for g, _ in m}
+        terms[ev] = c.specialize(
+            {g: sum(a ** i * b ** (g - i) for i in range(g + 1)) for g in gens})
+    return TruncatedSeries.from_terms(terms, s.variables, s.order)
+
+
 def is_orientable_by_rotations(complex_) -> bool:
     """Orient the triangles consistently by searching the six orderings of
     each neighbour for one that traverses the shared edge backwards."""

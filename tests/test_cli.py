@@ -243,6 +243,7 @@ def test_verify_failure_reports_on_stderr(capsys, monkeypatch):
     (("beta", "--law", "mult:2", "--order", "0"), "beta: --order must be >= 2, got 0"),
     (("chi", "recursion", "--max", "1"), "chi recursion: --max must be >= 2, got 1"),
     (("chi", "recursion", "--max", "-5"), "chi recursion: --max must be >= 2, got -5"),
+    (("chi", "grass", "--n", "-1", "--k", "0"), "chi grass: --n must be >= 0, got -1"),
 ])
 def test_sizes_below_the_minimum_are_usage_errors(capsys, monkeypatch, argv, message):
     # refused before any work: no vacuous pass, no cryptic size error
@@ -254,6 +255,7 @@ def test_sizes_below_the_minimum_are_usage_errors(capsys, monkeypatch, argv, mes
     monkeypatch.setattr(commands, "parse_law", no_work)
     monkeypatch.setattr(pontclass, "verify_identity_suite", no_work)
     monkeypatch.setattr(localize, "localization_recursion_report", no_work)
+    monkeypatch.setattr(localize, "chi_grassmann", no_work)
     code, out, err = run(capsys, *argv)
     assert (code, out, err) == (2, "", f"error: {message}\n")
 
@@ -316,14 +318,19 @@ def test_sizes_at_the_cap_run(capsys, monkeypatch):
     assert run(capsys, "chi", "recursion", "--max", "20")[0] == 0
 
 
+def test_chi_grass_at_the_least_n_runs(capsys):
+    code, out, _ = run(capsys, "chi", "grass", "--n", "0", "--k", "0",
+                       "--format", "json")
+    assert (code, json.loads(out)["chi"]) == (0, 1)
+
+
 def test_readme_states_every_limit():
     from cobcalc import cli
 
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     for command, (flag, least, most) in cli.LIMITS.items():
         assert f"`{flag} <= {most}`" in readme, command
-        if least is not None:
-            assert f"`{flag} >= {least}`" in readme, command
+        assert f"`{flag} >= {least}`" in readme, command
 
 
 def test_multiplicative_law_below_order_two_is_a_usage_error(capsys):

@@ -20,7 +20,7 @@ from cobcalc.pseries import CheckFailed, NonzeroRemainder, TruncatedSeries
 from oracles import (SUITE_LAWS, TWO_PARAMETER_GRID, count_products,
                      delta_d_by_divided_difference, mutate_alpha,
                      phi_by_divided_difference, phi_rows_by_separate_products,
-                     two_parameter_law)
+                     specialize_to_two_parameter, two_parameter_law)
 
 U1 = ("u",)
 UV = ("u", "v")
@@ -335,10 +335,69 @@ def test_delta_d_are_the_divided_difference_route_on_deep_universal_laws(n):
     fgl.miscenko_law(1), fgl.additive_law(1), two_parameter_law(2, 3, 1)],
     ids=lambda law: law.tag)
 def test_delta_d_of_an_order_one_law(law):
-    # a is trusted to order 0 only, so delta cannot drop below order 0
+    # a is trusted to order 0 only, so delta, one degree lower, trusts no term
     delta, d = pc.delta_d_series(law)
-    assert (delta.order, d.order) == (0, 0)
+    assert (delta.order, d.order) == (-1, 0)
     assert (delta, d) == delta_d_by_divided_difference(law)
+
+
+# -- trusted orders ------------------------------------------------------------------
+
+
+#: Law builders by name, with the least order each accepts, memoized so a law
+#: built at n + 3 for one order is the law built at n for another.
+TRUST_LAWS = {
+    "miscenko": (1, functools.cache(fgl.miscenko_law)),
+    "additive": (1, functools.cache(fgl.additive_law)),
+    "mult:2": (2, functools.cache(functools.partial(fgl.multiplicative_law, 2))),
+    "todd:2,3": (1, functools.cache(functools.partial(two_parameter_law, 2, 3))),
+}
+
+
+def derived_series(law):
+    """Every series derived from the law, by name; b needs order 2 for uv."""
+    phi, remainder = fgl.phi_division(law)
+    alpha, alpha0, alpha1 = fgl.alpha_series(law)
+    delta, d = pc.delta_d_series(law)
+    series = {"phi": phi, "remainder": remainder, "two_series": fgl.n_series(law, 2),
+              "a": fgl.a_series(law), "alpha": alpha, "alpha0": alpha0,
+              "alpha1": alpha1, "delta": delta, "d": d,
+              "phi_numerator": pc.phi_numerator(law), "a_of_f": pc.a_of_f(law),
+              "cp": fgl.cp_series(law)}
+    if law.order >= 2:
+        series["b"] = pc.b_series(law)
+    return series
+
+
+@pytest.mark.parametrize("name, n", [(name, n) for name, (least, _) in TRUST_LAWS.items()
+                                     for n in range(least, 9)])
+def test_derived_series_are_true_to_the_order_they_claim(name, n):
+    # a series may claim order -1 (no term trusted) but never a degree
+    # whose coefficient the law's order cannot fix
+    build = TRUST_LAWS[name][1]
+    deeper = derived_series(build(n + 3))
+    for key, s in derived_series(build(n)).items():
+        assert s == deeper[key].truncate(s.order), key
+
+
+@settings(max_examples=50, deadline=None)
+@given(a=st.integers(-3, 3), b=st.integers(-3, 3), order=st.integers(1, 10))
+def test_universal_series_specialize_to_the_two_parameter_law(a, b, order):
+    """Under cp_n -> h_n(a, b), the universal law's f, ubar, g and every
+    derived series (b, whose mixed coefficients are the beta table,
+    included) equal those of the closed-form law of chi_(a,b).
+
+    Limit: both sides run the same derived-series algorithms
+    (``phi_division``, ``n_series``, ``b_series``, ...), so this checks the
+    coefficient arithmetic and the universal construction, not those
+    algorithms."""
+    universal = TRUST_LAWS["miscenko"][1](order)
+    closed = two_parameter_law(a, b, order)
+    expected = {"f": closed.f, "ubar": closed.inverse, "log": closed.log,
+                **derived_series(closed)}
+    for key, s in {"f": universal.f, "ubar": universal.inverse, "log": universal.log,
+                   **derived_series(universal)}.items():
+        assert specialize_to_two_parameter(s, a, b) == expected[key], key
 
 
 # -- b series ------------------------------------------------------------------------

@@ -53,6 +53,15 @@ def test_multiplication_by_zero():
     assert ((u + v) * TruncatedSeries.zero(UV, 3)).is_zero()
 
 
+def test_multiplication_takes_series_only():
+    # scale is the one scalar route
+    u = TruncatedSeries.variable("u", UV, 3)
+    for scalar in (3, Fraction(1, 2), CoeffPoly.gen(1)):
+        with pytest.raises(TypeError):
+            u * scalar
+    assert u.scale(3) == s2({(1, 0): 3}, 3)
+
+
 def test_variable_universe_mismatch():
     u = TruncatedSeries.variable("u", ("u",), 3)
     v = TruncatedSeries.variable("v", ("v",), 3)
@@ -445,6 +454,13 @@ def test_partial_derivative_examples():
         s2({(0, 0): 1}, 3)
 
 
+def test_an_order_zero_series_loses_every_term_to_a_derivative_or_division():
+    # u at order 0 keeps no term, so neither du/du = 1 nor u/u = 1 is known
+    u0 = TruncatedSeries.variable("u", ("u",), 1).truncate(0)
+    assert u0.partial_derivative("u") == s1({}, -1)
+    assert u0.divided_by_variable("u") == s1({}, -1)
+
+
 @given(series_uv, series_uv)
 def test_partial_derivative_is_linear_and_leibniz(a, b):
     da = a.partial_derivative("u")
@@ -524,8 +540,10 @@ def test_coefficient_beyond_order_is_unknown():
 def test_truncate_example():
     s = s1({(0,): 1, (1,): 1, (2,): 1}, 5)
     assert s.truncate(1) == s1({(0,): 1, (1,): 1}, 1)
-    with pytest.raises(OrderExceeded):
-        s.truncate(6)
+    assert s.truncate(-1) == s1({}, -1)
+    for order in (6, -2):
+        with pytest.raises(OrderExceeded):
+            s.truncate(order)
 
 
 def test_truncate_at_its_own_order_is_the_series_itself():
