@@ -21,6 +21,7 @@ STEPS = [
     ["beta", "--law", "miscenko", "--order", "8"],
     ["verify", "axioms", "--law", "miscenko", "--order", "10"],
     ["verify", "exact", "--law", "miscenko", "--order", "10"],
+    ["verify", "exact", "--law", "miscenko", "--order", "14"],
     ["verify", "all", "--law", "mult:1", "--order", "12"],
     ["verify", "all", "--law", "additive", "--order", "12"],
     ["verify", "in_A", "--law", "mult:4", "--order", "9"],

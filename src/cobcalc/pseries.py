@@ -15,9 +15,14 @@ the other factor moves and keeps its coefficient, terms past the result
 order are dropped, and no coefficient is multiplied.  Composition builds
 each value's powers once, up to the highest exponent a kept term uses,
 and starts each term's product from the first power it needs, so a term
-that uses one variable costs no product at all.  A product sorts the second
-factor's terms by degree once, so each term of the first factor visits
-only the terms that fit under the result order.
+that uses one variable costs no product at all.  It may be handed a table
+of its first value's powers, which it checks against that value, grows in
+place and reads truncated and extended: the identity suites keep one such
+table of the powers of f per law (:func:`cobcalc.fgl.f_powers`), so each
+is built once.  A product sorts the second factor's terms by degree once,
+so each term of the first factor visits only the terms that fit under the
+result order.  A difference is built in one pass: equal coefficients
+cancel with no arithmetic, and no negated copy is made.
 
 A product of two series that are unchanged when the first two variables
 are swapped, and a composition whose substituted values all are, is
@@ -31,7 +36,10 @@ swap when its outer series is, its value for the second variable is the
 mirror of its value for the first (as [v]_2 is of [u]_2), and its other
 values are unchanged.  The mirror relation is checked in one pass over
 the two values; when it holds, the second value's powers are the mirrors
-of the first's, built with no product, whatever the outer series.
+of the first's, built with no product, whatever the outer series.  When
+the other values are unchanged too, the product for a term x^j y^i with
+j > i > 0 is the mirror of the one for x^i y^j, so each such pair of terms
+makes one product.
 
 Division by a variable difference (u - v) is exact polynomial division
 with a hard error on a nonzero remainder.  It is the tests' reference
@@ -128,8 +136,10 @@ class TruncatedSeries:
     def constant(cls, value: CoeffPoly | ScalarLike,
                  variables: Iterable[str], order: int) -> "TruncatedSeries":
         variables = tuple(variables)
+        if order < -1:
+            raise OrderExceeded(f"order {order} is below -1, which trusts no term")
         c = as_coeff(value)
-        if c.is_zero():
+        if c.is_zero() or order < 0:
             return cls(variables, order, {})
         return cls(variables, order, {(0,) * len(variables): c})
 
@@ -252,7 +262,22 @@ class TruncatedSeries:
         return TruncatedSeries(self.variables, order, terms)
 
     def __sub__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        return self + (-other)
+        if not isinstance(other, TruncatedSeries):
+            return NotImplemented
+        self._check_compatible(other)
+        order = min(self.order, other.order)
+        terms = {ev: c for ev, c in self.terms.items() if sum(ev) <= order}
+        for ev, c in other.terms.items():
+            if sum(ev) > order:
+                continue
+            s = terms.get(ev)
+            if s is None:
+                terms[ev] = -c
+            elif s == c:
+                del terms[ev]       # canonical coefficients: equal means s - c = 0
+            else:
+                terms[ev] = s - c
+        return TruncatedSeries(self.variables, order, terms)
 
     def __neg__(self) -> "TruncatedSeries":
         return TruncatedSeries(self.variables, self.order,
@@ -357,6 +382,8 @@ class TruncatedSeries:
     def extend(self, variables: Iterable[str]) -> "TruncatedSeries":
         """Re-embed into a larger variable universe."""
         variables = tuple(variables)
+        if variables == self.variables:
+            return self             # a series is never changed once built
         positions = []
         for v in self.variables:
             if v not in variables:
@@ -397,17 +424,24 @@ class TruncatedSeries:
                 continue
             # Distinct source terms land on distinct exponent vectors.
             terms[ev[:i] + (e - 1,) + ev[i + 1:]] = c.scale(e)
-        return TruncatedSeries(self.variables, self.order - 1, terms)
+        return TruncatedSeries(self.variables, max(self.order - 1, -1), terms)
 
     # -- composition ------------------------------------------------------------
 
-    def evaluate(self, values: Mapping[str, "TruncatedSeries"]) -> "TruncatedSeries":
+    def evaluate(self, values: Mapping[str, "TruncatedSeries"],
+                 powers: list["TruncatedSeries"] | None = None) -> "TruncatedSeries":
         """Substitute a series for every variable at once (capture-free).
 
         All values must share one variable universe and order, and must
         have zero constant term so the discarded tail of ``self`` cannot
         contaminate stored degrees.  The result order sharpens with the
         lowest degree among the substituted values.
+
+        ``powers`` may be a table [1, x, x^2, ...] of the powers of the
+        first value at an order at least the result order, in variables
+        that extend to the values'; it is grown in place up to the highest
+        exponent asked and read truncated and extended.  Its x must equal
+        the first value up to the result order, or CheckFailed is raised.
         """
         missing = [v for v in self.variables if v not in values]
         if missing:
@@ -426,16 +460,22 @@ class TruncatedSeries:
 
         # The result is unchanged by swapping u and v when every value is,
         # or when self is, the second value mirrors the first and every
-        # other value is unchanged.
+        # other value is unchanged.  Under the last two conditions the
+        # product for a term with exponents e1, e0 is the mirror of the one
+        # for e0, e1, so each such pair of terms makes one product.
         mirror = len(vals) >= 2 and vals[1]._is_mirror_of(vals[0])
-        half = all(v._swap_invariant() for v in vals[2:]) and (
-            mirror and self._swap_invariant()
-            or all(v._swap_invariant() for v in vals[:2]))
+        twins = mirror and all(v._swap_invariant() for v in vals[2:])
+        half = twins and self._swap_invariant() or all(
+            v._swap_invariant() for v in vals)
 
         lows = [min(v.lowest_degree(), result_order + 1) for v in vals]
-        kept = [(ev, c) for ev, c in self.terms.items()
-                if sum(e * low for e, low in zip(ev, lows)) <= result_order]
-        tops = [max((ev[idx] for ev, _ in kept), default=0)
+        # (exponents of the product read, read mirrored?, coefficient)
+        kept = []
+        for ev, c in self.terms.items():
+            if sum(e * low for e, low in zip(ev, lows)) <= result_order:
+                flip = twins and ev[0] > ev[1] > 0
+                kept.append(((ev[1], ev[0]) + ev[2:] if flip else ev, flip, c))
+        tops = [max((ev[idx] for ev, _, _ in kept), default=0)
                 for idx in range(len(vals))]
         if mirror:
             tops[0] = max(tops[:2])
@@ -445,20 +485,37 @@ class TruncatedSeries:
         tables: list[list[TruncatedSeries]] = []
         for idx, (val, top) in enumerate(zip(vals, tops)):
             pw = [one]
+            if idx == 0 and powers is not None:
+                base = val.truncate(result_order)
+                if (powers[1].order < result_order or base != powers[1].truncate(
+                        result_order).extend(target_vars)):
+                    raise CheckFailed("power table does not hold the powers of "
+                                      "the first value")
+                while len(powers) <= top:
+                    powers.append(powers[-1] * powers[1])
+                pw += [base] + [p.truncate(result_order).extend(target_vars)
+                                for p in powers[2:top + 1]]
             while len(pw) <= top:
                 pw.append(tables[0][len(pw)]._mirrored() if mirror and idx == 1
                           else pw[-1] * val)
             tables.append(pw)
 
         buckets: dict[ExpVec, list[tuple[CoeffPoly, CoeffPoly]]] = {}
-        for ev, c in kept:
-            # The first power needed starts the product; one is only kept
-            # for the constant term.
-            prod = one
-            for idx, e in enumerate(ev):
-                if e:
-                    prod = tables[idx][e] if prod is one else prod * tables[idx][e]
+        shared: dict[ExpVec, TruncatedSeries] = {}
+        for ev, flip, c in kept:
+            prod = shared.pop(ev, None)
+            if prod is None:
+                # The first power needed starts the product; one is only
+                # kept for the constant term.
+                prod = one
+                for idx, e in enumerate(ev):
+                    if e:
+                        prod = tables[idx][e] if prod is one else prod * tables[idx][e]
+                if twins and 0 < ev[0] < ev[1]:
+                    shared[ev] = prod       # for the twin term, if it comes
             for pev, pc in prod.terms.items():
+                if flip:
+                    pev = (pev[1], pev[0]) + pev[2:]
                 if half and pev[0] > pev[1]:
                     continue
                 pairs = buckets.get(pev)
@@ -493,7 +550,7 @@ class TruncatedSeries:
                 raise NonzeroRemainder(
                     f"term {ev} has no factor {var}; not divisible")
             terms[ev[:i] + (ev[i] - 1,) + ev[i + 1:]] = c
-        return TruncatedSeries(self.variables, self.order - 1, terms)
+        return TruncatedSeries(self.variables, max(self.order - 1, -1), terms)
 
     def divided_difference(self, var_a: str, var_b: str) -> "TruncatedSeries":
         """Exact quotient by (var_a - var_b), with a remainder check.

@@ -449,9 +449,9 @@ def _three_variable_compositions(monkeypatch, run) -> int:
     counted = []
     real = TruncatedSeries.evaluate
 
-    def counting(self, values):
+    def counting(self, values, *args):
         counted.append(next(iter(values.values())).variables == fgl.UVW)
-        return real(self, values)
+        return real(self, values, *args)
 
     monkeypatch.setattr(TruncatedSeries, "evaluate", counting)
     run()
@@ -670,10 +670,10 @@ def test_closed_form_builds_compose_nothing_in_two_variables(monkeypatch):
     # the Lie series that builds a law from its log
     real = TruncatedSeries.evaluate
 
-    def one_variable_values(self, values):
+    def one_variable_values(self, values, *args):
         if any(len(value.variables) > 1 for value in values.values()):
             raise AssertionError("a closed-form build composed a series in (u, v)")
-        return real(self, values)
+        return real(self, values, *args)
 
     monkeypatch.setattr(TruncatedSeries, "evaluate", one_variable_values)
     assert fgl.multiplicative_law(3, 24).order == 24
@@ -834,9 +834,9 @@ def test_axioms_group_composes_nothing_with_the_inverse(monkeypatch):
     calls, built = [], []
     evaluate, init = TruncatedSeries.evaluate, fgl.FormalGroupLaw.__init__
 
-    def counted(self, values):
+    def counted(self, values, *args):
         calls.append(values)
-        return evaluate(self, values)
+        return evaluate(self, values, *args)
 
     def constructed(self, *args):
         built.append(args)

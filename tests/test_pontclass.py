@@ -462,6 +462,134 @@ def test_two_series_of_f_is_exactly_f_times_a_of_f(spec, order):
     assert two_of_f.order == order
 
 
+def _table_compositions_and_rows(monkeypatch, make_law, order):
+    """The (series, values, result) of every composition that reads a table
+    of f's powers while the whole suite runs on a law from make_law, its
+    rows, and the rows of the suite on a second such law with every table
+    ignored, so each composition builds its value's own powers."""
+    real = TruncatedSeries.evaluate
+    calls = []
+
+    def recorded(self, values, powers=None):
+        result = real(self, values, powers)
+        if powers is not None:
+            calls.append((self, values, result))
+        return result
+
+    monkeypatch.setattr(TruncatedSeries, "evaluate", recorded)
+    rows = pc.verify_identity_suite(make_law(), "all", order)
+    monkeypatch.setattr(TruncatedSeries, "evaluate",
+                        lambda self, values, powers=None: real(self, values))
+    plain_rows = pc.verify_identity_suite(make_law(), "all", order)
+    monkeypatch.undo()
+    return calls, rows, plain_rows
+
+
+@pytest.mark.parametrize("make_law, order", [
+    *[(functools.partial(fgl.parse_law, spec, order + 1), order)
+      for spec, order in SUITE_LAWS],
+    *[(functools.partial(lambda i, j: mutate_alpha(fgl.miscenko_law(6), i, j, 1),
+                         i, j), 5)
+      for i in range(1, 6) for j in range(1, 7 - i)]])
+def test_compositions_reading_the_table_of_f_match_plain_composition(
+        monkeypatch, make_law, order):
+    # g(f) in lemma61, a(f) and the associator's left side f(f(u,v), w);
+    # the mutants fail rows, so their witnesses are compared too
+    calls, rows, plain_rows = _table_compositions_and_rows(
+        monkeypatch, make_law, order)
+    assert len(calls) == 3
+    for s, values, result in calls:
+        assert result == s.evaluate(values)
+    assert rows == plain_rows
+
+
+def test_a_table_of_other_powers_is_refused_under_python_O():
+    # the check of the table's first power is no assert, so -O keeps it;
+    # each of the three compositions that read the table refuses it
+    script = textwrap.dedent("""
+        import sys
+        from cobcalc import fgl, pontclass
+        from cobcalc.pseries import CheckFailed
+        from oracles import mutate_alpha
+        law = fgl.miscenko_law(6)
+        for build in (fgl.verify_axioms, lambda bad: pontclass._lemma61(bad, 6),
+                      pontclass.a_of_f):
+            bad = mutate_alpha(law, 2, 3, 1)
+            bad.derived[("f_powers",)] = fgl.f_powers(law)
+            try:
+                build(bad)
+            except CheckFailed as exc:
+                print(sys.flags.optimize, exc)
+        """)
+    src = str(Path(fgl.__file__).resolve().parents[1])
+    tests = str(Path(__file__).resolve().parent)
+    done = subprocess.run([sys.executable, "-O", "-c", script],
+                          env={"PYTHONPATH": f"{src}:{tests}"}, capture_output=True,
+                          text=True, timeout=60)
+    assert done.stdout.splitlines() == [
+        "1 power table does not hold the powers of the first value"] * 3
+    assert done.stderr == ""
+
+
+def test_each_power_of_f_is_built_once_per_law(monkeypatch):
+    # g(f) in lemma61, a(f) and the associator's f(f(u,v), w) read one
+    # table of f's powers at the law's order; each used to build its own
+    f = fgl.parse_law("miscenko", 10).f
+    powers = [f]
+    while len(powers) < f.order:
+        powers.append(powers[-1] * f)
+    built = []
+    real = TruncatedSeries.__mul__
+
+    def recorded(self, other):
+        result = real(self, other)
+        built.append(result)
+        return result
+
+    monkeypatch.setattr(TruncatedSeries, "__mul__", recorded)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["verify", "exact", "--law", "miscenko", "--order", "9"]) == 0
+    monkeypatch.undo()
+    counts = dict.fromkeys(range(2, f.order + 1), 0)
+    for s in built:
+        if s.variables == fgl.UVW and not any(ev[2] for ev in s.terms):
+            s = s.restrict(UV)
+        for k in counts:
+            # f^k starts at degree k, so below that order it is no witness
+            if s.variables == UV and k <= s.order <= f.order \
+                    and s == powers[k - 1].truncate(s.order):
+                counts[k] += 1
+    assert counts == dict.fromkeys(counts, 1)
+
+
+def test_mirrored_values_multiply_each_cross_product_once(monkeypatch):
+    # in f([u]_2, [v]_2) and Phi([u]_2, [v]_2) the product X^j Y^i, j > i,
+    # is the mirror of X^i Y^j, so only the products with i <= j are made
+    two = fgl.n_series(fgl.parse_law("miscenko", 10), 2).extend(UV).truncate(9)
+    xs = [two]
+    while len(xs) < 9:
+        xs.append(xs[-1] * two)
+    ys = [TruncatedSeries(UV, x.order, {(b, a): c for (a, b), c in x.terms.items()})
+          for x in xs]
+    crossed = []
+    real = TruncatedSeries.__mul__
+
+    def recorded(self, other):
+        i = next((k for k, x in enumerate(xs, 1) if x == self), None)
+        j = next((k for k, y in enumerate(ys, 1) if y == other), None)
+        if i and j:
+            crossed.append((i, j))
+        return real(self, other)
+
+    monkeypatch.setattr(TruncatedSeries, "__mul__", recorded)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["verify", "exact", "--law", "miscenko", "--order", "9"]) == 0
+    monkeypatch.undo()
+    # once in each of the two compositions
+    assert crossed and all(i <= j for i, j in crossed)
+    assert all(crossed.count(ij) == 2 for ij in crossed)
+
+
 def test_a_of_f_is_built_once_per_law(monkeypatch):
     built = []
     build = pc.a_of_f.__wrapped__
@@ -496,8 +624,8 @@ def test_phi_is_built_once_per_law(monkeypatch):
     assert built == ["miscenko", "mult:1"]
 
 
-@pytest.mark.parametrize("order, products", [(6, 5503), (9, 51148)],
-                         ids=("order6", "order9"))
+@pytest.mark.parametrize("order, products", [(6, 4982), (9, 44829), (14, 971928)],
+                         ids=("order6", "order9", "order14"))
 def test_exact_suite_monomial_products_stay_within_their_recorded_counts(
         order, products):
     # the deterministic cost unit: a later change may not give back the

@@ -62,6 +62,29 @@ def test_multiplication_takes_series_only():
     assert u.scale(3) == s2({(1, 0): 3}, 3)
 
 
+@st.composite
+def difference_pairs(draw):
+    """Two series over (u, v) at orders drawn apart, -1 included: b shares
+    some of a's terms with equal coefficients, some with other ones, and
+    has terms of its own."""
+    orders = [draw(st.integers(min_value=-1, max_value=4)) for _ in range(2)]
+    evs = [ev for ev in product(range(5), repeat=2) if sum(ev) <= 4]
+    a, b = ({ev: c for ev, c in draw(st.dictionaries(
+        st.sampled_from(evs), nonzero_coeff_polys, max_size=6)).items()
+        if sum(ev) <= order} for order in orders)
+    for ev in draw(st.sets(st.sampled_from(evs), max_size=4)):
+        if ev in a and sum(ev) <= orders[1]:
+            b[ev] = a[ev]
+    return s2(a, orders[0]), s2(b, orders[1])
+
+
+@given(difference_pairs())
+def test_difference_is_the_sum_with_the_negation(pair):
+    a, b = pair
+    assert a - b == a + (-b)
+    assert (a - a).is_zero() and (a - a).order == a.order
+
+
 def test_variable_universe_mismatch():
     u = TruncatedSeries.variable("u", ("u",), 3)
     v = TruncatedSeries.variable("v", ("v",), 3)
@@ -459,6 +482,20 @@ def test_an_order_zero_series_loses_every_term_to_a_derivative_or_division():
     u0 = TruncatedSeries.variable("u", ("u",), 1).truncate(0)
     assert u0.partial_derivative("u") == s1({}, -1)
     assert u0.divided_by_variable("u") == s1({}, -1)
+
+
+def test_a_series_that_trusts_no_term_keeps_order_minus_one():
+    # truncate refuses orders below -1, so a derivative or a division of
+    # an O(-1) series stays at -1; a constant there stores no term
+    empty = s2({}, -1)
+    assert empty.partial_derivative("v") == empty
+    assert empty.divided_by_variable("u") == empty
+    assert TruncatedSeries.one(UV, -1) == empty
+    assert TruncatedSeries.constant(CoeffPoly.gen(1), UV, -1) == empty
+    for order in (-2, -5):
+        with pytest.raises(OrderExceeded):
+            TruncatedSeries.one(UV, order)
+    assert TruncatedSeries.one(UV, 0).terms == {(0, 0): CoeffPoly.one()}
 
 
 @given(series_uv, series_uv)
