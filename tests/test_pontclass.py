@@ -485,11 +485,14 @@ def _table_compositions_and_rows(monkeypatch, make_law, order):
     return calls, rows, plain_rows
 
 
+def _miscenko_mutant(i, j):
+    return mutate_alpha(fgl.miscenko_law(6), i, j, 1)
+
+
 @pytest.mark.parametrize("make_law, order", [
-    *[(functools.partial(fgl.parse_law, spec, order + 1), order)
-      for spec, order in SUITE_LAWS],
-    *[(functools.partial(lambda i, j: mutate_alpha(fgl.miscenko_law(6), i, j, 1),
-                         i, j), 5)
+    *[pytest.param(functools.partial(fgl.parse_law, spec, order + 1), order,
+                   id=f"{spec}-{order}") for spec, order in SUITE_LAWS],
+    *[pytest.param(functools.partial(_miscenko_mutant, i, j), 5, id=f"miscenko+e{i}{j}")
       for i in range(1, 6) for j in range(1, 7 - i)]])
 def test_compositions_reading_the_table_of_f_match_plain_composition(
         monkeypatch, make_law, order):
@@ -501,6 +504,7 @@ def test_compositions_reading_the_table_of_f_match_plain_composition(
     for s, values, result in calls:
         assert result == s.evaluate(values)
     assert rows == plain_rows
+    assert all(r.passed for r in rows) is ("+" not in rows[0].law)
 
 
 def test_a_table_of_other_powers_is_refused_under_python_O():
@@ -556,8 +560,8 @@ def test_each_power_of_f_is_built_once_per_law(monkeypatch):
             s = s.restrict(UV)
         for k in counts:
             # f^k starts at degree k, so below that order it is no witness
-            if s.variables == UV and k <= s.order <= f.order \
-                    and s == powers[k - 1].truncate(s.order):
+            if (s.variables == UV and k <= s.order <= f.order
+                    and s == powers[k - 1].truncate(s.order)):
                 counts[k] += 1
     assert counts == dict.fromkeys(counts, 1)
 
