@@ -61,15 +61,15 @@ def multiplicative_log(beta: Fraction, order: int) -> TruncatedSeries:
 
 class FormalGroupLaw:
     """A law at a fixed order: f in (u, v), its inverse ubar(u) and its log
-    g(u), each one variable.  The law's order is f's.  Laws compare by
-    identity, and ``derived`` holds this law's memoized series (see
-    :func:`per_law`)."""
+    g(u), each one variable.  The law's order is f's, and f carries a table
+    of its powers.  Laws compare by identity, and ``derived`` holds this
+    law's memoized series (see :func:`per_law`)."""
     __slots__ = ("tag", "f", "inverse", "log", "derived")
 
     def __init__(self, tag: str, f: TruncatedSeries,
                  inverse: TruncatedSeries, log: TruncatedSeries):
         self.tag = tag
-        self.f = f
+        self.f = f.with_power_table()
         self.inverse = inverse
         self.log = log
         self.derived: dict = {}
@@ -332,14 +332,6 @@ def n_series(law: FormalGroupLaw, n: int) -> TruncatedSeries:
 
 
 @per_law
-def f_powers(law: FormalGroupLaw) -> list[TruncatedSeries]:
-    """The table [1, f, f^2, ...] at the law's order, grown in place by the
-    compositions that substitute f (:meth:`TruncatedSeries.evaluate`), so
-    each power of f is built once per law."""
-    return [TruncatedSeries.one(UV, law.order), law.f]
-
-
-@per_law
 def a_series(law: FormalGroupLaw) -> TruncatedSeries:
     """a(u) = [u]_2 / u = 2 + sum alpha_ij u^(i+j-1)."""
     return n_series(law, 2).divided_by_variable(U)
@@ -371,17 +363,16 @@ def alpha_series(law: FormalGroupLaw) -> tuple[TruncatedSeries, TruncatedSeries,
 # -- axiom verification --------------------------------------------------------
 
 
-def associator(s: TruncatedSeries,
-               powers: list[TruncatedSeries] | None = None) -> TruncatedSeries:
+def associator(s: TruncatedSeries) -> TruncatedSeries:
     """s(s(u,v), w) - s(u, s(v,w)) in (u, v, w) at the order of s.
 
-    The inner s(u,v) is s itself in three variables, and ``powers`` may be
-    a table of its powers in (u, v) (see :func:`f_powers`).  A
-    swap-invariant s (checked on every call) is a symmetric polynomial, so
-    s(u, s(v,w)) = s(s(w,v), u), the left side with u and w exchanged;
-    any other s composes its right side and reports its own associator."""
+    The inner s(u,v) is s itself in three variables, so it shares the table
+    of powers s carries, if any (a law's f does).  A swap-invariant s
+    (checked on every call) is a symmetric polynomial, so s(u, s(v,w)) =
+    s(s(w,v), u), the left side with u and w exchanged; any other s
+    composes its right side and reports its own associator."""
     w = TruncatedSeries.variable(W, UVW, s.order)
-    lhs = s.evaluate({U: s.extend(UVW), V: w}, powers)
+    lhs = s.evaluate({U: s.extend(UVW), V: w})
     if s._swap_invariant():
         return lhs - lhs.rename({U: W, W: U}).extend(UVW)
     u = TruncatedSeries.variable(U, UVW, s.order)
@@ -401,7 +392,7 @@ def axiom_differences(law: FormalGroupLaw, order: int) -> Differences:
     commutativity = f - f.rename({U: V, V: U}).extend(UV)
     return [("unitality_right", right_unit), ("unitality_left", left_unit),
             ("commutativity", commutativity),
-            ("associativity", associator(f, f_powers(law))),
+            ("associativity", associator(f)),
             ("inverse", phi_division(law)[1].truncate(n))]
 
 

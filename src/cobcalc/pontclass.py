@@ -31,7 +31,7 @@ from math import gcd
 from .coeffring import CoeffPoly
 from .fgl import (U, UV, UVW, V, Differences, FormalGroupLaw, LawError,
                   a_series, alpha_series, associator, axiom_differences,
-                  cp_series, f_powers, n_series, parse_law, per_law, phi_series)
+                  cp_series, n_series, parse_law, per_law, phi_series)
 from .intlattice import IntegerLattice
 from .localize import whitney_sign_formula
 from .pseries import CheckFailed, OrderExceeded, TruncatedSeries
@@ -79,7 +79,7 @@ def phi_numerator(law: FormalGroupLaw) -> TruncatedSeries:
 @per_law
 def a_of_f(law: FormalGroupLaw) -> TruncatedSeries:
     """a(f(u,v)), trusted to order n - 1 like a itself."""
-    return a_series(law).evaluate({U: law.f}, f_powers(law))
+    return a_series(law).evaluate({U: law.f})
 
 
 def gamma_line(law: FormalGroupLaw) -> TruncatedSeries:
@@ -253,7 +253,7 @@ def parity_sign(k: int) -> int:
 
 
 def _lemma61(law: FormalGroupLaw, order: int) -> Differences:
-    lhs = law.log.evaluate({U: law.f}, f_powers(law)).partial_derivative(V)
+    lhs = law.log.evaluate({U: law.f}).partial_derivative(V)
     rhs = cp_series(law).rename({U: V}).extend(UV)
     return [("lemma61", lhs - rhs)]
 

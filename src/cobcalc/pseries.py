@@ -15,14 +15,15 @@ the other factor moves and keeps its coefficient, terms past the result
 order are dropped, and no coefficient is multiplied.  Composition builds
 each value's powers once, up to the highest exponent a kept term uses,
 and starts each term's product from the first power it needs, so a term
-that uses one variable costs no product at all.  It may be handed a table
-of its first value's powers, which it checks against that value, grows in
-place and reads truncated and extended: the identity suites keep one such
-table of the powers of f per law (:func:`cobcalc.fgl.f_powers`), so each
-is built once.  A product sorts the second factor's terms by degree once,
-so each term of the first factor visits only the terms that fit under the
-result order.  A difference is built in one pass: equal coefficients
-cancel with no arithmetic, and no negated copy is made.
+that uses one variable costs no product at all.  A series may carry a
+table of its own powers, which composition grows in place and reads
+truncated and extended: each law's f carries one, so each power of f is
+built once per law.  Only ``truncate`` and ``extend`` pass a table on, so
+it holds powers of the series that carries it.  A product sorts the
+second factor's terms by degree once, so each term of the first factor
+visits only the terms that fit under the result order.  A difference is
+built in one pass: equal coefficients cancel with no arithmetic, and no
+negated copy is made.
 
 A product of two series that are unchanged when the first two variables
 are swapped, and a composition whose substituted values all are, is
@@ -117,14 +118,18 @@ def _dot_buckets(buckets: dict[ExpVec, list[tuple[CoeffPoly, CoeffPoly]]],
 
 
 class TruncatedSeries:
-    __slots__ = ("variables", "order", "terms")
+    __slots__ = ("variables", "order", "terms", "_powers")
 
     def __init__(self, variables: tuple[str, ...], order: int,
-                 terms: dict[ExpVec, CoeffPoly]):
+                 terms: dict[ExpVec, CoeffPoly],
+                 _powers: list["TruncatedSeries"] | None = None):
         # Assumes clean input; use the classmethod constructors.
         self.variables = variables
         self.order = order
         self.terms = terms
+        # [x, x^2, ...] for the x the table was started on: self is x,
+        # truncated and extended.
+        self._powers = _powers
 
     # -- constructors --------------------------------------------------
 
@@ -326,6 +331,12 @@ class TruncatedSeries:
                 terms[ev] = prod
         return TruncatedSeries(self.variables, self.order, terms)
 
+    def with_power_table(self) -> "TruncatedSeries":
+        """Self carrying a table of its powers for :meth:`evaluate`; a
+        series that carries one already is returned as is."""
+        return self if self._powers is not None else TruncatedSeries(
+            self.variables, self.order, self.terms, [self])
+
     def __pow__(self, n: int) -> "TruncatedSeries":
         if n < 0:
             raise ValueError("negative power of a series")
@@ -362,7 +373,7 @@ class TruncatedSeries:
         if order == self.order:
             return self             # a series is never changed once built
         terms = {ev: c for ev, c in self.terms.items() if sum(ev) <= order}
-        return TruncatedSeries(self.variables, order, terms)
+        return TruncatedSeries(self.variables, order, terms, self._powers)
 
     def _assume_order(self, order: int) -> "TruncatedSeries":
         # Internal escape for spots where the conservative min-rule
@@ -396,7 +407,7 @@ class TruncatedSeries:
             for pos, e in zip(positions, ev):
                 new_ev[pos] = e
             terms[tuple(new_ev)] = c
-        return TruncatedSeries(variables, self.order, terms)
+        return TruncatedSeries(variables, self.order, terms, self._powers)
 
     def restrict(self, variables: Iterable[str]) -> "TruncatedSeries":
         """Drop variables that occur with exponent zero everywhere."""
@@ -428,8 +439,7 @@ class TruncatedSeries:
 
     # -- composition ------------------------------------------------------------
 
-    def evaluate(self, values: Mapping[str, "TruncatedSeries"],
-                 powers: list["TruncatedSeries"] | None = None) -> "TruncatedSeries":
+    def evaluate(self, values: Mapping[str, "TruncatedSeries"]) -> "TruncatedSeries":
         """Substitute a series for every variable at once (capture-free).
 
         All values must share one variable universe and order, and must
@@ -437,12 +447,13 @@ class TruncatedSeries:
         contaminate stored degrees.  The result order sharpens with the
         lowest degree among the substituted values.
 
-        ``powers`` may be a table [1, x, x^2, ...] of the powers of the
-        first value at an order at least the result order, in variables
-        that extend to the values'; it is grown in place up to the highest
-        exponent asked and read truncated and extended.  Its x must equal
-        the first value up to the result order, or CheckFailed is raised.
+        A value's table of powers (:meth:`with_power_table`) is grown in
+        place up to the highest exponent a kept term uses, and read
+        truncated to the result order and extended to the values'
+        variables.
         """
+        if not self.variables:
+            raise VariableMismatch("a series in no variables has none to substitute")
         missing = [v for v in self.variables if v not in values]
         if missing:
             raise VariableMismatch(f"no value given for {missing}")
@@ -455,7 +466,7 @@ class TruncatedSeries:
             if not v.constant_term().is_zero():
                 raise NonzeroConstantTerm(
                     "substituted value has a nonzero constant term")
-        lmin = min((v.lowest_degree() for v in vals), default=_BIG)
+        lmin = min(v.lowest_degree() for v in vals)
         result_order = min(target_order, (self.order + 1) * lmin - 1)
 
         # The result is unchanged by swapping u and v when every value is,
@@ -485,16 +496,12 @@ class TruncatedSeries:
         tables: list[list[TruncatedSeries]] = []
         for idx, (val, top) in enumerate(zip(vals, tops)):
             pw = [one]
-            if idx == 0 and powers is not None:
-                base = val.truncate(result_order)
-                if (powers[1].order < result_order or base != powers[1].truncate(
-                        result_order).extend(target_vars)):
-                    raise CheckFailed("power table does not hold the powers of "
-                                      "the first value")
-                while len(powers) <= top:
-                    powers.append(powers[-1] * powers[1])
-                pw += [base] + [p.truncate(result_order).extend(target_vars)
-                                for p in powers[2:top + 1]]
+            table = val._powers
+            if table is not None:
+                while len(table) < top:
+                    table.append(table[-1] * table[0])
+                pw += [p.truncate(result_order).extend(target_vars)
+                       for p in table[:top]]
             while len(pw) <= top:
                 pw.append(tables[0][len(pw)]._mirrored() if mirror and idx == 1
                           else pw[-1] * val)

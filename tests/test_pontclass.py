@@ -20,7 +20,8 @@ from cobcalc.pseries import CheckFailed, NonzeroRemainder, TruncatedSeries
 from oracles import (SUITE_LAWS, TWO_PARAMETER_GRID, count_products,
                      delta_d_by_divided_difference, mutate_alpha,
                      phi_by_divided_difference, phi_rows_by_separate_products,
-                     specialize_to_two_parameter, two_parameter_law)
+                     specialize_to_two_parameter, two_parameter_law,
+                     without_table)
 
 U1 = ("u",)
 UV = ("u", "v")
@@ -465,21 +466,21 @@ def test_two_series_of_f_is_exactly_f_times_a_of_f(spec, order):
 def _table_compositions_and_rows(monkeypatch, make_law, order):
     """The (series, values, result) of every composition that reads a table
     of f's powers while the whole suite runs on a law from make_law, its
-    rows, and the rows of the suite on a second such law with every table
-    ignored, so each composition builds its value's own powers."""
+    rows, and the rows of the suite on a second such law whose f carries
+    no table, so each composition builds its value's own powers."""
     real = TruncatedSeries.evaluate
     calls = []
 
-    def recorded(self, values, powers=None):
-        result = real(self, values, powers)
-        if powers is not None:
+    def recorded(self, values):
+        result = real(self, values)
+        if any(v._powers is not None for v in values.values()):
             calls.append((self, values, result))
         return result
 
     monkeypatch.setattr(TruncatedSeries, "evaluate", recorded)
     rows = pc.verify_identity_suite(make_law(), "all", order)
-    monkeypatch.setattr(TruncatedSeries, "evaluate",
-                        lambda self, values, powers=None: real(self, values))
+    monkeypatch.undo()
+    monkeypatch.setattr(TruncatedSeries, "with_power_table", without_table)
     plain_rows = pc.verify_identity_suite(make_law(), "all", order)
     monkeypatch.undo()
     return calls, rows, plain_rows
@@ -502,37 +503,9 @@ def test_compositions_reading_the_table_of_f_match_plain_composition(
         monkeypatch, make_law, order)
     assert len(calls) == 3
     for s, values, result in calls:
-        assert result == s.evaluate(values)
+        assert result == s.evaluate({x: without_table(v) for x, v in values.items()})
     assert rows == plain_rows
     assert all(r.passed for r in rows) is ("+" not in rows[0].law)
-
-
-def test_a_table_of_other_powers_is_refused_under_python_O():
-    # the check of the table's first power is no assert, so -O keeps it;
-    # each of the three compositions that read the table refuses it
-    script = textwrap.dedent("""
-        import sys
-        from cobcalc import fgl, pontclass
-        from cobcalc.pseries import CheckFailed
-        from oracles import mutate_alpha
-        law = fgl.miscenko_law(6)
-        for build in (fgl.verify_axioms, lambda bad: pontclass._lemma61(bad, 6),
-                      pontclass.a_of_f):
-            bad = mutate_alpha(law, 2, 3, 1)
-            bad.derived[("f_powers",)] = fgl.f_powers(law)
-            try:
-                build(bad)
-            except CheckFailed as exc:
-                print(sys.flags.optimize, exc)
-        """)
-    src = str(Path(fgl.__file__).resolve().parents[1])
-    tests = str(Path(__file__).resolve().parent)
-    done = subprocess.run([sys.executable, "-O", "-c", script],
-                          env={"PYTHONPATH": f"{src}:{tests}"}, capture_output=True,
-                          text=True, timeout=60)
-    assert done.stdout.splitlines() == [
-        "1 power table does not hold the powers of the first value"] * 3
-    assert done.stderr == ""
 
 
 def test_each_power_of_f_is_built_once_per_law(monkeypatch):

@@ -19,9 +19,10 @@ from cobcalc.pseries import (NonUnitLeadingTerm, NonzeroConstantTerm,
 from conftest import (coeff_polys, nonzero_coeff_polys, revertible_series,
                       series_uv)
 from oracles import (SUITE_LAWS, bucket_product, evaluate_per_term,
-                     lagrange_reversion)
+                     lagrange_reversion, without_table)
 
 UV = ("u", "v")
+UVW = ("u", "v", "w")
 
 
 def s2(terms, order=5):
@@ -343,6 +344,90 @@ def test_products_match_the_bucket_product_on_suite_products(
     assert any(a._swap_invariant() and b._swap_invariant() for a, b, _ in calls)
     for a, b, result in calls:
         assert result == bucket_product(a, b)
+
+
+# -- the table of powers a series carries ---------------------------------------
+
+
+@st.composite
+def table_compositions(draw):
+    """A series x in (u, v) with no constant term at order 1-6, and calls
+    (form, k, outer): the composition of a one-variable outer series with
+    x itself, x truncated to k, or that extended to (u, v, w)."""
+    order = draw(st.integers(min_value=1, max_value=6))
+    positive = [ev for ev in product(range(order + 1), repeat=2) if 0 < sum(ev) <= order]
+    x = TruncatedSeries.from_terms(draw(st.dictionaries(
+        st.sampled_from(positive), nonzero_coeff_polys, max_size=4)), UV, order)
+    outers = st.integers(min_value=0, max_value=6).flatmap(
+        lambda n: st.dictionaries(st.integers(min_value=0, max_value=n), coeff_polys,
+                                  max_size=4).map(
+            lambda terms: TruncatedSeries.from_terms(
+                {(e,): c for e, c in terms.items()}, ("t",), n)))
+    calls = draw(st.lists(st.tuples(
+        st.sampled_from(("itself", "truncated", "extended")),
+        st.integers(min_value=0, max_value=order), outers), min_size=1, max_size=5))
+    return x, calls
+
+
+@settings(max_examples=60, deadline=None)
+@given(table_compositions())
+def test_compositions_reading_a_table_match_a_table_free_copy(case):
+    # in any call order, and grown only to the highest exponent a call reads
+    x, calls = case
+    x = x.with_power_table()
+    table = x._powers
+    for form, k, outer in calls:
+        value = {"itself": x, "truncated": x.truncate(k),
+                 "extended": x.truncate(k).extend(UVW)}[form]
+        held = len(table)
+        result = outer.evaluate({"t": value})
+        assert result == outer.evaluate({"t": without_table(value)})
+        low = min(value.lowest_degree(), result.order + 1)
+        top = max((e for (e,), _ in outer.terms.items() if e * low <= result.order),
+                  default=0)
+        assert len(table) == max(held, top)
+    # [x, x^2, ...] at x's order, each power made from the one before it
+    assert table[0] == x and table[0]._powers is None
+    for j in range(1, len(table)):
+        assert table[j] == bucket_product(table[j - 1], table[0])
+
+
+def test_any_value_may_carry_the_table():
+    # in the second place, or in both, as when a symmetric x is its own mirror
+    x = s2({(1, 0): 1, (0, 1): 1, (1, 1): CoeffPoly.gen(1)}, 5).with_power_table()
+    outer = TruncatedSeries.from_terms(
+        {(1, 2): 1, (3, 0): CoeffPoly.gen(2), (0, 4): 2}, ("a", "b"), 4)
+    u = TruncatedSeries.variable("u", UV, 5)
+    for values in ({"a": u, "b": x}, {"a": x, "b": x}):
+        result = outer.evaluate(values)
+        assert result == evaluate_per_term(
+            outer, {name: without_table(v) for name, v in values.items()})
+    assert len(x._powers) == 4
+
+
+def test_only_truncation_and_extension_pass_the_table_on():
+    # so a table only ever holds the powers of the series that carries it
+    x = s2({(1, 0): 1, (0, 1): 1, (1, 1): CoeffPoly.gen(1)}, 5).with_power_table()
+    table = x._powers
+    assert x.with_power_table() is x
+    assert x.truncate(3).with_power_table()._powers is table
+    for carried in (x.truncate(3), x.truncate(3).extend(UVW), x.extend(("w", "v", "u")),
+                    x._assume_order(2), x.truncate(-1)):
+        assert carried._powers is table
+    unit = TruncatedSeries.variable("u", UV, 5)
+    for made in (x.rename({"u": "v", "v": "u"}), x._mirrored(), x._assume_order(6),
+                 x + x, x - x, -x, x * x, x * unit, unit * x, x.scale(2),
+                 x.partial_derivative("u"), x.times_monomial((1, 0)),
+                 x.homogeneous_part(2)):
+        assert made._powers is None
+    assert table == [x] and table[0]._powers is None
+
+
+def test_a_series_in_no_variables_is_refused_before_any_work():
+    outer = TruncatedSeries.constant(1, (), 3)
+    for values in ({}, {"u": s1({(1,): 1}, 3)}):
+        with pytest.raises(VariableMismatch, match="no variables"):
+            outer.evaluate(values)
 
 
 # -- substitution -----------------------------------------------------------

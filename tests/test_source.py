@@ -55,6 +55,19 @@ def test_only_the_module_entry_has_a_main_guard():
     assert [place.split(":")[0] for place in found] == ["__main__.py"]
 
 
+#: The slot of ``TruncatedSeries`` that holds a series' table of powers.
+POWER_TABLE = "_powers"
+
+
+def test_only_pseries_names_the_table_of_powers():
+    # which series pass the table on and how composition reads it are
+    # pseries' rules alone; a law starts its f's table with a pseries call
+    found = _find(PACKAGE, lambda node: POWER_TABLE in (
+        getattr(node, field, None) for field in ("attr", "id", "arg", "value")))
+    assert found
+    assert {place.split(":")[0] for place in found} == {"pseries.py"}
+
+
 #: What the command-line front end leaves to ``commands``: the series code
 #: and the number types it builds on.
 SERIES_MODULES = {"fractions", "decimal", *(f"cobcalc.{name}" for name in (
