@@ -1,9 +1,14 @@
 """Exact scalar and graded-polynomial arithmetic for series coefficients.
 
-The scalar field is the rationals with unbounded integer parts,
-:class:`fractions.Fraction`, which keeps every value in lowest terms with
-a positive denominator.  :class:`CoeffPoly` is a sparse polynomial in
-generators cp1, cp2, ... over that field; the generator cpn carries
+The scalar field is the rationals with unbounded integer parts, kept as
+integers in lowest terms over a positive denominator.  A scalar comes in as
+an exact rational (an ``int`` or a :class:`fractions.Fraction`), read
+through its integer ``numerator`` and ``denominator``, or as an integer
+pair (``const(num, den)``, ``scale(num, den)``); a float, a string or a
+``Decimal`` is refused with a :class:`TypeError`.  Only the readers that
+return a Fraction (``coefficient``, ``terms``, ``specialize``) import
+:mod:`fractions`, when called.  :class:`CoeffPoly` is a sparse polynomial
+in generators cp1, cp2, ... over that field; the generator cpn carries
 weight n, so weights add under multiplication.  There is no cp0
 generator: the empty monomial is the constant 1.
 
@@ -37,7 +42,6 @@ No floating point is used anywhere.
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator, Mapping, Sequence
-from fractions import Fraction
 from functools import lru_cache, reduce
 from math import gcd
 from operator import or_
@@ -46,12 +50,30 @@ from operator import or_
 #: generator index, with indices >= 1 and exponents >= 1.  () is 1.
 Monomial = tuple[tuple[int, int], ...]
 
-ScalarLike = int | Fraction
+#: An exact rational scalar: an int or a fractions.Fraction.  The alias is a
+#: string, for annotations only, so that this module loads no ``fractions``.
+ScalarLike = "int | Fraction"
 
 #: Bits per generator in a packed monomial: one byte, so ``int.to_bytes``
 #: reads the exponents of cp1, cp2, ... in order.  Exponents stay below half.
 FIELD_BITS = 8
 _LIMIT = 1 << (FIELD_BITS - 1)       # the first exponent refused (128)
+
+
+def _ratio(value: ScalarLike, den: int = 1) -> tuple[int, int]:
+    """Numerator and positive denominator, not reduced, of value / den for
+    an exact rational value and a nonzero int den."""
+    num, d = (value, 1) if type(value) is int else (
+        getattr(value, "numerator", None), getattr(value, "denominator", None))
+    if not (isinstance(num, int) and isinstance(d, int) and d > 0):
+        raise TypeError(f"a scalar must be an exact rational with integer "
+                        f"numerator and denominator, got {type(value).__name__}")
+    if type(den) is not int:
+        raise TypeError(f"a scalar's divisor must be an int, got {type(den).__name__}")
+    if not den:
+        raise ZeroDivisionError(f"scalar {num}/{d} divided by 0")
+    d *= den
+    return (-num, -d) if d < 0 else (num, d)
 
 
 class MissingGenerator(ValueError):
@@ -195,11 +217,12 @@ class CoeffPoly:
         return _ONE
 
     @classmethod
-    def const(cls, value: ScalarLike) -> "CoeffPoly":
-        q = Fraction(value)
-        if not q:
+    def const(cls, value: ScalarLike, den: int = 1) -> "CoeffPoly":
+        """The constant value / den."""
+        num, den = _ratio(value, den)
+        if not num:
             return _ZERO
-        return cls._make({0: q.numerator}, q.denominator)
+        return cls._make({0: num}, den)
 
     @classmethod
     def gen(cls, n: int) -> "CoeffPoly":
@@ -211,13 +234,14 @@ class CoeffPoly:
     @classmethod
     def from_terms(cls, terms: Mapping[Monomial, ScalarLike]) -> "CoeffPoly":
         """The sum of the terms; monomials equal in canonical form add up."""
-        fracs = [(_pack(_mono_validate(m)), Fraction(c)) for m, c in terms.items()]
+        ratios = [(m, _ratio(c)) for m, c in terms.items()]
         den = 1
-        for _, q in fracs:
-            den = den * q.denominator // gcd(den, q.denominator)
+        for _, (_, d) in ratios:
+            den = den * d // gcd(den, d)
         num: dict[int, int] = {}
-        for key, q in fracs:
-            num[key] = num.get(key, 0) + q.numerator * (den // q.denominator)
+        for m, (n, d) in ratios:
+            key = _pack(_mono_validate(m))
+            num[key] = num.get(key, 0) + n * (den // d)
         return cls._make(num, den)
 
     # -- queries -----------------------------------------------------------
@@ -231,9 +255,12 @@ class CoeffPoly:
     def is_constant(self) -> bool:
         return not self._num or (len(self._num) == 1 and 0 in self._num)
 
-    def constant_value(self) -> Fraction:
-        """Coefficient of the empty monomial."""
-        return Fraction(self._num.get(0, 0), self._den)
+    def constant_ratio(self) -> tuple[int, int]:
+        """Coefficient of the empty monomial as (numerator, denominator), in
+        lowest terms with a positive denominator."""
+        num, den = self._num.get(0, 0), self._den
+        g = gcd(num, den)
+        return num // g, den // g
 
     def is_integral(self) -> bool:
         return self._den == 1
@@ -245,9 +272,11 @@ class CoeffPoly:
         return self._num.get(0, 0)
 
     def coefficient(self, mono: Monomial) -> Fraction:
+        from fractions import Fraction
         return Fraction(self._num.get(_pack(_mono_validate(mono)), 0), self._den)
 
     def terms(self) -> Iterator[tuple[Monomial, Fraction]]:
+        from fractions import Fraction
         den = self._den
         for m, c in self._num.items():
             yield _unpack(m), Fraction(c, den)
@@ -311,14 +340,16 @@ class CoeffPoly:
             return NotImplemented
         return CoeffPoly.dot(((self, other),))
 
-    def scale(self, value: ScalarLike) -> "CoeffPoly":
-        q = Fraction(value)
-        num = {m: c * q.numerator for m, c in self._num.items()}
-        return self._make(num, self._den * q.denominator)
+    def scale(self, value: ScalarLike, den: int = 1) -> "CoeffPoly":
+        """This polynomial times value / den."""
+        q, d = _ratio(value, den)
+        num = {m: c * q for m, c in self._num.items()}
+        return self._make(num, self._den * d)
 
     def specialize(self, assignment: Mapping[int, ScalarLike]) -> Fraction:
         """Evaluate under cpn -> assignment[n]; a ring homomorphism to Q."""
-        values = {g: Fraction(v) for g, v in assignment.items()}
+        from fractions import Fraction
+        values = {g: Fraction(*_ratio(v)) for g, v in assignment.items()}
         total = Fraction(0)
         for m, c in self.terms():
             term = c

@@ -6,7 +6,10 @@ requested check passed.  ``cli`` imports this module only once argparse has
 accepted the arguments, so ``--help`` and usage errors load no series code.
 Every subcommand loads the whole series stack, because the benchmark's
 tracer (``perfbench/tracer.py``) looks up each module it wraps after a run;
-only ``chi simplicial`` loads ``pathlib``, to read its ``--file``.
+only ``chi simplicial`` loads ``pathlib``, to read its ``--file``.  The
+stack keeps its scalars as integer pairs, so ``fractions`` (and with it
+``decimal`` and ``numbers``) loads only where a Fraction is made: for a
+``mult:BETA`` law, whose parameter is parsed as one.
 """
 
 from __future__ import annotations

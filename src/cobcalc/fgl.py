@@ -17,7 +17,6 @@ inverse once, by the Phi division, whose remainder is the ``inverse`` row.
 from __future__ import annotations
 
 import functools
-from fractions import Fraction
 
 from .coeffring import CoeffPoly
 from .pseries import CheckFailed, NonzeroRemainder, TruncatedSeries
@@ -41,7 +40,7 @@ def miscenko_log(order: int) -> TruncatedSeries:
         raise LawError("order must be >= 1")
     terms: dict[tuple[int, ...], CoeffPoly] = {(1,): CoeffPoly.one()}
     for n in range(1, order):
-        terms[(n + 1,)] = CoeffPoly.gen(n).scale(Fraction(1, n + 1))
+        terms[(n + 1,)] = CoeffPoly.gen(n).scale(1, n + 1)
     return TruncatedSeries.from_terms(terms, (U,), order)
 
 
@@ -51,6 +50,7 @@ def additive_log(order: int) -> TruncatedSeries:
 
 def multiplicative_log(beta: Fraction, order: int) -> TruncatedSeries:
     """log(1 + beta*u)/beta = sum (-beta)^(n-1) u^n / n."""
+    from fractions import Fraction
     terms = {}
     sign = Fraction(1)
     for n in range(1, order + 1):
@@ -138,15 +138,16 @@ def phi_series(law: FormalGroupLaw) -> TruncatedSeries:
 def _flow_coefficients(dg: TruncatedSeries, n: int) -> list[list[CoeffPoly]]:
     """T_0, ..., T_n of the Lie series, T_j as its coefficients in degrees
     0 to n - j: T_0 = v and j g'(v) T_j = dT_(j-1)/dv, solved degree by
-    degree from g'(v), whose constant term is a nonzero scalar."""
-    lead = Fraction(1) / dg.constant_term().constant_value()
-    minus_dg = [dg.terms.get((i,), CoeffPoly.zero()).scale(-lead)
+    degree from g'(v), whose constant term is a nonzero scalar c = num/den,
+    so 1/c = den/num."""
+    num, den = dg.constant_term().constant_ratio()
+    minus_dg = [dg.terms.get((i,), CoeffPoly.zero()).scale(-den, num)
                 for i in range(n)]
     flow = [[CoeffPoly.zero(), CoeffPoly.one()] + [CoeffPoly.zero()] * (n - 1)]
     for j in range(1, n + 1):
         prev, t = flow[-1], []
         for k in range(n - j + 1):
-            pairs = [(prev[k + 1], CoeffPoly.const((k + 1) * lead / j))]
+            pairs = [(prev[k + 1], CoeffPoly.const((k + 1) * den, j * num))]
             pairs += [(minus_dg[i], t[k - i]) for i in range(1, k + 1)]
             t.append(CoeffPoly.dot(pairs))
         flow.append(t)
@@ -259,6 +260,7 @@ def additive_law(order: int) -> FormalGroupLaw:
 
 
 def multiplicative_law(beta, order: int) -> FormalGroupLaw:
+    from fractions import Fraction
     beta = Fraction(beta)
     if beta == 0:
         raise LawError("multiplicative law needs beta != 0; use the additive law")
@@ -301,6 +303,7 @@ def parse_law(selector: str, order: int) -> FormalGroupLaw:
             raise LawError(
                 f"mult:BETA must have at most {MAX_BETA_DIGITS} digits, an "
                 "exponent counting as that many zeros")
+        from fractions import Fraction
         try:
             beta = Fraction(raw)
         except (ValueError, ZeroDivisionError) as exc:

@@ -114,23 +114,46 @@ def whitney_sign_formula(n1: int, n2: int, k: int) -> list[tuple[int, int, int]]
     return out
 
 
+def _recursion_sum(chi1: list[int], chi2: list[int], k: int) -> int:
+    """sum over k1 + k2 = k of (-1)^((n1-k1) k2) chi1[k1] chi2[k2], where
+    chi_i = [chi(RG_0^(n_i)), ..., chi(RG_(n_i)^(n_i))] is a row of chi."""
+    n1, n2 = len(chi1) - 1, len(chi2) - 1
+    total = 0
+    for k1 in range(max(0, k - n2), min(n1, k) + 1):
+        k2 = k - k1
+        term = chi1[k1] * chi2[k2]
+        total += -term if (n1 - k1) * k2 & 1 else term
+    return total
+
+
+def _chi_row(n: int) -> list[int]:
+    """chi(RG_k^n) for k = 0, ..., n."""
+    return [chi_grassmann(n, k) for k in range(n + 1)]
+
+
 def localization_sum(n1: int, n2: int, k: int) -> int:
     """The fixed-point side of the localization formula for RG_k^(n1+n2)."""
-    return sum(sign * chi_grassmann(n1, k1) * chi_grassmann(n2, k2)
-               for k1, k2, sign in whitney_sign_formula(n1, n2, k))
+    if not 0 <= k <= n1 + n2:
+        raise ValueError(f"grade {k} out of range for dimensions ({n1}, {n2})")
+    return _recursion_sum(_chi_row(n1), _chi_row(n2), k)
 
 
 def localization_recursion_report(max_total: int) -> list[IdentityResult]:
-    """Exhaustively compare the localization sum with chi(RG_k^(n1+n2))."""
+    """Exhaustively compare the localization sum with chi(RG_k^(n1+n2)) for
+    all n1, n2 >= 1 with n1 + n2 <= max_total, from one table of chi rows:
+    each chi(RG_k^n) with n <= max_total is asked for once."""
+    chi = {n: _chi_row(n) for n in range(1, max_total + 1)}
     rows = []
     for n1 in range(1, max_total):
         for n2 in range(1, max_total - n1 + 1):
-            for k in range(n1 + n2 + 1):
-                lhs = localization_sum(n1, n2, k)
-                rhs = chi_grassmann(n1 + n2, k)
-                rows.append(check_equal(
-                    f"chi_recursion[{n1},{n2},{k}]", "grassmann", n1 + n2,
-                    lhs, rhs, f"sum={lhs} chi={rhs}"))
+            n = n1 + n2
+            for k, rhs in enumerate(chi[n]):
+                lhs = _recursion_sum(chi[n1], chi[n2], k)
+                identity = f"chi_recursion[{n1},{n2},{k}]"
+                rows.append(IdentityResult(identity, "grassmann", n, True)
+                            if lhs == rhs else
+                            check_equal(identity, "grassmann", n, lhs, rhs,
+                                        f"sum={lhs} chi={rhs}"))
     return rows
 
 

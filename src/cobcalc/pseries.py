@@ -55,7 +55,6 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from collections.abc import Iterable, Mapping
-from fractions import Fraction
 from operator import add
 
 from .coeffring import CoeffPoly, ScalarLike, as_coeff
@@ -613,9 +612,9 @@ class TruncatedSeries:
         if not c0.is_constant() or c0.is_zero():
             raise NonUnitLeadingTerm(
                 f"constant term {c0} is not an invertible scalar")
-        c0val = c0.constant_value()
-        rest = (self - TruncatedSeries.constant(c0, self.variables, self.order)).scale(
-            Fraction(1) / c0val)
+        num, den = c0.constant_ratio()
+        inv_c0 = CoeffPoly.const(den, num)
+        rest = (self - TruncatedSeries.constant(c0, self.variables, self.order)).scale(inv_c0)
         # 1 / (c0 (1 + r)) = (1/c0) * sum (-r)^k, r has no constant term.
         result = TruncatedSeries.one(self.variables, self.order)
         power = TruncatedSeries.one(self.variables, self.order)
@@ -624,11 +623,13 @@ class TruncatedSeries:
             if power.is_zero():
                 break
             result = result + power
-        return result.scale(Fraction(1) / c0val)
+        return result.scale(inv_c0)
 
     # -- reversion --------------------------------------------------------------------
 
-    def _reversion_checks(self) -> tuple[str, Fraction]:
+    def _reversion_checks(self) -> tuple[str, CoeffPoly]:
+        """The variable and the linear coefficient, a nonzero scalar, of a
+        one-variable series with no constant term."""
         if len(self.variables) != 1:
             raise VariableMismatch("reversion needs a one-variable series")
         x = self.variables[0]
@@ -638,7 +639,7 @@ class TruncatedSeries:
         if not c1.is_constant() or c1.is_zero():
             raise NonUnitLeadingTerm(
                 f"linear coefficient {c1} is not an invertible scalar")
-        return x, c1.constant_value()
+        return x, c1
 
     def reversion(self) -> "TruncatedSeries":
         """Compositional inverse by Newton iteration with a doubling working
@@ -650,7 +651,8 @@ class TruncatedSeries:
         x, c1 = self._reversion_checks()
         n = self.order
         ident = TruncatedSeries.variable(x, self.variables, n)
-        t = ident.truncate(1).scale(Fraction(1) / c1)
+        num, den = c1.constant_ratio()
+        t = ident.truncate(1).scale(CoeffPoly.const(den, num))
         p = 1
         while p < n:
             p = min(2 * p, n)

@@ -8,9 +8,10 @@ from itertools import combinations, product
 from math import comb
 from operator import add
 
-from cobcalc import fgl
+from cobcalc import fgl, localize
 from cobcalc.coeffring import CoeffPoly, Monomial, _dense_mono
 from cobcalc.pseries import CheckFailed, TruncatedSeries
+from cobcalc.report import check_equal
 
 U1 = ("u",)
 UV = ("u", "v")
@@ -461,3 +462,21 @@ def chains_under_inclusion(simplices) -> frozenset:
     for s in simplices:
         grow((s,))
     return frozenset(chains)
+
+
+def recursion_rows_by_case(max_total: int) -> list:
+    """The rows of ``localize.localization_recursion_report``, case by case:
+    each sum over ``whitney_sign_formula``'s terms of chi values asked of
+    ``localize.chi_grassmann`` (looked up on the module at each call, so a
+    rebinding reaches it) and compared by ``check_equal``."""
+    rows = []
+    for n1 in range(1, max_total):
+        for n2 in range(1, max_total - n1 + 1):
+            for k in range(n1 + n2 + 1):
+                lhs = sum(sign * localize.chi_grassmann(n1, k1)
+                          * localize.chi_grassmann(n2, k2)
+                          for k1, k2, sign in localize.whitney_sign_formula(n1, n2, k))
+                rhs = localize.chi_grassmann(n1 + n2, k)
+                rows.append(check_equal(f"chi_recursion[{n1},{n2},{k}]", "grassmann",
+                                        n1 + n2, lhs, rhs, f"sum={lhs} chi={rhs}"))
+    return rows

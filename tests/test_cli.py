@@ -346,13 +346,14 @@ def test_multiplicative_law_below_order_two_is_a_usage_error(capsys):
     ("verify", "all", "--law", "multiplicative:-1e-101", "--order", "2"),
 ])
 def test_oversized_beta_is_a_usage_error(capsys, monkeypatch, argv):
-    # refused from its text: no giant integer is built, no cryptic message
-    from cobcalc import fgl
+    # refused from its text: no giant integer is built, no cryptic message;
+    # parse_law imports Fraction from fractions only after the check
+    import fractions
 
     def no_work(*_):
         raise AssertionError("Fraction built before the size check")
 
-    monkeypatch.setattr(fgl, "Fraction", no_work)
+    monkeypatch.setattr(fractions, "Fraction", no_work)
     code, out, err = run(capsys, *argv)
     assert (code, out) == (2, "")
     assert err == ("error: mult:BETA must have at most 101 digits, an exponent "

@@ -1,4 +1,6 @@
+from decimal import Decimal
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given
@@ -283,3 +285,59 @@ def test_dot_of_constants_normalizes_once():
     got = CoeffPoly.dot([(third, sixth), (two, sixth), (sixth, CoeffPoly.const(-5))])
     assert got == CoeffPoly.const(Fraction(1, 18) + Fraction(1, 3) - Fraction(5, 6))
     assert got.is_constant() and not got.is_integral()
+
+
+# -- exact scalars -------------------------------------------------------------
+
+_exact_scalars = st.one_of(st.integers(-10**30, 10**30), small_fractions)
+
+
+@given(_exact_scalars, st.integers(-6, 6).filter(bool), coeff_polys)
+def test_int_and_fraction_scalars_keep_their_values(value, den, p):
+    # read through numerator and denominator, they give what Fraction(value)
+    # gave, stored in lowest terms over a positive denominator
+    q = Fraction(value)
+    cases = [
+        (CoeffPoly.const(value), {(): q}),
+        (CoeffPoly.const(value, den), {(): q / den}),
+        (p.scale(value), {m: c * q for m, c in p.terms()}),
+        (p.scale(value, den), {m: c * q / den for m, c in p.terms()}),
+        (CoeffPoly.from_terms({(): value, ((1, 1),): half, ((1, 1), (1, 0)): value}),
+         {(): q, ((1, 1),): q + half}),
+    ]
+    for got, expected in cases:
+        assert dict(got.terms()) == {m: c for m, c in expected.items() if c}
+        assert got._den > 0 and gcd(got._den, *got._num.values()) == 1
+    assert CoeffPoly.const(value, den).constant_ratio() == (
+        (q / den).numerator, (q / den).denominator)
+
+
+def test_constant_ratio_is_in_lowest_terms():
+    p = CoeffPoly.from_terms({(): half, ((1, 1),): Fraction(1, 4)})
+    assert (p._num[0], p._den) == (2, 4)
+    assert p.constant_ratio() == (1, 2)
+    assert cp1.constant_ratio() == (0, 1)
+
+
+@pytest.mark.parametrize("value", [
+    0.1, 0.5, float("nan"), "1/2", Decimal("0.1"), 1j, None, (1, 2)])
+def test_inexact_scalars_are_refused_before_any_work(value):
+    # CoeffPoly.const(0.1) was 3602879701896397/36028797018963968; the
+    # monomial past the packed limit would raise ExponentOverflow if
+    # from_terms packed it before reading every value
+    calls = [lambda: CoeffPoly.const(value), lambda: cp1.scale(value),
+             lambda: CoeffPoly.from_terms({((1, 200),): 1, (): value}),
+             lambda: (cp1 + cp2).specialize({1: 1, 2: value})]
+    for call in calls:
+        with pytest.raises(TypeError) as info:
+            call()
+        assert str(info.value) == ("a scalar must be an exact rational with integer "
+                                   f"numerator and denominator, got {type(value).__name__}")
+
+
+def test_a_divisor_must_be_a_nonzero_int():
+    with pytest.raises(TypeError, match="^a scalar's divisor must be an int, got float$"):
+        CoeffPoly.const(1, 2.0)
+    with pytest.raises(ZeroDivisionError):
+        cp1.scale(1, 0)
+    assert CoeffPoly.const(3, -6) == CoeffPoly.const(Fraction(-1, 2))

@@ -195,10 +195,13 @@ def test_parse_law_selectors():
     "1e5000", "1e101", "1E+101", "1e-101", "1e" + "9" * 5000, "9" * 102,
     "1/" + "9" * 101, "99e100", "0." + "0" * 100 + "1"])
 def test_parse_law_refuses_oversized_beta_before_building_it(monkeypatch, beta):
+    # fgl imports Fraction from fractions inside parse_law, after the check
+    import fractions
+
     def no_work(*_):
         raise AssertionError("Fraction built before the size check")
 
-    monkeypatch.setattr(fgl, "Fraction", no_work)
+    monkeypatch.setattr(fractions, "Fraction", no_work)
     for prefix in ("mult:", "multiplicative:"):
         with pytest.raises(fgl.LawError, match="^mult:BETA must have at most 101 "):
             fgl.parse_law(prefix + beta, 3)

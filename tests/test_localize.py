@@ -9,7 +9,7 @@ from cobcalc import localize as lz
 from cobcalc.report import IdentityResult
 from oracles import (chains_under_inclusion, chi_grassmann_by_partitions,
                      chi_grassmann_flat, colex_unrank, is_orientable_by_rotations,
-                     partitions_in_box)
+                     partitions_in_box, recursion_rows_by_case)
 
 ledgers = st.builds(lz.IndexLedger, st.integers(-20, 20), st.integers(0, 1))
 
@@ -259,6 +259,44 @@ def test_localization_recursion_exhaustive():
     assert all(r.passed for r in rows)
 
 
+@pytest.mark.parametrize("max_total", range(2, 13))
+def test_recursion_report_matches_the_per_case_route(max_total):
+    rows = lz.localization_recursion_report(max_total)
+    assert len(rows) == sum(n1 + n2 + 1 for n1 in range(1, max_total)
+                            for n2 in range(1, max_total - n1 + 1))
+    assert rows == recursion_rows_by_case(max_total)
+
+
+def test_recursion_case_counts():
+    assert [len(lz.localization_recursion_report(m)) for m in (10, 17, 20)] == [
+        375, 1768, 2850]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 10), st.integers(1, 10).flatmap(
+    lambda n: st.tuples(st.just(n), st.integers(0, n))), st.sampled_from([-2, -1, 1, 3]))
+def test_a_corrupted_chi_fails_the_cases_the_per_case_route_fails(max_total, nk, delta):
+    # both routes ask the module's chi_grassmann, so rebinding it to a value
+    # off by delta at one (n, k) must fail the same cases with the same rows
+    cached = lz.chi_grassmann
+
+    def corrupted(n, k):
+        return cached(n, k) + (delta if (n, k) == nk else 0)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(lz, "chi_grassmann", corrupted)
+        rows = lz.localization_recursion_report(max_total)
+        expected = recursion_rows_by_case(max_total)
+    assert rows == expected
+    failed = [r.identity for r in rows if not r.passed]
+    n, k = nk
+    # chi(RG_k^n) with n >= 2 is the right side of the cases n1 + n2 = n
+    if 2 <= n <= max_total:
+        assert {f"chi_recursion[{n1},{n - n1},{k}]" for n1 in range(1, n)} <= set(failed)
+    if n > max_total:
+        assert failed == []
+
+
 # -- simplicial complexes -----------------------------------------------------------
 
 
@@ -480,7 +518,7 @@ def test_failing_ledger_and_recursion_rows_carry_degree_zero_and_a_witness(monke
     monkeypatch.setattr(lz, "klein_bottle_complex", lambda: sphere)
     monkeypatch.setattr(lz, "projective_plane_complex", lambda: sphere)
     monkeypatch.setattr(lz, "LEDGER_ONE", lz.IndexLedger(2))
-    monkeypatch.setattr(lz, "localization_sum", lambda n1, n2, k: 7)
+    monkeypatch.setattr(lz, "_recursion_sum", lambda chi1, chi2, k: 7)
     rows = (lz.klein_index_check()[1] + lz.rp2_decomposition_check()[1]
             + lz.localization_recursion_report(2))
     got = {r.identity: (r.passed, r.first_failing_degree, r.witness_term) for r in rows}

@@ -141,6 +141,63 @@ def test_benchmark_invocations_load_no_unused_module(argv):
     assert sorted(imported & UNUSED_AT_START) == []
 
 
+#: The number types a Fraction brings: ``fractions`` imports ``decimal``,
+#: which imports ``numbers``.
+FRACTION_MODULES = {"fractions", "decimal", "numbers"}
+
+
+@pytest.mark.parametrize("argv", [
+    "verify exact --law miscenko --order 9", "beta --law miscenko --order 12",
+    "chi recursion --max 17", "verify all --law additive --order 8", "index klein"])
+def test_fraction_free_paths_load_no_number_types(argv):
+    # the universal and additive laws, the chi and index checks build no
+    # Fraction, so nothing imports fractions, decimal or numbers
+    returncode, imported = _imported(*argv.split(), "--format", "json")
+    assert returncode == 0
+    assert "cobcalc.commands" in imported
+    assert sorted(imported & FRACTION_MODULES) == []
+
+
+def test_a_multiplicative_law_loads_the_number_types():
+    # mult:BETA parses its parameter as a Fraction: the pin above is not
+    # vacuous, -X importtime does report these modules when they load
+    returncode, imported = _imported("verify", "all", "--law", "mult:1", "--order", "20",
+                                     "--format", "json")
+    assert returncode == 0
+    assert sorted(imported & FRACTION_MODULES) == sorted(FRACTION_MODULES)
+
+
+def _fractions_imports(tree: ast.Module) -> list[tuple[str, ast.stmt]]:
+    """Each import of ``fractions`` with the name of the function around
+    it, or "" for one at module level (in a class or a conditional too)."""
+    found = []
+    stack = [("", node) for node in tree.body]
+    while stack:
+        owner, node = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            owner = node.name
+        if (isinstance(node, ast.Import)
+                and any(alias.name.split(".")[0] == "fractions" for alias in node.names)
+                or isinstance(node, ast.ImportFrom) and node.module == "fractions"):
+            found.append((owner, node))
+        stack.extend((owner, child) for child in ast.iter_child_nodes(node))
+    return found
+
+
+def test_fractions_is_imported_only_inside_the_functions_that_build_one():
+    # a module-level import would load fractions on every path again; only
+    # the readers that return a Fraction and the mult:BETA constructors,
+    # which parse one, import it, when they are called
+    owners = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        for owner, _ in _fractions_imports(ast.parse(path.read_text(), str(path))):
+            owners.setdefault(path.stem, set()).add(owner)
+    assert owners == {
+        "coeffring": {"coefficient", "terms", "specialize"},
+        "fgl": {"multiplicative_log", "multiplicative_law", "parse_law"},
+    }
+
+
 def test_every_source_file_parses_as_python_3_10():
     # pyproject declares requires-python >= 3.10 and CI lists 3.10, so no
     # file may use later grammar (except* groups, PEP 695 type parameters)
