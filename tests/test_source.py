@@ -167,10 +167,10 @@ def test_a_multiplicative_law_loads_the_number_types():
     assert sorted(imported & FRACTION_MODULES) == sorted(FRACTION_MODULES)
 
 
-def _fractions_imports(tree: ast.Module) -> list[tuple[str, ast.stmt]]:
-    """Each import of ``fractions`` with the name of the function around
-    it, or "" for one at module level (in a class or a conditional too)."""
-    found = []
+def _fractions_importers(tree: ast.Module) -> set[str]:
+    """The name of the function around each import of ``fractions``, or ""
+    for one at module level (in a class or a conditional too)."""
+    found = set()
     stack = [("", node) for node in tree.body]
     while stack:
         owner, node = stack.pop()
@@ -179,7 +179,7 @@ def _fractions_imports(tree: ast.Module) -> list[tuple[str, ast.stmt]]:
         if (isinstance(node, ast.Import)
                 and any(alias.name.split(".")[0] == "fractions" for alias in node.names)
                 or isinstance(node, ast.ImportFrom) and node.module == "fractions"):
-            found.append((owner, node))
+            found.add(owner)
         stack.extend((owner, child) for child in ast.iter_child_nodes(node))
     return found
 
@@ -188,11 +188,9 @@ def test_fractions_is_imported_only_inside_the_functions_that_build_one():
     # a module-level import would load fractions on every path again; only
     # the readers that return a Fraction and the mult:BETA constructors,
     # which parse one, import it, when they are called
-    owners = {}
-    for path in sorted(PACKAGE.glob("*.py")):
-        for owner, _ in _fractions_imports(ast.parse(path.read_text(), str(path))):
-            owners.setdefault(path.stem, set()).add(owner)
-    assert owners == {
+    importers = {path.stem: _fractions_importers(ast.parse(path.read_text(), str(path)))
+                 for path in sorted(PACKAGE.glob("*.py"))}
+    assert {name: owners for name, owners in importers.items() if owners} == {
         "coeffring": {"coefficient", "terms", "specialize"},
         "fgl": {"multiplicative_log", "multiplicative_law", "parse_law"},
     }
