@@ -5,19 +5,22 @@ index klein|rp2.  JSON is the machine format; text output is rendered from
 the same JSON object, never computed separately.  Exit code 0 means every
 requested check passed, so the verification subcommands can gate CI runs.
 
-``main(argv)`` is ``execute(parse(argv))``.  This module imports no series
-code: ``execute`` imports ``commands``, which loads it, only after argparse
-has accepted the arguments, so ``--help`` and usage errors exit without it.
-Paths are parsed as strings, and ``pathlib`` loads only to write ``--out``.
+``main(argv)`` is ``execute(parse(argv))``.  ``parse`` reads a well-formed
+invocation from :data:`GRAMMAR` and imports ``argparse`` only for anything
+else: ``--help``, usage errors and the forms only argparse takes.  This
+module imports no series code: ``execute`` imports ``commands``, which
+loads it, only after the arguments are accepted, so ``--help`` and usage
+errors exit without it.  Paths are parsed as strings, and ``pathlib`` loads
+only to write ``--out``.
 """
 
 from __future__ import annotations
 
-import argparse
 import errno
 import json
 import os
 import sys
+from types import SimpleNamespace
 
 
 #: Size caps, so that no invocation runs unbounded.  Each sits above every
@@ -75,8 +78,75 @@ def _add_output_flags(sub: argparse.ArgumentParser) -> None:
                      help="write the report to this path instead of stdout")
 
 
-def parse(argv=None) -> argparse.Namespace:
-    """Parse ``argv``; argparse exits on ``--help`` and on usage errors."""
+#: A required flag's default in :data:`GRAMMAR`.
+REQUIRED = object()
+_OUTPUT = {"--format": (str, "text", ("json", "text")), "--out": (str, None, None)}
+_LAW = {"--law": (str, "miscenko", None), "--order": (int, 10, None), **_OUTPUT}
+
+#: What :func:`parse` reads without argparse, which must read it alike:
+#: each command's words (``command`` and ``mode``), its positional argument
+#: as (name, choices or None), and each flag's (converter, default, choices
+#: or None), a flag's name being its dest.
+GRAMMAR = {
+    ("expand",): (None, _LAW),
+    ("beta",): (None, _LAW),
+    ("verify",): (("identity", None), _LAW),
+    ("chi", "grass"): (None, {"--n": (int, REQUIRED, None),
+                              "--k": (int, REQUIRED, None), **_OUTPUT}),
+    ("chi", "recursion"): (None, {"--max": (int, 10, None), **_OUTPUT}),
+    ("chi", "simplicial"): (None, {"--file": (str, REQUIRED, None), **_OUTPUT}),
+    ("index",): (("which", ("klein", "rp2")), _OUTPUT),
+}
+
+
+def _read(argv: list[str]):
+    """The arguments of ``command [positional] (--flag value)*``, each flag
+    exact and given once and each value accepted by its converter and
+    choices, or None for argparse to handle: help, an abbreviation, an
+    ``=`` form, a ``-``-prefixed value, a missing or repeated flag, an error.
+    """
+    words = tuple(argv[:2] if argv[:1] == ["chi"] else argv[:1])
+    if words not in GRAMMAR:
+        return None
+    positional, flags = GRAMMAR[words]
+    values = dict(zip(("command", "mode"), words))
+    rest = argv[len(words):]
+    if positional is not None:
+        name, choices = positional
+        if not rest or rest[0].startswith("-") or choices and rest[0] not in choices:
+            return None
+        values[name] = rest.pop(0)
+    if len(rest) % 2:
+        return None
+    given = {}
+    for flag, text in zip(rest[::2], rest[1::2]):
+        if flag not in flags or flag in given or text.startswith("-"):
+            return None
+        convert, _, choices = flags[flag]
+        try:
+            value = convert(text)
+        except ValueError:
+            return None
+        if choices is not None and value not in choices:
+            return None
+        given[flag] = value
+    for flag, (_, default, _) in flags.items():
+        values[flag[2:]] = given.get(flag, default)
+        if values[flag[2:]] is REQUIRED:
+            return None
+    return SimpleNamespace(**values)
+
+
+def parse(argv=None):
+    """Parse ``argv``: a well-formed invocation is read from :data:`GRAMMAR`;
+    anything else goes to argparse, which exits on ``--help`` and on usage
+    errors.  Either way the namespace's ``vars()`` are argparse's."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _read(argv)
+    if args is not None:
+        return args
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="cobcalc",
         description="Exact formal-group-law series tables, identity suites, "
@@ -127,7 +197,7 @@ def parse(argv=None) -> argparse.Namespace:
     return parser.parse_args(argv)
 
 
-def execute(args: argparse.Namespace) -> int:
+def execute(args) -> int:
     """Run one parsed invocation, importing the series code, and return its
     exit code."""
     from . import commands

@@ -2,14 +2,14 @@
 
 One function per subcommand, named after it, takes the parsed arguments and
 returns ``(payload, ok)``: the JSON object to render and whether every
-requested check passed.  ``cli`` imports this module only once argparse has
-accepted the arguments, so ``--help`` and usage errors load no series code.
+requested check passed.  ``cli`` imports this module only once the
+arguments are accepted, so ``--help`` and usage errors load no series code.
 Every subcommand loads the whole series stack, because the benchmark's
 tracer (``perfbench/tracer.py``) looks up each module it wraps after a run;
 only ``chi simplicial`` loads ``pathlib``, to read its ``--file``.  The
 stack keeps its scalars as integer pairs, so ``fractions`` (and with it
 ``decimal`` and ``numbers``) loads only where a Fraction is made: for a
-``mult:BETA`` law, whose parameter is parsed as one.
+``mult:BETA`` law whose BETA is not an integer, which is parsed as one.
 """
 
 from __future__ import annotations

@@ -48,14 +48,12 @@ def additive_log(order: int) -> TruncatedSeries:
     return TruncatedSeries.variable(U, (U,), order)
 
 
-def multiplicative_log(beta: Fraction, order: int) -> TruncatedSeries:
-    """log(1 + beta*u)/beta = sum (-beta)^(n-1) u^n / n."""
-    from fractions import Fraction
-    terms = {}
-    sign = Fraction(1)
-    for n in range(1, order + 1):
-        terms[(n,)] = CoeffPoly.const(sign / n)
-        sign *= -beta
+def multiplicative_log(beta, order: int) -> TruncatedSeries:
+    """log(1 + beta*u)/beta = sum (-beta)^(n-1) u^n / n, for an exact
+    rational beta (a float is refused with coeffring's TypeError)."""
+    num, den = CoeffPoly.const(beta).constant_ratio()
+    terms = {(n,): CoeffPoly.const((-num) ** (n - 1), den ** (n - 1) * n)
+             for n in range(1, order + 1)}
     return TruncatedSeries.from_terms(terms, (U,), order)
 
 
@@ -260,9 +258,10 @@ def additive_law(order: int) -> FormalGroupLaw:
 
 
 def multiplicative_law(beta, order: int) -> FormalGroupLaw:
-    from fractions import Fraction
-    beta = Fraction(beta)
-    if beta == 0:
+    """f = u + v + beta*u*v for an exact rational beta, read as an integer
+    pair, so an int beta loads no ``fractions``; a float is refused."""
+    num, den = CoeffPoly.const(beta).constant_ratio()
+    if not num:
         raise LawError("multiplicative law needs beta != 0; use the additive law")
     if order < 2:
         raise LawError(
@@ -271,9 +270,11 @@ def multiplicative_law(beta, order: int) -> FormalGroupLaw:
     f = TruncatedSeries.from_terms({(1, 0): 1, (0, 1): 1, (1, 1): beta}, UV, order)
     # ubar = -u/(1 + beta*u) = sum -(-beta)^(k-1) u^k
     inverse = TruncatedSeries.from_terms(
-        {(k,): -(-beta) ** (k - 1) for k in range(1, order + 1)}, (U,), order)
+        {(k,): CoeffPoly.const(-(-num) ** (k - 1), den ** (k - 1))
+         for k in range(1, order + 1)}, (U,), order)
+    tag = f"mult:{num}" if den == 1 else f"mult:{num}/{den}"
     return _check_log_route(
-        from_f(f, f"mult:{beta}", multiplicative_log(beta, order), inverse))
+        from_f(f, tag, multiplicative_log(beta, order), inverse))
 
 
 #: Most digits a mult:BETA may spell out, a decimal exponent counting as
@@ -290,6 +291,14 @@ def _beta_digits(raw: str) -> int:
             + (int(shift) if shift.isdecimal() else 0))
 
 
+def _is_integer_text(raw: str) -> bool:
+    """Whether BETA is an optional sign and ASCII digits, the texts that
+    ``int`` and ``Fraction`` read alike; ``int`` also takes whitespace,
+    ``_`` and other scripts' digits, which ``Fraction`` may refuse."""
+    digits = raw[1:] if raw[:1] in ("+", "-") else raw
+    return digits.isascii() and digits.isdigit()
+
+
 def parse_law(selector: str, order: int) -> FormalGroupLaw:
     """Law selector used by the CLI: miscenko | additive | mult:BETA."""
     selector = selector.strip().lower()
@@ -303,6 +312,8 @@ def parse_law(selector: str, order: int) -> FormalGroupLaw:
             raise LawError(
                 f"mult:BETA must have at most {MAX_BETA_DIGITS} digits, an "
                 "exponent counting as that many zeros")
+        if _is_integer_text(raw):
+            return multiplicative_law(int(raw), order)
         from fractions import Fraction
         try:
             beta = Fraction(raw)

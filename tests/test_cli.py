@@ -1,4 +1,5 @@
 import contextlib
+import importlib.util
 import io
 import json
 import re
@@ -527,3 +528,109 @@ def test_fuzzed_invocations_exit_cleanly_and_reproducibly(tmp_path, monkeypatch,
     elif dict(zip(argv, argv[1:])).get("--format") == "json":
         json.loads(stdout if out is None else written)
     assert once() == first
+
+
+# -- the reader of well-formed invocations ----------------------------------------
+
+
+def argparse_vars(argv):
+    """``vars()`` of argparse's namespace for ``argv``, or None where it exits."""
+    read = cli._read
+    cli._read = lambda _: None
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            return vars(cli.parse(argv))
+    except SystemExit:
+        return None
+    finally:
+        cli._read = read
+
+
+#: Values that ``int`` reads without a leading "-": signs, "_", spaces and
+#: other scripts' digits, as argparse's ``type=int`` takes them.
+INT_TEXT = st.one_of(st.integers(0, 10 ** 6).map(str),
+                     st.sampled_from(("+3", "1_0", " 7 ", "٣", "007")))
+#: Any text that does not start with "-".
+PLAIN_TEXT = st.text(max_size=8).filter(lambda text: not text.startswith("-"))
+
+
+@st.composite
+def canonical(draw):
+    """``command [positional] (--flag value)*``, each flag once, in any
+    order, with a value its converter and choices accept."""
+    words = draw(st.sampled_from(sorted(cli.GRAMMAR)))
+    positional, flags = cli.GRAMMAR[words]
+    argv = list(words)
+    if positional is not None:
+        _, choices = positional
+        argv.append(draw(PLAIN_TEXT if choices is None else st.sampled_from(choices)))
+    for flag in draw(st.permutations(sorted(flags))):
+        convert, default, choices = flags[flag]
+        if default is not cli.REQUIRED and not draw(st.booleans()):
+            continue
+        argv += [flag, draw(st.sampled_from(choices) if choices
+                            else INT_TEXT if convert is int else PLAIN_TEXT)]
+    return argv
+
+
+@settings(max_examples=300, deadline=None)
+@given(argv=canonical())
+def test_the_reader_takes_every_canonical_invocation_as_argparse_does(argv):
+    read = cli._read(argv)
+    assert read is not None, argv
+    assert vars(read) == argparse_vars(argv)
+
+
+@settings(max_examples=300, deadline=None)
+@given(invocation=invocations())
+def test_wherever_the_reader_takes_a_fuzzed_invocation_argparse_agrees(invocation):
+    argv = [str(arg) for arg in invocation[0]]
+    read = cli._read(argv)
+    if read is not None:
+        assert vars(read) == argparse_vars(argv)
+
+
+def _verify_all_steps():
+    path = Path(__file__).resolve().parents[1] / "scripts" / "verify_all.py"
+    spec = importlib.util.spec_from_file_location("verify_all", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.STEPS
+
+
+def test_the_reader_takes_every_golden_and_verify_all_invocation():
+    # these are the invocations users and CI make: none of them may fall
+    # back to argparse unnoticed
+    from test_golden import GOLDEN
+
+    argvs = [argv.split() for argv, _, _ in GOLDEN] + _verify_all_steps()
+    assert len(argvs) == 47 + 16
+    for argv in argvs:
+        read = cli._read(argv)
+        assert read is not None, argv
+        assert vars(read) == argparse_vars(argv), argv
+
+
+@pytest.mark.parametrize("argv", ["--help", "verify -h", "verify exact --order=9",
+                                  "verify exact --ord 9", "verify exact --order -3",
+                                  "verify exact --format JSON",
+                                  "verify exact --order 3 --order 4", "chi grass --n 5",
+                                  "expand --order ten"])
+def test_the_reader_declines_what_only_argparse_reads(argv):
+    assert cli._read(argv.split()) is None
+
+
+@pytest.mark.parametrize("argv", ["verify exact --law additive --order=3",
+                                  "verify exact --law additive --ord 3"])
+def test_forms_the_reader_declines_still_run_through_argparse(capsys, argv):
+    assert run(capsys, *argv.split()) == run(
+        capsys, "verify", "exact", "--law", "additive", "--order", "3")
+
+
+@pytest.mark.parametrize("argv, usage", [("--help", "usage: cobcalc [-h]"),
+                                         ("verify -h", "usage: cobcalc verify [-h]")])
+def test_help_still_runs_through_argparse(argv, usage):
+    code, stdout, stderr = run_in_process(argv.split())
+    assert (code, stderr) == (0, "")
+    assert stdout.startswith(usage), stdout

@@ -1,3 +1,4 @@
+import re
 import subprocess
 import sys
 import textwrap
@@ -205,6 +206,84 @@ def test_parse_law_refuses_oversized_beta_before_building_it(monkeypatch, beta):
     for prefix in ("mult:", "multiplicative:"):
         with pytest.raises(fgl.LawError, match="^mult:BETA must have at most 101 "):
             fgl.parse_law(prefix + beta, 3)
+
+
+@pytest.mark.parametrize("build", [fgl.multiplicative_law, fgl.multiplicative_log])
+def test_multiplicative_law_refuses_a_float_before_any_work(monkeypatch, build):
+    # a float is not an exact rational: 0.1 is not read as its binary value
+    def no_work(*_):
+        raise AssertionError("series built before the scalar check")
+
+    monkeypatch.setattr(TruncatedSeries, "from_terms", no_work)
+    with pytest.raises(TypeError) as refused:
+        build(0.1, 3)
+    assert str(refused.value) == ("a scalar must be an exact rational with integer "
+                                  "numerator and denominator, got float")
+
+
+@pytest.mark.parametrize("beta", [1, -1, 3, -12, Fraction(1, 2), Fraction(-7, 3),
+                                  Fraction(6, 3), Fraction(10) ** 40])
+def test_multiplicative_law_reads_int_and_fraction_alike(beta):
+    # the integer-pair read against Fraction arithmetic: the tag has
+    # str(Fraction)'s bytes, g = sum (-beta)^(n-1) u^n / n and
+    # ubar = sum -(-beta)^(k-1) u^k, whether beta is an int or a Fraction
+    law, other = (fgl.multiplicative_law(b, 6) for b in (beta, Fraction(beta)))
+    assert law.tag == other.tag == f"mult:{Fraction(beta)}"
+    assert (law.f, law.inverse, law.log) == (other.f, other.inverse, other.log)
+    for n in range(1, 7):
+        power = Fraction(-beta) ** (n - 1)
+        assert law.log.coefficient((n,)) == CoeffPoly.const(power / n)
+        assert law.inverse.coefficient((n,)) == CoeffPoly.const(-power)
+
+
+@pytest.mark.parametrize("beta", ["1", "-2", "+3", "007", "-0", "9" * 101])
+def test_parse_law_reads_an_integer_beta_without_fractions(monkeypatch, beta):
+    import fractions
+
+    def no_work(*_):
+        raise AssertionError("Fraction built for an integer beta")
+
+    monkeypatch.setattr(fractions, "Fraction", no_work)
+    if int(beta) == 0:
+        with pytest.raises(fgl.LawError, match="beta != 0"):
+            fgl.parse_law(f"mult:{beta}", 3)
+    else:
+        assert fgl.parse_law(f"mult:{beta}", 3).tag == f"mult:{int(beta)}"
+
+
+BETA_TEXT = st.one_of(
+    st.from_regex(r"\A[+-]?[0-9]{1,4}\Z"),
+    st.text(alphabet="0123456789+- \t\n_./e\u0663\u00b2\uff11", max_size=8))
+
+
+@settings(max_examples=300, deadline=None)
+@given(BETA_TEXT)
+def test_the_integer_route_of_beta_reads_what_fraction_reads(text):
+    # int takes whitespace, "_" and other scripts' digits, which Fraction
+    # may refuse (3.10 refuses "1_0"); the int route takes a sign and ASCII
+    # digits only
+    takes = fgl._is_integer_text(text)
+    assert takes == (re.fullmatch(r"[+-]?[0-9]+", text) is not None)
+    if takes:
+        assert Fraction(text) == int(text)
+
+
+def test_a_beta_with_an_underscore_reaches_fraction(monkeypatch):
+    # int("1_0") is 10 on every version; Fraction reads it from 3.11 on, and
+    # before that the selector stays a usage error, as it always was
+    try:
+        expected = [Fraction("1_0")]
+    except ValueError:
+        expected = []
+    got = []
+    monkeypatch.setattr(fgl, "multiplicative_law", lambda beta, order: got.append(beta))
+    if expected:
+        fgl.parse_law("mult:1_0", 3)
+    else:
+        with pytest.raises(fgl.LawError, match="bad multiplicative parameter"):
+            fgl.parse_law("mult:1_0", 3)
+    assert got == expected
+    assert [type(beta) for beta in got] == [Fraction] * len(expected)
 
 
 def test_parse_law_accepts_beta_at_the_digit_cap():

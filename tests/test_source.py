@@ -78,14 +78,19 @@ SERIES_MODULES = {"fractions", "decimal", *(f"cobcalc.{name}" for name in (
 def test_cli_import_loads_no_dataclasses_or_inspect():
     # dataclasses pulls in inspect, ast, dis and tokenize, about half of the
     # package's import time in an interpreter started without site; the
-    # series code waits until argparse has accepted the arguments
+    # series code waits until the arguments are accepted, and argparse until
+    # the reader declines them
     script = "import sys, cobcalc.cli; print(sorted(set(sys.argv[1:]) & set(sys.modules)))"
     done = subprocess.run([sys.executable, "-S", "-c", script, "dataclasses",
-                           "inspect", *SERIES_MODULES],
+                           "inspect", *SERIES_MODULES, *ARGPARSE_MODULES],
                           env={"PYTHONPATH": str(PACKAGE.parent)},
                           capture_output=True, text=True, timeout=60)
     assert done.stderr == ""
     assert done.stdout == "[]\n"
+
+
+#: argparse and what its messages load: ``gettext``, which imports ``locale``.
+ARGPARSE_MODULES = {"argparse", "gettext", "locale"}
 
 
 #: Standard-library modules that no benchmarked command runs: annotations
@@ -110,10 +115,12 @@ def _imported(*argv: str) -> tuple[int, set[str]]:
 @pytest.mark.parametrize("argv, code", [("--help", 0), ("verify --law miscenko", 2)])
 def test_help_and_usage_errors_load_no_series_code(argv, code):
     # argparse exits on --help and on a missing identity before cli imports
-    # commands, and cli builds no path while parsing
+    # commands, and cli builds no path while parsing; these are the paths
+    # that load argparse, so the pin below is not vacuous
     returncode, imported = _imported(*argv.split())
     assert returncode == code
     assert "cobcalc.cli" in imported
+    assert sorted(imported & ARGPARSE_MODULES) == sorted(ARGPARSE_MODULES)
     assert sorted(imported & (SERIES_MODULES | {"pathlib"})) == []
 
 
@@ -133,12 +140,15 @@ def test_localize_loads_no_series_code():
 
 @pytest.mark.parametrize("argv", [
     "verify exact --law miscenko --order 9", "beta --law miscenko --order 12",
-    "verify all --law mult:1 --order 20", "chi recursion --max 17"])
+    *(f"verify all --law mult:{beta} --order 20" for beta in (1, -1, 2, -2, 3)),
+    "chi recursion --max 17"])
 def test_benchmark_invocations_load_no_unused_module(argv):
+    # cli.parse reads these itself, so argparse loads only for what its
+    # reader declines
     returncode, imported = _imported(*argv.split(), "--format", "json")
     assert returncode == 0
     assert "cobcalc.pontclass" in imported
-    assert sorted(imported & UNUSED_AT_START) == []
+    assert sorted(imported & (UNUSED_AT_START | ARGPARSE_MODULES)) == []
 
 
 #: The number types a Fraction brings: ``fractions`` imports ``decimal``,
@@ -148,10 +158,13 @@ FRACTION_MODULES = {"fractions", "decimal", "numbers"}
 
 @pytest.mark.parametrize("argv", [
     "verify exact --law miscenko --order 9", "beta --law miscenko --order 12",
-    "chi recursion --max 17", "verify all --law additive --order 8", "index klein"])
+    "chi recursion --max 17", "verify all --law additive --order 8", "index klein",
+    "verify all --law mult:1 --order 20", "verify all --law mult:-2 --order 20",
+    "verify all --law mult:3 --order 20"])
 def test_fraction_free_paths_load_no_number_types(argv):
-    # the universal and additive laws, the chi and index checks build no
-    # Fraction, so nothing imports fractions, decimal or numbers
+    # the universal, additive and integral multiplicative laws, the chi and
+    # index checks build no Fraction, so nothing imports fractions, decimal
+    # or numbers
     returncode, imported = _imported(*argv.split(), "--format", "json")
     assert returncode == 0
     assert "cobcalc.commands" in imported
@@ -159,9 +172,9 @@ def test_fraction_free_paths_load_no_number_types(argv):
 
 
 def test_a_multiplicative_law_loads_the_number_types():
-    # mult:BETA parses its parameter as a Fraction: the pin above is not
-    # vacuous, -X importtime does report these modules when they load
-    returncode, imported = _imported("verify", "all", "--law", "mult:1", "--order", "20",
+    # a BETA that is not an integer is parsed as a Fraction: the pin above
+    # is not vacuous, -X importtime does report these modules when they load
+    returncode, imported = _imported("verify", "exact", "--law", "mult:1/2", "--order", "6",
                                      "--format", "json")
     assert returncode == 0
     assert sorted(imported & FRACTION_MODULES) == sorted(FRACTION_MODULES)
@@ -186,13 +199,13 @@ def _fractions_importers(tree: ast.Module) -> set[str]:
 
 def test_fractions_is_imported_only_inside_the_functions_that_build_one():
     # a module-level import would load fractions on every path again; only
-    # the readers that return a Fraction and the mult:BETA constructors,
-    # which parse one, import it, when they are called
+    # the readers that return a Fraction and the law selector, for a BETA
+    # that is not an integer, import it, when they are called
     importers = {path.stem: _fractions_importers(ast.parse(path.read_text(), str(path)))
                  for path in sorted(PACKAGE.glob("*.py"))}
     assert {name: owners for name, owners in importers.items() if owners} == {
         "coeffring": {"coefficient", "terms", "specialize"},
-        "fgl": {"multiplicative_log", "multiplicative_law", "parse_law"},
+        "fgl": {"parse_law"},
     }
 
 
